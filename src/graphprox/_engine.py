@@ -11,7 +11,19 @@ splitting node blocks with minimum cuts at pivot levels:
 * a block containing anchored nodes pivots at the mean anchor value, and
   anchors are pinned to a side with infinite terminal arcs.
 
-When a block's cut is trivial the block is one level set; the final cut's
+The recursion runs one depth at a time.  Every live node carries a block
+id, every edge inside a live block carries its block's id, and pivots,
+termination tests, finalization and splits are array operations over
+those ids.  Blocks never share an edge, so the blocks of one depth are
+cut together as the disjoint union of their networks, whose extreme cuts
+restricted to a block are that block's own: all blocks of at most
+``_SCIPY_NODE_THRESHOLD`` nodes share one max-flow call per depth, and
+larger blocks get one call each (a union of large blocks makes every
+phase of scipy's max-flow sweep the whole union, which is slower than
+solving them apart).  Anchors sitting exactly at their block's pivot need
+a second, anchored solve, batched the same way.
+
+When a block's cut is trivial the block is one level set; the depth's
 flow already routes every node's excess, so the equalizing interior flows
 are harvested from it directly.  Crossing edges of nontrivial cuts are
 saturated and folded into the diagonal of the high-side endpoint.
@@ -32,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .maxflow import FlowNetwork, max_flow, min_cut
+from .maxflow import _SCIPY_NODE_THRESHOLD, FlowNetwork, max_flow, min_cut
 from .qbm import QuadraticBinaryProblem
 
 TERM_TOL = 1e-9  # relative tolerance for "block is one level set"
@@ -70,13 +82,29 @@ class ParametricSolution:
         return np.unique(f[np.isfinite(f)])
 
 
-def _build_block_network(a_vals, inf_src, inf_snk, lu, lv, caps) -> FlowNetwork:
-    src = np.where(inf_src, np.inf, np.maximum(a_vals, 0.0))
-    snk = np.where(inf_snk, np.inf, np.maximum(-a_vals, 0.0))
-    u = np.concatenate([lu, lv])
-    v = np.concatenate([lv, lu])
-    c = np.concatenate([0.5 * caps, 0.5 * caps])
-    return FlowNetwork(len(a_vals), src, snk, u, v, c)
+def _block_network(problem: QuadraticBinaryProblem, cap, nodes, edges,
+                   unary, inf_src, inf_snk) -> FlowNetwork:
+    """The flow network of the blocks made of ``nodes`` (global ids, in
+    network order) and ``edges`` (the problem edges inside them).
+
+    ``unary``, ``inf_src`` and ``inf_snk`` align with ``nodes``; ``cap`` is
+    the per-edge capacity of the whole problem, split evenly over the two
+    arc directions.  Arc k and arc k + len(edges) carry edge k forward and
+    backward.
+    """
+    loc = np.empty(problem.n, dtype=np.int64)
+    loc[nodes] = np.arange(len(nodes))
+    lu, lv = loc[problem.edge_u[edges]], loc[problem.edge_v[edges]]
+    half = 0.5 * cap[edges]
+    src = np.where(inf_src, np.inf, np.maximum(unary, 0.0))
+    snk = np.where(inf_snk, np.inf, np.maximum(-unary, 0.0))
+    return FlowNetwork(len(nodes), src, snk, np.concatenate([lu, lv]),
+                       np.concatenate([lv, lu]), np.concatenate([half, half]))
+
+
+def _positions(ids: set, where: np.ndarray) -> np.ndarray:
+    """Map a set of network-local node ids to positions via ``where``."""
+    return where[np.fromiter(ids, dtype=np.int64, count=len(ids))]
 
 
 def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
@@ -116,7 +144,6 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
     levels = np.zeros(n)
     flip_lo = np.zeros(n)
     flip_hi = np.zeros(n)
-    loc = np.full(n, -1, dtype=np.int64)  # scratch: global -> block-local
 
     # per-node magnitude bound: |r_i| never exceeds |q_ii| plus half the
     # incident coupling mass, so this scales the fuse tolerance safely
@@ -126,129 +153,153 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
     bound = np.abs(diag) + half_mass
     scale = max(1.0, float(bound[~anchor_mask].max()) if (~anchor_mask).any()
                 else 1.0)
+    del half_mass, bound
 
-    def finalize(nodes, mu, zero_mode, w_eff, fin_mask):
-        tol0 = TERM_TOL * max(1.0, abs(mu), scale)
-        if zero_mode:
-            for i in nodes[fin_mask]:
-                levels[i] = mu
-                if mu > tol0:
-                    flip_lo[i] = flip_hi[i] = np.inf
-                elif mu < -tol0:
-                    flip_lo[i] = flip_hi[i] = -np.inf
-                else:
-                    flip_lo[i] = np.inf   # never strictly below zero
-                    flip_hi[i] = -np.inf  # always weakly below
-        else:
-            levels[nodes[fin_mask]] = mu * w_eff[fin_mask]
-            flip_lo[nodes[fin_mask]] = mu
-            flip_hi[nodes[fin_mask]] = mu
-        anch = nodes[~fin_mask]
-        levels[anch] = anchor_values[anch]
-        flip_lo[anch] = anchor_values[anch]
-        flip_hi[anch] = anchor_values[anch]
+    # live nodes and the edges inside live blocks, both grouped by block
+    # id (ids run 0..B-1, so block b owns one contiguous slice of each)
+    nodes = np.arange(n, dtype=np.int64)
+    bid = np.zeros(n, dtype=np.int64)
+    edges = np.arange(problem.n_edges, dtype=np.int64)
+    ebid = np.zeros(problem.n_edges, dtype=np.int64)
+    loc = np.empty(n, dtype=np.int64)  # scratch: global -> live position
 
-    # work stack of (node index array, edge index array)
-    all_nodes = np.arange(n, dtype=np.int64)
-    stack = [(all_nodes, np.arange(problem.n_edges, dtype=np.int64))]
+    def cut(blocks, unary, src_pin, snk_pin, flow=None):
+        """Extreme sink-side cuts of the current depth's ``blocks``, as
+        masks over live nodes: blocks of at most _SCIPY_NODE_THRESHOLD
+        nodes in one union network, larger ones alone.  ``flow`` receives
+        the forward-minus-backward flow of each edge inside them."""
+        s_min = np.zeros(len(nodes), dtype=bool)
+        s_max = np.zeros(len(nodes), dtype=bool)
+        small = blocks & (size <= _SCIPY_NODE_THRESHOLD)
+        starts = np.concatenate([[0], np.cumsum(size)])
+        estarts = np.concatenate(
+            [[0], np.cumsum(np.bincount(ebid, minlength=len(size)))])
+        groups = [(small[bid], small[ebid])] if small.any() else []
+        groups += [(slice(starts[b], starts[b + 1]),
+                    slice(estarts[b], estarts[b + 1]))
+                   for b in np.nonzero(blocks & ~small)[0]]
+        for gn, ge in groups:
+            net = _block_network(problem, cap, nodes[gn], edges[ge],
+                                 unary[gn], src_pin[gn], snk_pin[gn])
+            state = max_flow(net, method=method)
+            lo, hi = min_cut(net, state)
+            where = np.arange(len(nodes))[gn]
+            s_min[_positions(lo, where)] = True
+            s_max[_positions(hi, where)] = True
+            if flow is not None:
+                k = len(net.arc_u) // 2
+                flow[ge] = state.z_arc[:k] - state.z_arc[k:]
+            del net, state
+        return s_min, s_max
 
-    while stack:
-        nodes, edges = stack.pop()
-        m = len(nodes)
-        fin_mask = ~anchor_mask[nodes]
-        anch_vals = anchor_values[nodes[~fin_mask]]
-        w_blk = w[nodes]
+    def splits(mask):
+        """Blocks that ``mask`` (over live nodes) cuts nontrivially."""
+        cnt = np.bincount(bid, mask, len(size))
+        return (cnt > 0) & (cnt < size)
 
-        # reductions of finite nodes under current diagonal and zero
-        # internal flow
-        r_loc = diag[nodes].copy()
-        if len(edges):
-            loc[nodes] = np.arange(m)
-            lu = loc[eu[edges]]
-            lv = loc[ev[edges]]
-            half = 0.5 * static_q[edges]
-            np.add.at(r_loc, lu, half)
-            np.add.at(r_loc, lv, half)
-        else:
-            lu = lv = np.zeros(0, dtype=np.int64)
+    while len(nodes):
+        L, B = len(nodes), int(bid[-1]) + 1
+        size = np.bincount(bid, minlength=B)
+        anch = anchor_mask[nodes]
+        a_val = anchor_values[nodes]
 
-        has_anchors = (~fin_mask).any()
-        zero_mode = False
-        if has_anchors:
-            mu = float(anch_vals.mean())
-            w_eff = w_blk
-        else:
-            sw = float(w_blk.sum())
-            if sw > ZERO_W_TOL:
-                mu = float(r_loc[fin_mask].sum()) / sw
-                w_eff = w_blk
-            else:
-                zero_mode = True
-                mu = float(r_loc[fin_mask].mean()) if fin_mask.any() else 0.0
-                w_eff = np.ones(m)
+        # reductions of live nodes under the current diagonal and zero
+        # flow inside blocks
+        loc[nodes] = np.arange(L)
+        half = 0.5 * static_q[edges]
+        r = diag[nodes] + np.bincount(loc[eu[edges]], half, L) \
+            + np.bincount(loc[ev[edges]], half, L)
+        del half
 
-        unary = np.where(fin_mask, r_loc - mu * w_eff, 0.0)
-        tol = TERM_TOL * max(1.0, abs(mu), scale)
+        # pivots: mean anchor value, else sum(r) / sum(w), else (all-zero
+        # weights) mean r
+        w_nd = w[nodes]
+        n_anch = np.bincount(bid, anch, B)
+        sw = np.bincount(bid, w_nd, B)
+        zero = (n_anch == 0) & (sw <= ZERO_W_TOL)
+        num = np.where(n_anch > 0, np.bincount(bid, np.where(anch, a_val, 0.0), B),
+                       np.bincount(bid, r, B))
+        mu = num / np.where(n_anch > 0, n_anch, np.where(zero, size, sw))
+        w_eff = np.where(zero[bid], 1.0, w_nd)
+        unary = np.where(anch, 0.0, r - mu[bid] * w_eff)
+        del r, w_nd
+        tol = TERM_TOL * np.maximum(np.abs(mu), scale)
+        spread = np.zeros(B)
+        np.maximum.at(spread, bid, np.abs(unary))
+        done = (size == 1) | ((n_anch == 0) & (spread <= tol))
+        active = ~done
+        split = np.zeros(B, dtype=bool)
 
-        if m == 1 or (not has_anchors and float(np.abs(unary).max(initial=0.0)) <= tol):
-            finalize(nodes, mu, zero_mode, w_eff, fin_mask)
-            continue
-
-        tie_tol = TERM_TOL * max(1.0, abs(mu))
-        at_pivot = ~fin_mask & (np.abs(anchor_values[nodes] - mu) <= tie_tol)
-        inf_snk = ~fin_mask & (anchor_values[nodes] <= mu + tie_tol)
-        inf_src = ~fin_mask & ~inf_snk
-        net = _build_block_network(unary, inf_src, inf_snk, lu, lv, cap[edges])
-        state = max_flow(net, method=method)
-        s_min, s_max = min_cut(net, state)
-
-        if not (0 < len(s_max) < m) and not (0 < len(s_min) < m) and at_pivot.any():
+        if active.any():
+            # anchors at or below the pivot are pinned to the sink (low) side
+            tie_tol = (TERM_TOL * np.maximum(1.0, np.abs(mu)))[bid]
+            at_pivot = anch & (np.abs(a_val - mu[bid]) <= tie_tol)
+            inf_snk = anch & (a_val <= mu[bid] + tie_tol)
+            inf_src = anch & ~inf_snk
+            del tie_tol
+            flow = np.zeros(len(edges))
+            s_min, s_max = cut(active, unary, inf_src, inf_snk, flow)
+            by_max, by_min = splits(s_max), splits(s_min)
             # anchors exactly at the pivot sit in U2 but not U1; the strict
             # split needs them pinned high
-            net2 = _build_block_network(unary, inf_src | at_pivot,
-                                        inf_snk & ~at_pivot, lu, lv, cap[edges])
-            s_min, _ = min_cut(net2, max_flow(net2, method=method))
+            again = active & ~by_max & ~by_min & \
+                (np.bincount(bid, at_pivot, B) > 0)
+            if again.any():
+                s_min2, _ = cut(again, unary, inf_src | at_pivot,
+                                inf_snk & ~at_pivot)
+                redo = again[bid]
+                s_min[redo] = s_min2[redo]
+                by_min |= again & splits(s_min2)
+            split = by_max | by_min
+            low = np.where(by_max[bid], s_max, s_min)
 
-        if 0 < len(s_max) < m:
-            low = s_max
-        elif 0 < len(s_min) < m:
-            low = s_min
-        else:
-            # single level set: harvest the equalizing interior flows from
-            # the final (fully saturating) cut solve
-            if len(edges):
-                z_fwd = state.z_arc[:len(edges)]
-                z_bwd = state.z_arc[len(edges):]
-                a_new = 2.0 * (z_fwd - z_bwd)
-                alpha[edges] = np.clip(a_new, -cap[edges], cap[edges])
-            finalize(nodes, mu, zero_mode, w_eff, fin_mask)
-            continue
+            # single level sets: harvest the equalizing interior flows from
+            # the depth's (fully saturating) cut solve
+            he = (active & ~split)[ebid]
+            e = edges[he]
+            alpha[e] = np.clip(2.0 * flow[he], -cap[e], cap[e])
+            done |= active & ~split
 
-        low_mask = np.zeros(m, dtype=bool)
-        low_mask[list(low)] = True
+        # finished blocks: anchors sit at their value; all-zero blocks
+        # resolve by the sign of their level (strictly below zero never,
+        # weakly below always when it is zero)
+        fin = done[bid]
+        g, b = nodes[fin], bid[fin]
+        a_g, av = anch[fin], a_val[fin]
+        levels[g] = np.where(a_g, av, mu[b] * w_eff[fin])
+        lo = np.where(a_g, av, mu[b])
+        hi = lo.copy()
+        zb = zero[b]
+        lo[zb] = np.where(mu[b[zb]] < -tol[b[zb]], -np.inf, np.inf)
+        hi[zb] = np.where(mu[b[zb]] > tol[b[zb]], np.inf, -np.inf)
+        flip_lo[g] = lo
+        flip_hi[g] = hi
+        if not split.any():
+            break
 
-        if len(edges):
-            u_low = low_mask[lu]
-            v_low = low_mask[lv]
-            cross = u_low != v_low
-            # u < v globally: low-u means alpha at -cap (flow v -> u),
-            # low-v means alpha at +cap (flow u -> v); the high endpoint
-            # absorbs the static coupling into its diagonal
-            cu = cross & u_low
-            cv = cross & v_low
-            alpha[edges[cu]] = -cap[edges[cu]]
-            alpha[edges[cv]] = cap[edges[cv]]
-            np.add.at(diag, ev[edges[cu]], static_q[edges[cu]])
-            np.add.at(diag, eu[edges[cv]], static_q[edges[cv]])
-            inner_low = edges[u_low & v_low]
-            inner_high = edges[~u_low & ~v_low]
-        else:
-            inner_low = inner_high = edges
+        # split blocks: saturate crossing edges (u < v globally: low-u means
+        # alpha at -cap, flow v -> u; low-v means alpha at +cap, flow u -> v)
+        # and let the high endpoint absorb the static coupling
+        keep_n, keep_e = split[bid], split[ebid]
+        u_low, v_low = low[loc[eu[edges]]], low[loc[ev[edges]]]
+        cross = keep_e & (u_low != v_low)
+        cu, cv = edges[cross & u_low], edges[cross & v_low]
+        alpha[cu] = -cap[cu]
+        alpha[cv] = cap[cv]
+        np.add.at(diag, ev[cu], static_q[cu])
+        np.add.at(diag, eu[cv], static_q[cv])
+        keep_e &= ~cross
 
-        low_nodes = nodes[low_mask]
-        high_nodes = nodes[~low_mask]
-        stack.append((low_nodes, inner_low))
-        stack.append((high_nodes, inner_high))
+        # children: the low half of block b becomes 2b, the high half
+        # 2b + 1, renumbered densely in sorted order
+        key = 2 * bid[keep_n] + ~low[keep_n]
+        order = np.argsort(key, kind="stable")
+        nodes, key = nodes[keep_n][order], key[order]
+        first = np.concatenate([[True], key[1:] != key[:-1]])
+        bid = np.cumsum(first) - 1
+        ebid = np.searchsorted(key[first], 2 * ebid[keep_e] + ~u_low[keep_e])
+        order = np.argsort(ebid, kind="stable")
+        edges, ebid = edges[keep_e][order], ebid[order]
 
     sol = ParametricSolution(problem, w, alpha, levels, flip_lo, flip_hi,
                              anchor_mask if anchor_mask.any() else None)
@@ -286,16 +337,11 @@ def bisection_cut(problem: QuadraticBinaryProblem, weights, T, alpha,
     if float(np.abs(unary).max(initial=0.0)) <= tol * scale:
         return set()
 
-    loc = {int(g): k for k, g in enumerate(T)}
     in_T = np.zeros(problem.n, dtype=bool)
     in_T[T] = True
-    sel = in_T[problem.edge_u] & in_T[problem.edge_v]
-    edges = np.nonzero(sel)[0]
-    lu = np.array([loc[int(g)] for g in problem.edge_u[edges]], dtype=np.int64)
-    lv = np.array([loc[int(g)] for g in problem.edge_v[edges]], dtype=np.int64)
-    caps = np.where(problem.ties[edges], np.inf, -problem.edge_q[edges])
-    net = _build_block_network(unary, np.zeros(len(T), dtype=bool),
-                               np.zeros(len(T), dtype=bool), lu, lv, caps)
-    state = max_flow(net, method=method)
-    _, s_max = min_cut(net, state)
-    return set(int(T[k]) for k in s_max)
+    edges = np.nonzero(in_T[problem.edge_u] & in_T[problem.edge_v])[0]
+    cap = np.where(problem.ties, np.inf, -problem.edge_q)
+    pinned = np.zeros(len(T), dtype=bool)
+    net = _block_network(problem, cap, T, edges, unary, pinned, pinned)
+    _, s_max = min_cut(net, max_flow(net, method=method))
+    return set(_positions(s_max, T).tolist())

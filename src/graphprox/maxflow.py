@@ -563,8 +563,11 @@ def _quantize_network(net: FlowNetwork) -> tuple[FlowNetwork, float]:
     backend's int32 arithmetic is exact.
 
     Capacities above the trivial flow bound are clamped first (such arcs
-    can never lie on a minimum cut).  Returns the quantized network and
-    the grid quantum.
+    can never lie on a minimum cut).  scipy keeps the residual of arc
+    u -> v as c(u, v) - f(u, v) in int32, which reaches c(u, v) + c(v, u);
+    where that sum wraps, it silently returns a non-maximum flow.  So the
+    grid leaves room for twice the largest arc capacity, not only for the
+    flow bound.  Returns the quantized network and the grid quantum.
     """
     def side_sum(caps):
         return np.inf if np.any(np.isinf(caps)) else float(caps.sum())
@@ -575,7 +578,9 @@ def _quantize_network(net: FlowNetwork) -> tuple[FlowNetwork, float]:
                   for c in (net.source_caps, net.sink_caps, net.arc_cap)]
         bound = float(sum(finite))
     clamp = bound * (1.0 + 1e-9) + 1.0
-    scale_bits = int(np.floor(np.log2((2.0 ** 31 - 1) / (clamp + 1.0))))
+    arcs = net.arc_cap[np.isfinite(net.arc_cap)]
+    top = max(clamp, 2.0 * min(float(arcs.max(initial=0.0)), clamp))
+    scale_bits = int(np.floor(np.log2((2.0 ** 31 - 1) / (top + 1.0))))
     scale = float(2.0 ** scale_bits)
 
     def snap(caps):
@@ -603,6 +608,9 @@ def _scipy_backend(net: FlowNetwork, scale: float) -> FlowState:
     keep = icaps > 0
     g = coo_matrix((icaps[keep], (rows[keep], cols[keep])),
                    shape=(n + 2, n + 2)).tocsr()
+    # CSR construction sums parallel arcs; terminal arcs never collide, so
+    # interior arcs are distinct iff no kept entry was merged away
+    merged = int(keep.sum()) != g.nnz
     res = maximum_flow(g, S, T)
     flow = res.flow.tocsr()
     flow.sort_indices()
@@ -626,30 +634,27 @@ def _scipy_backend(net: FlowNetwork, scale: float) -> FlowState:
     z_src = get_flows(np.full(n, S), np.arange(n)) if n else np.zeros(0)
     z_snk = get_flows(np.arange(n), np.full(n, T)) if n else np.zeros(0)
     m = len(net.arc_u)
-    if m:
-        z_pair = get_flows(net.arc_u, net.arc_v)
+    # arcs dropped from the graph (zero integer capacity) carry no flow,
+    # even when a kept twin shares their key
+    z_arc = np.where(keep[2 * n:], get_flows(net.arc_u, net.arc_v), 0.0)
+    if merged:
+        # parallel arcs were summed by CSR construction: recover a valid
+        # per-arc split greedily within each duplicate group
+        z_pair = z_arc
+        z_arc = np.zeros(m)
         keys = net.arc_u * (net.n + 1) + net.arc_v
-        uniq = np.unique(keys)
-        if len(uniq) == m:
-            z_arc = z_pair
-        else:
-            # parallel arcs were summed by CSR construction: recover a
-            # valid per-arc split greedily within each duplicate group
-            z_arc = np.zeros(m)
-            order = np.argsort(keys, kind="stable")
-            k = 0
-            while k < m:
-                j = k
-                while j < m and keys[order[j]] == keys[order[k]]:
-                    j += 1
-                remaining = z_pair[order[k]]
-                for idx in order[k:j]:
-                    take = min(remaining, net.arc_cap[idx])
-                    z_arc[idx] = take
-                    remaining -= take
-                k = j
-    else:
-        z_arc = np.zeros(0)
+        order = np.argsort(keys, kind="stable")
+        k = 0
+        while k < m:
+            j = k
+            while j < m and keys[order[j]] == keys[order[k]]:
+                j += 1
+            remaining = z_pair[order[k:j]].max()
+            for idx in order[k:j]:
+                take = min(remaining, net.arc_cap[idx])
+                z_arc[idx] = take
+                remaining -= take
+            k = j
     return FlowState(z_src, z_snk, z_arc, float(z_snk.sum()))
 
 

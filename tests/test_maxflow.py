@@ -7,6 +7,7 @@ import pytest
 
 from graphprox import (FlowNetwork, FlowState, StaleFlow, check_flow, max_flow,
                        min_cut, read_dimacs, to_cut_graph)
+from graphprox.maxflow import _quantize_network
 from conftest import random_submodular
 
 
@@ -82,6 +83,61 @@ class TestMaxFlow:
             v1 = max_flow(net, method="push_relabel").value
             v2 = max_flow(net, method="scipy").value
             assert v1 == pytest.approx(v2, abs=1e-6)
+
+
+def wide_range_block(seed):
+    """A bisection-block-like network whose capacities span seven decades:
+    a_i = N(0,1) * 10^U(-4,3), n to 4n distinct undirected edges, each
+    direction with capacity 500 * 10^U(-4,3)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 61))
+    a = rng.normal(0, 1, n) * 10.0 ** rng.uniform(-4, 3, n)
+    m = int(rng.integers(n, 4 * n + 1))
+    u, v = rng.integers(0, n, m), rng.integers(0, n, m)
+    keep = u != v
+    key = np.unique(np.minimum(u, v)[keep] * n + np.maximum(u, v)[keep])
+    lo, hi = key // n, key % n
+    fwd = 500 * 10.0 ** rng.uniform(-4, 3, len(lo))
+    bwd = 500 * 10.0 ** rng.uniform(-4, 3, len(lo))
+    return FlowNetwork(n, np.maximum(a, 0), np.maximum(-a, 0),
+                       np.concatenate([lo, hi]), np.concatenate([hi, lo]),
+                       np.concatenate([fwd, bwd]))
+
+
+class TestScipyBackend:
+    @pytest.mark.parametrize("seed", [3, 368, 776, 1206])
+    def test_int32_headroom(self, seed):
+        # without headroom in the integer grid, scipy's int32 sums of
+        # antiparallel capacities wrap and it returns a non-maximum flow
+        net = wide_range_block(seed)
+        state = max_flow(net, method="scipy")
+        min_cut(net, state)  # raises StaleFlow on a non-maximum flow
+        exact = max_flow(net, method="push_relabel").value
+        assert state.value == pytest.approx(exact, rel=1e-6)
+
+    def test_headroom_only_for_large_arcs(self):
+        # flow bound 4000: arcs far below it keep the full-range grid,
+        # arcs near it halve the grid step (one bit for c(u,v) + c(v,u))
+        src = snk = np.full(4, 1000.0)
+        chain = ([0, 1, 2], [1, 2, 3])
+        fine = _quantize_network(FlowNetwork(4, src, snk, *chain, [0.25] * 3))[1]
+        coarse = _quantize_network(FlowNetwork(4, src, snk, *chain, [3000.0] * 3))[1]
+        assert fine == 2.0 ** -19
+        assert coarse == 2 * fine
+
+    @pytest.mark.parametrize("method", ["push_relabel", "scipy"])
+    @pytest.mark.parametrize("caps", [[1.5, 2.0, 0.0], [2.0, 0.0]])
+    def test_parallel_arcs(self, method, caps):
+        # repeated arc 0 -> 1, including a zero-capacity twin, then 1 -> 2
+        k = len(caps)
+        net = FlowNetwork(3, [5.0, 0.0, 0.0], [0.0, 0.0, 4.0],
+                          [0] * k + [1], [1] * k + [2], caps + [3.0])
+        state = max_flow(net, method=method)
+        assert state.value == pytest.approx(min(sum(caps), 3.0))
+        assert check_flow(net, state).is_valid_flow
+        s_min, s_max = min_cut(net, state)
+        value, sets = brute_min_cut(net)
+        assert frozenset(s_min) in sets and frozenset(s_max) in sets
 
 
 class TestMinCut:
