@@ -11,12 +11,17 @@ splitting node blocks with minimum cuts at pivot levels:
 * a block containing anchored nodes pivots at the mean anchor value, and
   anchors are pinned to a side with infinite terminal arcs.
 
-The recursion runs one depth at a time.  Every live node carries a block
-id, every edge inside a live block carries its block's id, and pivots,
-termination tests, finalization and splits are array operations over
-those ids.  Blocks never share an edge, so the blocks of one depth are
-cut together as the disjoint union of their networks, whose extreme cuts
-restricted to a block are that block's own: all blocks of at most
+The recursion runs one depth at a time, and a block is a connected
+component of the live edges.  Once the crossing edges of a cut are
+saturated and folded into the diagonal, a block's problem is the sum of
+its components' problems, so its minimum-norm point is theirs side by
+side; each component therefore pivots on its own, and a node left without
+a live edge finishes as its own level set with no flow call.  Every live
+node carries its block id, every live edge its endpoints' block id, and
+pivots, termination tests, finalization and splits are array operations
+over those ids.  Blocks never share an edge, so the blocks of one depth
+are cut together as the disjoint union of their networks, whose extreme
+cuts restricted to a block are that block's own: all blocks of at most
 ``_SCIPY_NODE_THRESHOLD`` nodes share one max-flow call per depth, and
 larger blocks get one call each (a union of large blocks makes every
 phase of scipy's max-flow sweep the whole union, which is slower than
@@ -71,11 +76,11 @@ class ParametricSolution:
 
     def u1(self, beta: float) -> set:
         m = (beta > self.flip_lo) & self.interior()
-        return set(int(i) for i in np.nonzero(m)[0])
+        return set(np.flatnonzero(m).tolist())
 
     def u2(self, beta: float) -> set:
         m = (beta >= self.flip_hi) & self.interior()
-        return set(int(i) for i in np.nonzero(m)[0])
+        return set(np.flatnonzero(m).tolist())
 
     def breakpoints(self) -> np.ndarray:
         f = self.flip_hi[self.interior()]
@@ -121,6 +126,9 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         exactly there regardless of flow (infinite-weight limit).
     method : flow solver backend passed through to max_flow.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = problem.n
     if weights is None:
         weights = np.ones(n)
@@ -147,21 +155,32 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
 
     # per-node magnitude bound: |r_i| never exceeds |q_ii| plus half the
     # incident coupling mass, so this scales the fuse tolerance safely
-    half_mass = np.zeros(n)
-    np.add.at(half_mass, eu, 0.5 * np.abs(static_q))
-    np.add.at(half_mass, ev, 0.5 * np.abs(static_q))
+    half_q = 0.5 * np.abs(static_q)
+    half_mass = np.bincount(eu, half_q, n) + np.bincount(ev, half_q, n)
     bound = np.abs(diag) + half_mass
     scale = max(1.0, float(bound[~anchor_mask].max()) if (~anchor_mask).any()
                 else 1.0)
-    del half_mass, bound
+    del half_q, half_mass, bound
 
-    # live nodes and the edges inside live blocks, both grouped by block
-    # id (ids run 0..B-1, so block b owns one contiguous slice of each)
-    nodes = np.arange(n, dtype=np.int64)
-    bid = np.zeros(n, dtype=np.int64)
-    edges = np.arange(problem.n_edges, dtype=np.int64)
-    ebid = np.zeros(problem.n_edges, dtype=np.int64)
     loc = np.empty(n, dtype=np.int64)  # scratch: global -> live position
+
+    def regroup(nodes, edges):
+        """Live nodes and edges sorted by block, with their block ids: the
+        blocks are the connected components of the live edges, numbered
+        0..B-1, so block b owns one contiguous slice of each array."""
+        L = len(nodes)
+        loc[nodes] = np.arange(L)
+        lu = loc[eu[edges]]
+        graph = coo_matrix((np.ones(len(edges)), (lu, loc[ev[edges]])),
+                           shape=(L, L))
+        label = connected_components(graph, directed=False)[1]
+        elabel = label[lu]
+        order = np.argsort(label, kind="stable")
+        eorder = np.argsort(elabel, kind="stable")
+        return nodes[order], label[order], edges[eorder], elabel[eorder]
+
+    nodes, bid, edges, ebid = regroup(np.arange(n),
+                                      np.arange(problem.n_edges))
 
     def cut(blocks, unary, src_pin, snk_pin, flow=None):
         """Extreme sink-side cuts of the current depth's ``blocks``, as
@@ -286,20 +305,12 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         cu, cv = edges[cross & u_low], edges[cross & v_low]
         alpha[cu] = -cap[cu]
         alpha[cv] = cap[cv]
-        np.add.at(diag, ev[cu], static_q[cu])
-        np.add.at(diag, eu[cv], static_q[cv])
+        diag += np.bincount(ev[cu], static_q[cu], n) \
+            + np.bincount(eu[cv], static_q[cv], n)
         keep_e &= ~cross
 
-        # children: the low half of block b becomes 2b, the high half
-        # 2b + 1, renumbered densely in sorted order
-        key = 2 * bid[keep_n] + ~low[keep_n]
-        order = np.argsort(key, kind="stable")
-        nodes, key = nodes[keep_n][order], key[order]
-        first = np.concatenate([[True], key[1:] != key[:-1]])
-        bid = np.cumsum(first) - 1
-        ebid = np.searchsorted(key[first], 2 * ebid[keep_e] + ~u_low[keep_e])
-        order = np.argsort(ebid, kind="stable")
-        edges, ebid = edges[keep_e][order], ebid[order]
+        # children: the components of what is left of the split blocks
+        nodes, bid, edges, ebid = regroup(nodes[keep_n], edges[keep_e])
 
     sol = ParametricSolution(problem, w, alpha, levels, flip_lo, flip_hi,
                              anchor_mask if anchor_mask.any() else None)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -51,19 +50,6 @@ class GridSpec:
         eu = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
         ev = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
         return eu, ev, np.full(len(eu), self.weight)
-
-
-def thread_budget() -> int:
-    """Parallelism cap from GRAPHPROX_THREADS (>=1); solvers currently run
-    single-threaded, so values above 1 grant headroom without effect."""
-    raw = os.environ.get("GRAPHPROX_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ParseError(f"GRAPHPROX_THREADS={raw!r} is not an integer") from exc
-    if val < 1:
-        raise ParseError(f"GRAPHPROX_THREADS must be >= 1, got {val}")
-    return val
 
 
 def _fmt(x: float) -> str:
@@ -292,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    thread_budget()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

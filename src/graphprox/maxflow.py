@@ -109,10 +109,9 @@ class FlowState:
 
     def excess(self, net: FlowNetwork) -> np.ndarray:
         """Inflow minus outflow at each interior node."""
-        ex = self.z_source - self.z_sink
-        np.add.at(ex, net.arc_v, self.z_arc)
-        np.add.at(ex, net.arc_u, -self.z_arc)
-        return ex
+        return (self.z_source - self.z_sink
+                + np.bincount(net.arc_v, self.z_arc, net.n)
+                - np.bincount(net.arc_u, self.z_arc, net.n))
 
 
 @dataclass
@@ -777,8 +776,8 @@ def min_cut(graph, state: FlowState) -> tuple[set, set]:
     from_s, to_t = _residual_reach(net, state)
     if np.any(from_s & to_t):
         raise StaleFlow("augmenting path exists; flow is not maximum")
-    s_min = set(int(i) for i in np.nonzero(to_t)[0])
-    s_max = set(int(i) for i in np.nonzero(~from_s)[0])
+    s_min = set(np.flatnonzero(to_t).tolist())
+    s_max = set(np.flatnonzero(~from_s).tolist())
     return s_min, s_max
 
 

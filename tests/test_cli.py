@@ -255,17 +255,6 @@ class TestCheckCommand:
         assert (rc2, out2) == (rc, out)
 
 
-class TestThreadBudget:
-    def test_env_parsing(self, monkeypatch):
-        from graphprox.cli import thread_budget
-        monkeypatch.setenv("GRAPHPROX_THREADS", "4")
-        assert thread_budget() == 4
-        monkeypatch.setenv("GRAPHPROX_THREADS", "zero")
-        from graphprox import ParseError
-        with pytest.raises(ParseError):
-            thread_budget()
-
-
 class TestGridSpec:
     def test_lattice_edges_only(self):
         from graphprox.cli import GridSpec

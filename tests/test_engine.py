@@ -1,10 +1,12 @@
-"""Level-synchronous bisection: batched flow calls, mixed block sizes,
-weights and anchors at one recursion depth."""
+"""Level-synchronous bisection over connected components: batched flow
+calls, mixed block sizes, weights and anchors at one recursion depth, and
+disjoint pieces that solve as if alone."""
 
 import numpy as np
 import pytest
 
 import graphprox._engine as engine
+from conftest import random_submodular
 from graphprox import (PiecewiseLinearPenalty, ProxProblem,
                        QuadraticBinaryProblem, build_prox_qbm, certificate,
                        evaluate, prox, reductions, solve_weighted)
@@ -40,7 +42,17 @@ class TestBatching:
         # ~500 blocks, but only a few recursion depths
         u = prox(chain_prox())
         assert len(np.unique(u)) > 100
-        assert len(flow_calls) <= 40
+        assert len(flow_calls) <= 8  # 6 measured
+
+    def test_edgeless_needs_no_flow(self, flow_calls):
+        # every node is its own component, so each finishes at size one
+        rng = np.random.default_rng(2)
+        prob = QuadraticBinaryProblem.from_parts(rng.normal(0, 2, 50), {})
+        w = rng.uniform(0.5, 2.0, 50)
+        sol = solve_weighted(prob, w)
+        assert flow_calls == []
+        np.testing.assert_allclose(sol.levels, prob.diag, rtol=1e-15)
+        assert np.array_equal(sol.flip_hi, prob.diag / w)
 
     def test_chain_exact(self):
         problem = chain_prox()
@@ -72,6 +84,24 @@ class TestBatching:
             assert np.allclose(x, y, rtol=1e-9, atol=1e-9), key
         assert np.ptp(auto.levels[:big]) == 0.0  # the chain stays fused
         assert certificate(problem, auto.levels[:problem.n]) <= 1e-7
+
+    def test_interleaved_large_blocks(self, flow_calls):
+        # two 350-node chains, one on the even and one on the odd nodes:
+        # their edges interleave in problem order, and each chain is over
+        # the 300-node threshold, so it is cut alone from its own slice
+        rng = np.random.default_rng(4)
+        n = 700
+        a = np.repeat(rng.normal(0, 3, 14), 50) + rng.normal(0, 0.5, n)
+        eu = np.arange(n - 2)
+        problem = ProxProblem(a, eu, eu + 2, rng.uniform(0.5, 2.0, n - 2),
+                              0.4)
+        b = build_prox_qbm(problem)
+        auto = engine.solve_parametric(b.qbm, b.weights)
+        assert flow_calls[:2] == [350, 350]
+        ref = engine.solve_parametric(b.qbm, b.weights, method="push_relabel")
+        np.testing.assert_allclose(auto.levels, ref.levels, rtol=1e-9,
+                                   atol=1e-9)
+        assert certificate(problem, auto.levels) <= 1e-7
 
 
 class TestWeightsAtOneDepth:
@@ -110,11 +140,103 @@ class TestAnchorsAtPivot:
         # node 0: |u| anchor at 0 with a = -1; node 1: |u - 2| anchor at 2
         # with a = 1.5.  The root splits at the anchor mean 1; each half
         # then pivots exactly at its own anchor, cuts trivially, and needs
-        # the anchored second solve: both halves share one call for each
+        # the anchored second solve.  The two halves are separate
+        # components from the start, so there is no root cut; their second
+        # solves still share one call
         pens = {0: PiecewiseLinearPenalty([0.0], [-1.0, 1.0]),
                 1: PiecewiseLinearPenalty([2.0], [-1.0, 1.0])}
         problem = ProxProblem.from_edges([-1.0, 1.5], {}, lam=0.2,
                                          penalties=pens)
         u = prox(problem)
         assert u == pytest.approx([-0.9, 1.6], abs=1e-12)
-        assert len(flow_calls) == 3
+        assert len(flow_calls) == 2
+
+
+def random_tree(rng, n):
+    """Diagonal and edges of a random tree on nodes 0..n-1."""
+    edges = {(int(rng.integers(0, i)), i): -abs(float(rng.normal(0, 1)))
+             for i in range(1, n)}
+    return rng.normal(0, 2, n), edges
+
+
+def union(pieces):
+    """The disjoint union of (problem, weights, anchor_mask, anchor_values)
+    pieces, node ids shifted piece by piece."""
+    diag, edges, off = [], {}, 0
+    for prob, *_ in pieces:
+        diag.append(prob.diag)
+        for (i, j), q in prob.offdiag().items():
+            edges[(i + off, j + off)] = q
+        off += prob.n
+    prob = QuadraticBinaryProblem.from_parts(np.concatenate(diag), edges)
+    return (prob,) + tuple(np.concatenate([p[k] for p in pieces])
+                           for k in (1, 2, 3))
+
+
+def three_pieces(rng, sizes):
+    """A positive-weight piece, an all-zero-weight piece and a prox piece
+    with penalty anchors, as (problem, weights, anchor_mask,
+    anchor_values)."""
+    pieces = []
+    for n, weight in zip(sizes[:2], (rng.uniform(0.5, 2.0, sizes[0]),
+                                     np.zeros(sizes[1]))):
+        diag, edges = random_tree(rng, n)
+        pieces.append((QuadraticBinaryProblem.from_parts(diag, edges),
+                       weight, np.zeros(n, dtype=bool), np.zeros(n)))
+    _, edges = random_tree(rng, sizes[2])
+    prox_problem = ProxProblem.from_edges(
+        rng.normal(0, 2, sizes[2]), {e: -q for e, q in edges.items()},
+        lam=0.7, penalties={0: PiecewiseLinearPenalty([0.5], [-1.0, 1.0]),
+                            3: PiecewiseLinearPenalty([-1.0], [-0.5, 2.0])})
+    b = build_prox_qbm(prox_problem)
+    pieces.append((b.qbm, b.weights, b.anchor_mask, b.anchor_values))
+    return pieces
+
+
+def solve(piece, method="auto"):
+    prob, w, mask, values = piece
+    return engine.solve_parametric(prob, w, mask if mask.any() else None,
+                                   values, method=method)
+
+
+KEYS = ("levels", "flip_lo", "flip_hi", "alpha")
+
+
+class TestComponents:
+    def test_pieces_solve_as_if_alone(self):
+        # trees, so the in-block flows and with them alpha are unique
+        rng = np.random.default_rng(3)
+        pieces = three_pieces(rng, (60, 40, 50))
+        whole = union(pieces)
+        sol = solve(whole)
+        ref = solve(whole, "push_relabel")
+        alone = [solve(p) for p in pieces]
+        for key in KEYS:
+            got = getattr(sol, key)
+            want = np.concatenate([getattr(a, key) for a in alone])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
+                                       err_msg=key)
+            np.testing.assert_allclose(got, getattr(ref, key), rtol=0,
+                                       atol=1e-12, err_msg=key)
+        inner = sol.interior()
+        r = reductions(whole[0], sol.alpha).r
+        assert np.abs(r - sol.levels)[inner].max() <= 1e-9
+        # the all-zero piece resolves by sign, independent of beta
+        assert np.all(np.isinf(sol.flip_hi[60:100]))
+
+    def test_pieces_brute_force(self):
+        rng = np.random.default_rng(8)
+        pieces = []
+        for n, weight in ((4, rng.uniform(0.5, 2.0, 4)), (4, np.zeros(4)),
+                          (5, rng.uniform(0.5, 2.0, 5))):
+            pieces.append((random_submodular(rng, n, 0.6), weight,
+                           np.zeros(n, dtype=bool), np.zeros(n)))
+        prob, w, _, _ = union(pieces)
+        sol = solve_weighted(prob, w)
+        f0, wS, memb = brute_force_values(prob, w)
+        for beta in np.linspace(-5.0, 5.0, 41) + 0.0123:
+            vals = f0 - beta * wS
+            opt = vals <= vals.min() + 1e-9
+            for S, want in ((sol.u1(beta), memb[opt].all(axis=0)),
+                            (sol.u2(beta), memb[opt].any(axis=0))):
+                assert S == set(np.flatnonzero(want).tolist())
