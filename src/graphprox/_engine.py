@@ -26,12 +26,14 @@ cuts restricted to a block are that block's own: all blocks of at most
 larger blocks get one call each (a union of large blocks makes every
 phase of scipy's max-flow sweep the whole union, which is slower than
 solving them apart).  Anchors sitting exactly at their block's pivot need
-a second, anchored solve, batched the same way.
+a second solve, batched the same way, in which each block's anchors are
+one free node.
 
 When a block's cut is trivial the block is one level set; the depth's
-flow already routes every node's excess, so the equalizing interior flows
-are harvested from it directly.  Crossing edges of nontrivial cuts are
-saturated and folded into the diagonal of the high-side endpoint.
+flow already routes every node's excess (into the merged anchors of the
+second solve, where the block has anchors), so the equalizing interior
+flows are harvested from it directly.  Crossing edges of nontrivial cuts
+are saturated and folded into the diagonal of the high-side endpoint.
 
 The engine records, per node, the level its block terminated at and the
 flip thresholds governing level-set membership:
@@ -88,28 +90,36 @@ class ParametricSolution:
 
 
 def _block_network(problem: QuadraticBinaryProblem, cap, nodes, edges,
-                   unary, inf_src, inf_snk) -> FlowNetwork:
-    """The flow network of the blocks made of ``nodes`` (global ids, in
-    network order) and ``edges`` (the problem edges inside them).
+                   unary, inf_src, inf_snk, local) -> FlowNetwork:
+    """The flow network of the blocks made of ``nodes`` (global ids) and
+    ``edges`` (the problem edges inside them).
 
-    ``unary``, ``inf_src`` and ``inf_snk`` align with ``nodes``; ``cap`` is
+    ``unary``, ``inf_src``, ``inf_snk`` and ``local``, the network node of
+    each, align with ``nodes``.  Nodes sharing a network node merge: their
+    unaries add up and the edges between them get no capacity.  ``cap`` is
     the per-edge capacity of the whole problem, split evenly over the two
     arc directions.  Arc k and arc k + len(edges) carry edge k forward and
     backward.
     """
+    m = int(local.max(initial=-1)) + 1
     loc = np.empty(problem.n, dtype=np.int64)
-    loc[nodes] = np.arange(len(nodes))
+    loc[nodes] = local
     lu, lv = loc[problem.edge_u[edges]], loc[problem.edge_v[edges]]
-    half = 0.5 * cap[edges]
-    src = np.where(inf_src, np.inf, np.maximum(unary, 0.0))
-    snk = np.where(inf_snk, np.inf, np.maximum(-unary, 0.0))
-    return FlowNetwork(len(nodes), src, snk, np.concatenate([lu, lv]),
+    half = np.where(lu == lv, 0.0, 0.5 * cap[edges])
+    unary = np.bincount(local, unary, m)
+    src = np.where(np.bincount(local, inf_src, m) > 0, np.inf,
+                   np.maximum(unary, 0.0))
+    snk = np.where(np.bincount(local, inf_snk, m) > 0, np.inf,
+                   np.maximum(-unary, 0.0))
+    return FlowNetwork(m, src, snk, np.concatenate([lu, lv]),
                        np.concatenate([lv, lu]), np.concatenate([half, half]))
 
 
-def _positions(ids: set, where: np.ndarray) -> np.ndarray:
-    """Map a set of network-local node ids to positions via ``where``."""
-    return where[np.fromiter(ids, dtype=np.int64, count=len(ids))]
+def _mask(ids: set, n: int) -> np.ndarray:
+    """Boolean mask of length n flagging the network node ids in ``ids``."""
+    m = np.zeros(n, dtype=bool)
+    m[np.fromiter(ids, dtype=np.int64, count=len(ids))] = True
+    return m
 
 
 def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
@@ -182,11 +192,13 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
     nodes, bid, edges, ebid = regroup(np.arange(n),
                                       np.arange(problem.n_edges))
 
-    def cut(blocks, unary, src_pin, snk_pin, flow=None):
+    def cut(blocks, unary, src_pin, snk_pin, flow=None, merge=None):
         """Extreme sink-side cuts of the current depth's ``blocks``, as
         masks over live nodes: blocks of at most _SCIPY_NODE_THRESHOLD
-        nodes in one union network, larger ones alone.  ``flow`` receives
-        the forward-minus-backward flow of each edge inside them."""
+        nodes in one union network, larger ones alone.  The live nodes
+        flagged by ``merge`` form one network node per block.  ``flow``
+        receives the forward-minus-backward flow of each edge inside
+        them."""
         s_min = np.zeros(len(nodes), dtype=bool)
         s_max = np.zeros(len(nodes), dtype=bool)
         small = blocks & (size <= _SCIPY_NODE_THRESHOLD)
@@ -198,13 +210,17 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
                     slice(estarts[b], estarts[b + 1]))
                    for b in np.nonzero(blocks & ~small)[0]]
         for gn, ge in groups:
-            net = _block_network(problem, cap, nodes[gn], edges[ge],
-                                 unary[gn], src_pin[gn], snk_pin[gn])
+            g_nodes = nodes[gn]
+            local = np.arange(len(g_nodes))
+            if merge is not None:
+                key = np.where(merge[gn], -1 - bid[gn], local)
+                local = np.unique(key, return_inverse=True)[1]
+            net = _block_network(problem, cap, g_nodes, edges[ge],
+                                 unary[gn], src_pin[gn], snk_pin[gn], local)
             state = max_flow(net, method=method)
             lo, hi = min_cut(net, state)
-            where = np.arange(len(nodes))[gn]
-            s_min[_positions(lo, where)] = True
-            s_max[_positions(hi, where)] = True
+            s_min[gn] = _mask(lo, net.n)[local]
+            s_max[gn] = _mask(hi, net.n)[local]
             if flow is not None:
                 k = len(net.arc_u) // 2
                 flow[ge] = state.z_arc[:k] - state.z_arc[k:]
@@ -260,12 +276,19 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
             s_min, s_max = cut(active, unary, inf_src, inf_snk, flow)
             by_max, by_min = splits(s_max), splits(s_min)
             # anchors exactly at the pivot sit in U2 but not U1; the strict
-            # split needs them pinned high
+            # split must not hold them low.  A block that held them low
+            # unsplit has every anchor at the pivot.  Merged into one free
+            # node whose unary cancels the block's, they give the strict
+            # split of anchors pinned high, and where nothing splits, a flow
+            # that routes every node's excess, into them if need be: the
+            # block's equalizing flow, which the first cut's need not be
             again = active & ~by_max & ~by_min & \
                 (np.bincount(bid, at_pivot, B) > 0)
             if again.any():
-                s_min2, _ = cut(again, unary, inf_src | at_pivot,
-                                inf_snk & ~at_pivot)
+                share = -np.bincount(bid, unary, B) / np.maximum(n_anch, 1)
+                free = np.zeros(L, dtype=bool)
+                s_min2, _ = cut(again, np.where(anch, share[bid], unary),
+                                free, free, flow, merge=anch)
                 redo = again[bid]
                 s_min[redo] = s_min2[redo]
                 by_min |= again & splits(s_min2)
@@ -273,7 +296,7 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
             low = np.where(by_max[bid], s_max, s_min)
 
             # single level sets: harvest the equalizing interior flows from
-            # the depth's (fully saturating) cut solve
+            # the depth's last (fully saturating) solve of the block
             he = (active & ~split)[ebid]
             e = edges[he]
             alpha[e] = np.clip(2.0 * flow[he], -cap[e], cap[e])
@@ -353,6 +376,7 @@ def bisection_cut(problem: QuadraticBinaryProblem, weights, T, alpha,
     edges = np.nonzero(in_T[problem.edge_u] & in_T[problem.edge_v])[0]
     cap = np.where(problem.ties, np.inf, -problem.edge_q)
     pinned = np.zeros(len(T), dtype=bool)
-    net = _block_network(problem, cap, T, edges, unary, pinned, pinned)
+    net = _block_network(problem, cap, T, edges, unary, pinned, pinned,
+                         np.arange(len(T)))
     _, s_max = min_cut(net, max_flow(net, method=method))
-    return set(_positions(s_max, T).tolist())
+    return set(T[_mask(s_max, len(T))].tolist())

@@ -96,7 +96,6 @@ def cmd_path(args) -> int:
     problem, weights = gio.read_qbm(args.nodes, args.edges,
                                     index_base=args.index_base)
     sol = weighted.solve_weighted(problem, weights)
-    r = parametric.reductions(problem, sol.alpha)
     out = []
     bps = sol.breakpoints()
     out.append("# breakpoints")
@@ -104,7 +103,7 @@ def cmd_path(args) -> int:
     out.append("# node flip_value r w")
     for i in range(problem.n):
         out.append(f"{i + args.index_base} {_fmt(sol.flip_hi[i])} "
-                   f"{_fmt(r.r[i])} {_fmt(weights[i])}")
+                   f"{_fmt(sol.levels[i])} {_fmt(weights[i])}")
     if args.beta is not None:
         u1 = sorted(i + args.index_base for i in sol.u1(args.beta))
         u2 = sorted(i + args.index_base for i in sol.u2(args.beta))

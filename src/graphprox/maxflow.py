@@ -6,11 +6,14 @@ exact dyadic rescaling to integers lets scipy's C implementation do the
 work; both backends share the same interface and are cross-checked in the
 test suite.
 
-Infinite capacities are represented by ``np.inf`` flags, never by large
-finite sentinels.  An infinite terminal arc forces its node onto one side
-of every finite cut; an infinite interior arc forces its endpoints onto a
-common side.  Such nodes are contracted away before the core solver runs,
-and the contracted flows are recovered afterwards.
+Callers mark infinite capacities with ``np.inf``.  An infinite terminal
+arc forces its node onto one side of every finite cut; an infinite arc
+u -> v forbids u on the source side with v on the sink side.  Both
+backends solve the network with every capacity above a bound on the flow
+value, infinite ones included, clamped to a finite value just above that
+bound: an arc above the flow value lies on no minimum cut, so lowering
+it changes no minimum cut.  ``min_cut`` still reads the caller's network,
+infinities included.
 
 Cut orientation: the *optimal set* extracted from a cut is the set of
 interior nodes on the sink side, matching the convention that sink-side
@@ -168,222 +171,56 @@ def check_flow(net: FlowNetwork, state: FlowState) -> FlowReport:
 
 
 # ---------------------------------------------------------------------------
-# infinite-capacity contraction
+# infinite capacities
 # ---------------------------------------------------------------------------
 
-class _Contraction:
-    """Merge inf-terminal nodes into the terminals and inf arcs' endpoints
-    into supernodes, producing a finite network plus recovery data."""
+def _clamped(net: FlowNetwork) -> tuple[FlowNetwork, float]:
+    """``(cnet, clamp)``: ``clamp`` lies just above a bound on the flow
+    value of ``net``, and ``cnet`` is ``net`` with every larger capacity,
+    infinite ones included, lowered to ``clamp``.
 
-    def __init__(self, net: FlowNetwork):
-        n = net.n
-        inf_s = np.isinf(net.source_caps)
-        inf_t = np.isinf(net.sink_caps)
-        inf_arc_any = bool(np.any(np.isinf(net.arc_cap)))
-        if not (inf_s.any() or inf_t.any() or inf_arc_any):
-            # nothing infinite: identity contraction
-            self.net = net
-            self.sub = net
-            self.trivial = True
-            self.side_s = np.zeros(n, dtype=bool)
-            self.side_t = np.zeros(n, dtype=bool)
-            self.inf_arc = np.zeros(len(net.arc_u), dtype=bool)
-            return
-        if np.any(inf_s & inf_t):
-            raise DimensionMismatch("node pinned to both terminals")
+    An arc whose capacity exceeds the max-flow value lies on no minimum
+    cut, so the clamped network has the same minimum cuts and flow value,
+    and its maximum flows are maximum flows of ``net``.  The bound is the smaller terminal side sum; when both sides
+    hold an infinite arc it is the sum of all finite capacities, which
+    bounds the cut around everything the source reaches over infinite
+    arcs.
 
-        # union-find over interior nodes plus the two terminals
-        parent = np.arange(n + 2, dtype=np.int64)
-        S, T = n, n + 1
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                return
-            # keep terminal labels as representatives
-            if ry in (S, T):
-                rx, ry = ry, rx
-            if rx in (S, T) and ry in (S, T):
-                raise DimensionMismatch("infinite path links source to sink")
-            parent[ry] = rx
-
-        for i in np.nonzero(inf_s)[0]:
-            union(S, int(i))
-        for i in np.nonzero(inf_t)[0]:
-            union(T, int(i))
-        inf_arc = np.isinf(net.arc_cap)
-        for k in np.nonzero(inf_arc)[0]:
-            union(int(net.arc_u[k]), int(net.arc_v[k]))
-
-        root = np.array([find(x) for x in range(n + 2)], dtype=np.int64)
-        self.side_s = root[:n] == root[S]
-        self.side_t = root[:n] == root[T]
-        free = ~(self.side_s | self.side_t)
-        reps = np.unique(root[:n][free])
-        self.local = -np.ones(n + 2, dtype=np.int64)
-        self.local[reps] = np.arange(len(reps))
-        self.m = len(reps)
-        self.node_local = np.where(free, self.local[root[:n]], -1)
-        self.root = root
-        self.net = net
-        self.inf_arc = inf_arc
-
-        src = np.where(np.isinf(net.source_caps), 0.0, net.source_caps)
-        snk = np.where(np.isinf(net.sink_caps), 0.0, net.sink_caps)
-        csrc = np.zeros(self.m)
-        csnk = np.zeros(self.m)
-        keep = self.node_local >= 0
-        np.add.at(csrc, self.node_local[keep], src[keep])
-        np.add.at(csnk, self.node_local[keep], snk[keep])
-
-        # re-point finite arcs; arcs absorbed into a terminal become
-        # terminal capacity, arcs inside a supernode vanish
-        au, av, ac = net.arc_u, net.arc_v, net.arc_cap
-        fin = ~inf_arc
-        lu = np.where(self.side_s[au], -2, np.where(self.side_t[au], -3,
-                                                    self.node_local[au]))
-        lv = np.where(self.side_s[av], -2, np.where(self.side_t[av], -3,
-                                                    self.node_local[av]))
-        self.arc_kind = np.full(len(au), 0, dtype=np.int8)  # 0 drop,1 int,2 src,3 snk
-        for k in np.nonzero(fin)[0]:
-            a, b = lu[k], lv[k]
-            if a >= 0 and b >= 0 and a != b:
-                self.arc_kind[k] = 1
-            elif a == -2 and b >= 0:
-                csrc[b] += ac[k]
-                self.arc_kind[k] = 2
-            elif a >= 0 and b == -3:
-                csnk[a] += ac[k]
-                self.arc_kind[k] = 3
-            # arcs into s, out of t, or inside one supernode never carry
-            # cut-relevant flow and are dropped
-        keep_arcs = self.arc_kind == 1
-        self.kept_idx = np.nonzero(keep_arcs)[0]
-        self.sub = FlowNetwork(self.m, csrc, csnk,
-                               lu[keep_arcs], lv[keep_arcs], ac[keep_arcs])
-        self.trivial = not (np.any(inf_s) or np.any(inf_t) or np.any(inf_arc))
-
-    def lift_state(self, sub_state: FlowState) -> FlowState:
-        """Map a flow on the contracted network back to the original arcs."""
-        net = self.net
-        n = net.n
-        z_arc = np.zeros(len(net.arc_u))
-        z_arc[self.kept_idx] = sub_state.z_arc
-        z_src = np.zeros(n)
-        z_snk = np.zeros(n)
-        free = self.node_local >= 0
-
-        # distribute supernode terminal flows to members greedily
-        used_src = np.zeros(self.m)
-        used_snk = np.zeros(self.m)
-        order = np.nonzero(free)[0]
-        for i in order:
-            li = self.node_local[i]
-            c = net.source_caps[i]
-            take = min(c, sub_state.z_source[li] - used_src[li])
-            if take > 0:
-                z_src[i] = take
-                used_src[li] += take
-            c = net.sink_caps[i]
-            take = min(c, sub_state.z_sink[li] - used_snk[li])
-            if take > 0:
-                z_snk[i] = take
-                used_snk[li] += take
-        # arcs absorbed into terminals carry their share of terminal flow
-        for k in np.nonzero(self.arc_kind == 2)[0]:
-            li = self.node_local[net.arc_v[k]]
-            take = min(net.arc_cap[k], sub_state.z_source[li] - used_src[li])
-            if take > 0:
-                z_arc[k] = take
-                used_src[li] += take
-        for k in np.nonzero(self.arc_kind == 3)[0]:
-            li = self.node_local[net.arc_u[k]]
-            take = min(net.arc_cap[k], sub_state.z_sink[li] - used_snk[li])
-            if take > 0:
-                z_arc[k] = take
-                used_snk[li] += take
-
-        # inf-terminal nodes: saturate finite opposite-terminal arcs and
-        # balance through the infinite terminal arc
-        for i in np.nonzero(self.side_s)[0]:
-            z_snk[i] = net.sink_caps[i] if np.isfinite(net.sink_caps[i]) else 0.0
-        for i in np.nonzero(self.side_t)[0]:
-            z_src[i] = net.source_caps[i] if np.isfinite(net.source_caps[i]) else 0.0
-
-        # resolve infinite (tie) arc flows from member imbalances: tie
-        # pairs form links (usually with both arc directions present);
-        # process the link forest leaf-inward, routing each node's
-        # remaining imbalance through its last link
-        if np.any(self.inf_arc):
-            import collections
-            tie_idx = np.nonzero(self.inf_arc)[0]
-            links: dict[tuple[int, int], list[int]] = collections.defaultdict(list)
-            for k in tie_idx:
-                a, b = int(net.arc_u[k]), int(net.arc_v[k])
-                links[(min(a, b), max(a, b))].append(int(k))
-            ex = z_src - z_snk
-            np.add.at(ex, net.arc_v, z_arc)
-            np.add.at(ex, net.arc_u, -z_arc)
-            absorbing = self.side_s | self.side_t
-            remaining = dict(links)
-            incident = collections.defaultdict(set)
-            for pair in remaining:
-                incident[pair[0]].add(pair)
-                incident[pair[1]].add(pair)
-            queue = [i for i in incident
-                     if len(incident[i]) == 1 and not absorbing[i]]
-            while queue:
-                i = queue.pop()
-                live = [p for p in incident[i] if p in remaining]
-                if len(live) != 1:
-                    continue
-                pair = live[0]
-                arcs = remaining.pop(pair)
-                other = pair[1] if pair[0] == i else pair[0]
-                send = ex[i]  # flow i -> other
-                arc_fwd = next((k for k in arcs if net.arc_u[k] == i), None)
-                arc_bwd = next((k for k in arcs if net.arc_v[k] == i), None)
-                if send >= 0 and arc_fwd is not None:
-                    z_arc[arc_fwd] = send
-                elif send < 0 and arc_bwd is not None:
-                    z_arc[arc_bwd] = -send
-                elif arc_fwd is not None:
-                    z_arc[arc_fwd] = send  # single-direction tie
-                else:
-                    z_arc[arc_bwd] = -send
-                ex[other] += send
-                ex[i] = 0.0
-                live_other = [p for p in incident[other] if p in remaining]
-                if len(live_other) == 1 and not absorbing[other]:
-                    queue.append(other)
-        # pin infinite-terminal flows to close the balance
-        ex = z_src - z_snk
-        np.add.at(ex, net.arc_v, z_arc)
-        np.add.at(ex, net.arc_u, -z_arc)
-        for i in np.nonzero(self.side_s)[0]:
-            if np.isinf(net.source_caps[i]):
-                z_src[i] = max(0.0, z_src[i] - ex[i])
-        for i in np.nonzero(self.side_t)[0]:
-            if np.isinf(net.sink_caps[i]):
-                z_snk[i] = max(0.0, z_snk[i] + ex[i])
-        return FlowState(z_src, z_snk, z_arc, float(z_src.sum()))
+    Raises
+    ------
+    DimensionMismatch
+        If a node is pinned to both terminals, or a directed path of
+        infinite arcs leads from a source pin to a sink pin (no finite cut).
+    """
+    inf_s = np.isinf(net.source_caps)
+    inf_t = np.isinf(net.sink_caps)
+    if np.any(inf_s & inf_t):
+        raise DimensionMismatch("node pinned to both terminals")
+    if inf_s.any() and inf_t.any():
+        ties = np.isinf(net.arc_cap)
+        if np.any(_bfs_scipy(net.n, net.arc_u[ties], net.arc_v[ties], inf_s)
+                  & inf_t):
+            raise DimensionMismatch("infinite path links source to sink")
+        caps = (net.source_caps, net.sink_caps, net.arc_cap)
+        bound = float(sum(c[np.isfinite(c)].sum() for c in caps))
+    else:
+        bound = min(np.inf if inf_s.any() else float(net.source_caps.sum()),
+                    np.inf if inf_t.any() else float(net.sink_caps.sum()))
+    clamp = bound * (1.0 + 1e-9) + 1.0
+    cnet = FlowNetwork(net.n, np.minimum(net.source_caps, clamp),
+                       np.minimum(net.sink_caps, clamp), net.arc_u, net.arc_v,
+                       np.minimum(net.arc_cap, clamp))
+    return cnet, clamp
 
 
 # ---------------------------------------------------------------------------
 # push-relabel core (pure python, float capacities)
 # ---------------------------------------------------------------------------
 
-def _push_relabel(net: FlowNetwork) -> FlowState:
+def _push_relabel(net: FlowNetwork, tol: float) -> FlowState:
     n = net.n
     N = n + 2
     S, T = n, n + 1
-    tol = net.tol()
 
     # residual arc arrays; paired arcs at 2k, 2k+1
     to: list[int] = []
@@ -558,37 +395,28 @@ def _push_relabel(net: FlowNetwork) -> FlowState:
 # ---------------------------------------------------------------------------
 
 def _quantize_network(net: FlowNetwork) -> tuple[FlowNetwork, float]:
-    """Snap finite capacities down onto a power-of-two grid so the scipy
-    backend's int32 arithmetic is exact.
+    """Clamp ``net`` to its flow bound (``_clamped``) and snap the
+    capacities down onto a power-of-two grid so the scipy backend's int32
+    arithmetic is exact.
 
-    Capacities above the trivial flow bound are clamped first (such arcs
-    can never lie on a minimum cut).  scipy keeps the residual of arc
-    u -> v as c(u, v) - f(u, v) in int32, which reaches c(u, v) + c(v, u);
-    where that sum wraps, it silently returns a non-maximum flow.  So the
-    grid leaves room for twice the largest arc capacity, not only for the
-    flow bound.  Returns the quantized network and the grid quantum.
+    scipy keeps the residual of arc u -> v as c(u, v) - f(u, v) in int32,
+    which reaches c(u, v) + c(v, u); where that sum wraps, it silently
+    returns a non-maximum flow.  So the grid leaves room for twice the
+    largest clamped arc capacity, not only for the clamp: twice the clamp
+    when an interior arc is infinite, since both directions of a tie carry
+    it.  Returns the quantized network, whose capacities are all finite,
+    and the grid quantum.
     """
-    def side_sum(caps):
-        return np.inf if np.any(np.isinf(caps)) else float(caps.sum())
-
-    bound = min(side_sum(net.source_caps), side_sum(net.sink_caps))
-    if not np.isfinite(bound):
-        finite = [c[np.isfinite(c)].sum()
-                  for c in (net.source_caps, net.sink_caps, net.arc_cap)]
-        bound = float(sum(finite))
-    clamp = bound * (1.0 + 1e-9) + 1.0
-    arcs = net.arc_cap[np.isfinite(net.arc_cap)]
-    top = max(clamp, 2.0 * min(float(arcs.max(initial=0.0)), clamp))
+    cnet, clamp = _clamped(net)
+    top = max(clamp, 2.0 * float(cnet.arc_cap.max(initial=0.0)))
     scale_bits = int(np.floor(np.log2((2.0 ** 31 - 1) / (top + 1.0))))
     scale = float(2.0 ** scale_bits)
 
     def snap(caps):
-        out = np.where(np.isfinite(caps),
-                       np.floor(np.minimum(caps, clamp) * scale) / scale, caps)
-        return out
+        return np.floor(caps * scale) / scale
 
-    qnet = FlowNetwork(net.n, snap(net.source_caps), snap(net.sink_caps),
-                       net.arc_u, net.arc_v, snap(net.arc_cap))
+    qnet = FlowNetwork(net.n, snap(cnet.source_caps), snap(cnet.sink_caps),
+                       net.arc_u, net.arc_v, snap(cnet.arc_cap))
     return qnet, 1.0 / scale
 
 
@@ -670,8 +498,9 @@ def max_flow(graph, method: str = "auto") -> FlowState:
     Returns
     -------
     FlowState
-        A valid flow of maximum value.  ``value`` includes flow through
-        infinite-capacity contractions.
+        A valid flow of maximum value.  Infinite capacities are solved
+        clamped to a finite bound above the flow value (``_clamped``), so
+        every flow, infinite arcs' included, is finite.
     """
     net = graph if isinstance(graph, FlowNetwork) else FlowNetwork.from_cut_graph(graph)
     if net.n == 0:
@@ -680,20 +509,16 @@ def max_flow(graph, method: str = "auto") -> FlowState:
         method = "scipy" if net.n > _SCIPY_NODE_THRESHOLD else "push_relabel"
     if method == "scipy":
         qnet, quantum = _quantize_network(net)
-        contraction = _Contraction(qnet)
-        sub_state = _scipy_backend(contraction.sub, 1.0 / quantum)
-        state = sub_state if contraction.trivial else contraction.lift_state(sub_state)
+        state = _scipy_backend(qnet, 1.0 / quantum)
         state.eff_source = qnet.source_caps
         state.eff_sink = qnet.sink_caps
         state.eff_arc = qnet.arc_cap
         return state
     if method != "push_relabel":
         raise ValueError(f"unknown method {method!r}")
-    contraction = _Contraction(net)
-    sub_state = _push_relabel(contraction.sub)
-    if contraction.trivial:
-        return sub_state
-    return contraction.lift_state(sub_state)
+    # tolerance from the caller's network: a clamp-sized max_cap would
+    # inflate it
+    return _push_relabel(_clamped(net)[0], net.tol())
 
 
 def _residual_reach(net: FlowNetwork, state: FlowState):

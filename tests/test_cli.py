@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from graphprox import certificate, io as gio
+from graphprox import QuadraticBinaryProblem, certificate, io as gio
+from graphprox import solve_weighted
 from graphprox.cli import main
 from graphprox.prox import ProxProblem
 
@@ -177,6 +178,31 @@ class TestPathCommand:
         bps = out.splitlines()[1].split()
         assert len(bps) == 1
         assert float(bps[0]) == pytest.approx(1.0 / 3.0)
+
+    def test_reductions_exact_on_large_block(self, capsys, tmp_path):
+        # a 400-node component goes to the quantized scipy backend, whose
+        # in-block flows are off by ~1e-7; the printed r column must be
+        # the exact level, as the pure float backend computes it
+        rng = np.random.default_rng(11)
+        n = 400
+        u, v = rng.integers(0, n, 3 * n), rng.integers(0, n, 3 * n)
+        u, v = np.minimum(u, v)[u != v], np.maximum(u, v)[u != v]
+        key = np.unique(u * n + v)
+        eu, ev = key // n, key % n
+        q = -np.abs(rng.normal(0, 1, len(eu)))
+        diag, w = rng.normal(0, 2, n), rng.uniform(0.5, 3.0, n)
+        nodes = tmp_path / "n.txt"
+        edges = tmp_path / "e.txt"
+        nodes.write_text("".join(f"{i} {diag[i]:.17g} {w[i]:.17g}\n"
+                                 for i in range(n)))
+        edges.write_text("".join(f"{a} {b} {c:.17g}\n"
+                                 for a, b, c in zip(eu, ev, q)))
+        rc, out, _ = run(capsys, "path", str(nodes), "--edges", str(edges))
+        assert rc == 0
+        r = np.array([float(line.split()[2]) for line in out.splitlines()[3:]])
+        problem = QuadraticBinaryProblem(n, diag, eu, ev, q)
+        exact = solve_weighted(problem, w, method="push_relabel").levels
+        np.testing.assert_allclose(r, exact, rtol=0, atol=1e-9)
 
 
 class TestFitCommand:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import graphprox._engine as engine
-from conftest import random_submodular
+from conftest import random_prox_problem, random_submodular
 from graphprox import (PiecewiseLinearPenalty, ProxProblem,
                        QuadraticBinaryProblem, build_prox_qbm, certificate,
                        evaluate, prox, reductions, solve_weighted)
@@ -150,6 +150,67 @@ class TestAnchorsAtPivot:
         u = prox(problem)
         assert u == pytest.approx([-0.9, 1.6], abs=1e-12)
         assert len(flow_calls) == 2
+
+
+class TestAnchoredHarvest:
+    """A finished block holding anchors needs a flow that routes each
+    node's excess into the anchors; the cut's max flow need not."""
+
+    def residual(self, problem, method="auto"):
+        build = build_prox_qbm(problem)
+        sol = engine.solve_parametric(build.qbm, build.weights,
+                                      build.anchor_mask, build.anchor_values,
+                                      method=method)
+        r = reductions(build.qbm, sol.alpha).r
+        return sol, float(np.abs(r - sol.levels)[sol.interior()].max())
+
+    @pytest.mark.parametrize("method", ["push_relabel", "scipy"])
+    def test_excess_into_anchor(self, method):
+        # soft thresholding puts u at the anchor 0, with all of a = -0.2
+        # carried by the anchor edge
+        problem = ProxProblem.from_edges(
+            [-0.2], [], 1.0, {0: PiecewiseLinearPenalty.abs_value()})
+        sol, res = self.residual(problem, method)
+        assert sol.levels[0] == 0.0
+        assert res <= 1e-9
+
+    def test_random_penalized(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            problem = random_prox_problem(rng, int(rng.integers(1, 40)),
+                                          with_penalties=True)
+            assert self.residual(problem, "push_relabel")[1] <= 1e-9
+
+
+class TestHardTies:
+    @pytest.mark.parametrize("method", ["push_relabel", "scipy"])
+    def test_random_ties_brute_force(self, method):
+        # cycles and chains of infinite couplings among finite ones
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            n = int(rng.integers(2, 9))
+            edges = {}
+            for i in range(n):
+                for j in range(i + 1, n):
+                    x = rng.random()
+                    if x < 0.15:
+                        edges[(i, j)] = -np.inf
+                    elif x < 0.5:
+                        edges[(i, j)] = -abs(float(rng.normal(0, 1)))
+            prob = QuadraticBinaryProblem.from_parts(rng.normal(0, 2, n), edges)
+            w = rng.uniform(0.5, 2.0, n)
+            sol = engine.solve_parametric(prob, w, method=method)
+            if method == "push_relabel":
+                r = reductions(prob, sol.alpha).r
+                assert np.abs(r - sol.levels).max() <= 1e-9
+            f0, wS, memb = brute_force_values(prob, w)
+            for beta in np.linspace(-5.0, 5.0, 21) + 0.0123:
+                vals = f0 - beta * wS
+                opt = vals <= vals.min() + 1e-9
+                assert sol.u1(beta) == set(
+                    np.flatnonzero(memb[opt].all(axis=0)).tolist())
+                assert sol.u2(beta) == set(
+                    np.flatnonzero(memb[opt].any(axis=0)).tolist())
 
 
 def random_tree(rng, n):

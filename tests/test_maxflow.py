@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from graphprox import (FlowNetwork, FlowState, StaleFlow, check_flow, max_flow,
-                       min_cut, read_dimacs, to_cut_graph)
+from graphprox import (DimensionMismatch, FlowNetwork, FlowState, StaleFlow,
+                       check_flow, max_flow, min_cut, read_dimacs,
+                       to_cut_graph)
 from graphprox.maxflow import _quantize_network
 from conftest import random_submodular
 
@@ -124,6 +125,17 @@ class TestScipyBackend:
         coarse = _quantize_network(FlowNetwork(4, src, snk, *chain, [3000.0] * 3))[1]
         assert fine == 2.0 ** -19
         assert coarse == 2 * fine
+        # pins on both sides: the clamp comes from the finite capacities
+        # (4000.75), not from the clamped network, whose side sums double
+        pin_src = [np.inf, 1000.0, 1000.0, 0.0]
+        pin_snk = [0.0, 1000.0, 1000.0, np.inf]
+        pinned = _quantize_network(
+            FlowNetwork(4, pin_src, pin_snk, *chain, [0.25] * 3))[1]
+        assert pinned == 2.0 ** -19
+        # infinite arcs 3 -> 2 -> 1 -> 0 carry the clamp in each direction
+        tied = _quantize_network(
+            FlowNetwork(4, pin_src, pin_snk, *chain[::-1], [np.inf] * 3))[1]
+        assert tied == 2 * pinned
 
     @pytest.mark.parametrize("method", ["push_relabel", "scipy"])
     @pytest.mark.parametrize("caps", [[1.5, 2.0, 0.0], [2.0, 0.0]])
@@ -260,11 +272,68 @@ class TestInfiniteCapacities:
         assert s_max == set()
 
     def test_infinite_st_path_rejected(self):
-        from graphprox import DimensionMismatch
         net = FlowNetwork(2, np.array([np.inf, 0.0]), np.array([0.0, np.inf]),
                           np.array([0]), np.array([1]), np.array([np.inf]))
         with pytest.raises(DimensionMismatch):
             max_flow(net)
+
+    @pytest.mark.parametrize("method", ["push_relabel", "scipy"])
+    def test_infinite_chain_rejected(self, method):
+        net = FlowNetwork(3, [np.inf, 0.0, 0.0], [0.0, 0.0, np.inf],
+                          [0, 1], [1, 2], [np.inf, np.inf])
+        with pytest.raises(DimensionMismatch):
+            max_flow(net, method=method)
+
+    @pytest.mark.parametrize("method", ["push_relabel", "scipy"])
+    def test_one_way_arc_into_source_side(self, method):
+        # 0 -> 1 infinite: 1 must join the sink side whenever 0 does; here
+        # 0 joins it and 1 has no arcs to pay for
+        inf = np.inf
+        net = FlowNetwork(2, [0.0, 2.0], [2.0, 0.0], [0], [1], [inf])
+        state = max_flow(net, method=method)
+        assert state.value == 0.0
+        assert min_cut(net, state) == ({0}, {0})
+
+    @pytest.mark.parametrize("method", ["push_relabel", "scipy"])
+    def test_one_way_arc_against_pins(self, method):
+        # 1 -> 0 infinite runs from the sink pin to the source pin, which
+        # no finite cut crosses the wrong way
+        inf = np.inf
+        net = FlowNetwork(2, [inf, 0.0], [0.0, inf], [1], [0], [inf])
+        state = max_flow(net, method=method)
+        assert state.value == 0.0
+        assert min_cut(net, state) == ({1}, {1})
+
+    @pytest.mark.parametrize("method", ["push_relabel", "scipy"])
+    def test_random_against_brute_force(self, rng, method):
+        finite = 0
+        for _ in range(80):
+            n = int(rng.integers(1, 9))
+            net = random_network(rng, n, cap_max=6)
+            src, snk, cap = net.source_caps, net.sink_caps, net.arc_cap
+            pin = rng.random(n)
+            src[pin < 0.2] = np.inf
+            snk[pin > 0.8] = np.inf
+            cap[rng.random(len(cap)) < 0.25] = np.inf   # one-way arcs
+            k = int(rng.integers(0, 3))                  # ties
+            tu, tv = rng.integers(0, n, k), rng.integers(0, n, k)
+            tu, tv = tu[tu != tv], tv[tu != tv]
+            net = FlowNetwork(n, src, snk,
+                              np.concatenate([net.arc_u, tu, tv]),
+                              np.concatenate([net.arc_v, tv, tu]),
+                              np.concatenate([cap, np.full(2 * len(tu), np.inf)]))
+            value, sets = brute_min_cut(net)
+            if not np.isfinite(value):
+                with pytest.raises(DimensionMismatch):
+                    max_flow(net, method=method)
+                continue
+            finite += 1
+            state = max_flow(net, method=method)
+            assert state.value == pytest.approx(value, abs=1e-9)
+            s_min, s_max = min_cut(net, state)
+            assert s_min == frozenset.intersection(*sets)
+            assert s_max == frozenset.union(*sets)
+        assert finite >= 40
 
 
 class TestCutGraphIntegration:
