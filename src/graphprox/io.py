@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParseError
 from .prox import PiecewiseLinearPenalty, ProxProblem
-from .qbm import QuadraticBinaryProblem
+from .qbm import QuadraticBinaryProblem, _canonical_edges, _edge_arrays
 
 
 def _data_lines(path):
@@ -59,8 +59,9 @@ def read_node_file(path, index_base: int = 0):
 
 
 def read_edge_file(path, index_base: int = 0):
-    """Read ``i j value`` lines; returns (u, v, value) arrays (u < v)."""
-    triples = {}
+    """Read ``i j value`` lines; returns (u, v, value) arrays (u < v), one
+    entry per node pair with the values of repeated pairs summed."""
+    rows = []
     for lineno, toks in _data_lines(path):
         if len(toks) != 3:
             raise ParseError(f"{path}:{lineno}: expected 'i j value'")
@@ -72,13 +73,9 @@ def read_edge_file(path, index_base: int = 0):
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if i < 0 or j < 0 or i == j:
             raise ParseError(f"{path}:{lineno}: bad endpoints {i} {j}")
-        key = (min(i, j), max(i, j))
-        triples[key] = triples.get(key, 0.0) + val
-    keys = sorted(triples)
-    u = np.array([k[0] for k in keys], dtype=np.int64)
-    v = np.array([k[1] for k in keys], dtype=np.int64)
-    vals = np.array([triples[k] for k in keys])
-    return u, v, vals
+        rows.append((i, j, val))
+    u, v, vals = _edge_arrays(rows)
+    return _canonical_edges(u, v, vals, int(np.maximum(u, v).max(initial=-1)) + 1)
 
 
 def read_qbm(node_path, edge_path=None, index_base: int = 0):

@@ -404,11 +404,16 @@ def _quantize_network(net: FlowNetwork) -> tuple[FlowNetwork, float]:
     returns a non-maximum flow.  So the grid leaves room for twice the
     largest clamped arc capacity, not only for the clamp: twice the clamp
     when an interior arc is infinite, since both directions of a tie carry
-    it.  Returns the quantized network, whose capacities are all finite,
-    and the grid quantum.
+    it.  scipy sums parallel arcs, so c(u, v) is the sum of the arcs from
+    u to v.  Returns the quantized network, whose capacities are all
+    finite, and the grid quantum.
     """
+    from scipy.sparse import coo_matrix
+
     cnet, clamp = _clamped(net)
-    top = max(clamp, 2.0 * float(cnet.arc_cap.max(initial=0.0)))
+    pair_caps = coo_matrix((cnet.arc_cap, (net.arc_u, net.arc_v)),
+                           shape=(net.n, net.n)).tocsr().data
+    top = max(clamp, 2.0 * float(pair_caps.max(initial=0.0)))
     scale_bits = int(np.floor(np.log2((2.0 ** 31 - 1) / (top + 1.0))))
     scale = float(2.0 ** scale_bits)
 
@@ -430,59 +435,30 @@ def _scipy_backend(net: FlowNetwork, scale: float) -> FlowState:
     S, T = n, n + 1
     rows = np.concatenate([np.full(n, S), np.arange(n), net.arc_u])
     cols = np.concatenate([np.arange(n), np.full(n, T), net.arc_v])
-    caps = np.concatenate([net.source_caps, net.sink_caps, net.arc_cap])
-    icaps = np.round(caps * scale).astype(np.int64)
+    icaps = np.round(np.concatenate([net.source_caps, net.sink_caps, net.arc_cap])
+                     * scale).astype(np.int64)
     keep = icaps > 0
     g = coo_matrix((icaps[keep], (rows[keep], cols[keep])),
                    shape=(n + 2, n + 2)).tocsr()
-    # CSR construction sums parallel arcs; terminal arcs never collide, so
-    # interior arcs are distinct iff no kept entry was merged away
-    merged = int(keep.sum()) != g.nnz
-    res = maximum_flow(g, S, T)
-    flow = res.flow.tocsr()
-    flow.sort_indices()
-    scale = float(scale)
-    width = n + 2
-    counts = np.diff(flow.indptr)
-    fkeys = np.repeat(np.arange(width, dtype=np.int64), counts) * width \
-        + flow.indices
-    fdata = flow.data
-
-    # per-arc flows: positive entries of the antisymmetric flow matrix,
-    # looked up by key in the CSR structure
-    def get_flows(r, c):
-        qkeys = np.asarray(r, dtype=np.int64) * width + np.asarray(c)
-        if len(fkeys) == 0:
-            return np.zeros(len(qkeys))
-        pos = np.minimum(np.searchsorted(fkeys, qkeys), len(fkeys) - 1)
-        vals = np.where(fkeys[pos] == qkeys, fdata[pos], 0).astype(np.float64)
-        return np.maximum(vals, 0.0) / scale
-
-    z_src = get_flows(np.full(n, S), np.arange(n)) if n else np.zeros(0)
-    z_snk = get_flows(np.arange(n), np.full(n, T)) if n else np.zeros(0)
-    m = len(net.arc_u)
-    # arcs dropped from the graph (zero integer capacity) carry no flow,
-    # even when a kept twin shares their key
-    z_arc = np.where(keep[2 * n:], get_flows(net.arc_u, net.arc_v), 0.0)
-    if merged:
-        # parallel arcs were summed by CSR construction: recover a valid
-        # per-arc split greedily within each duplicate group
-        z_pair = z_arc
-        z_arc = np.zeros(m)
-        keys = net.arc_u * (net.n + 1) + net.arc_v
-        order = np.argsort(keys, kind="stable")
-        k = 0
-        while k < m:
-            j = k
-            while j < m and keys[order[j]] == keys[order[k]]:
-                j += 1
-            remaining = z_pair[order[k:j]].max()
-            for idx in order[k:j]:
-                take = min(remaining, net.arc_cap[idx])
-                z_arc[idx] = take
-                remaining -= take
-            k = j
-    return FlowState(z_src, z_snk, z_arc, float(z_snk.sum()))
+    flow = maximum_flow(g, S, T).flow
+    # the positive part of the antisymmetric flow matrix is the flow of each
+    # arc's node pair; CSR construction summed parallel arcs, so split it
+    # over the pair's arcs in order, each taking up to its capacity (an arc
+    # dropped at zero integer capacity takes none)
+    pair = np.maximum(np.asarray(flow.tocsr()[rows, cols]).ravel(), 0)
+    key = rows * (n + 2) + cols
+    del g, flow, rows, cols  # free them before the split's temporaries
+    order = np.argsort(key, kind="stable")
+    key, c = key[order], icaps[order]
+    # before[k]: the capacity of the arcs ahead of arc k in its pair
+    before = np.cumsum(c)
+    before -= c
+    start = np.where(np.r_[True, key[1:] != key[:-1]], before, 0)
+    before -= np.maximum.accumulate(start, out=start)
+    z = np.empty(len(key))
+    z[order] = np.clip(pair[order] - before, 0, c) / float(scale)
+    z_snk = z[n:2 * n]
+    return FlowState(z[:n], z_snk, z[2 * n:], float(z_snk.sum()))
 
 
 def max_flow(graph, method: str = "auto") -> FlowState:

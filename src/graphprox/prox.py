@@ -22,7 +22,7 @@ import numpy as np
 
 from ._engine import ParametricSolution, solve_parametric
 from .errors import DimensionMismatch, NonConvexPenalty
-from .qbm import QuadraticBinaryProblem
+from .qbm import QuadraticBinaryProblem, _canonical_edges, _edge_arrays
 
 FUSE_TOL = 1e-9
 
@@ -144,19 +144,15 @@ class ProxProblem:
 
     @classmethod
     def from_edges(cls, a, edges, lam: float = 1.0, penalties=None) -> "ProxProblem":
-        """edges: {(i, j): w} or iterable of (i, j, w)."""
-        if isinstance(edges, dict):
-            triples = [(i, j, w) for (i, j), w in edges.items()]
-        else:
-            triples = list(edges)
-        triples.sort(key=lambda t: (min(t[0], t[1]), max(t[0], t[1])))
-        if triples:
-            u, v, w = zip(*triples)
-        else:
-            u = v = w = ()
-        return cls(np.asarray(a, dtype=np.float64),
-                   np.array(u, dtype=np.int64), np.array(v, dtype=np.int64),
-                   np.array(w, dtype=np.float64), lam, dict(penalties or {}))
+        """edges: {(i, j): w} or iterable of (i, j, w).  Pairs given more
+        than once, in either order, are stored once with their weights
+        summed; every given weight must be nonnegative."""
+        a = np.asarray(a, dtype=np.float64)
+        u, v, w = _edge_arrays(edges)
+        if np.any(w < 0):
+            raise DimensionMismatch("edge weights must be nonnegative")
+        return cls(a, *_canonical_edges(u, v, w, len(a)), lam,
+                   dict(penalties or {}))
 
     @property
     def n(self) -> int:
@@ -204,37 +200,32 @@ def build_prox_qbm(problem: ProxProblem) -> ProxBuild:
         c, anc, cst = pwl_decompose(pen)
         diag[i] -= 0.5 * lam * c
         const += lam * cst
-        for b, kappa in anc:
-            anchors.append((i, b, kappa))
+        anchors += [(i, b, kappa) for b, kappa in anc]
+    host, anchor_b, kappa = np.array(anchors, dtype=np.float64).reshape(-1, 3).T
+    host = host.astype(np.int64)
+    total = n + len(host)
 
-    edges = {}
-    for u, v, w in zip(problem.edge_u, problem.edge_v, problem.edge_w):
-        if lam * w > 0:
-            q = -lam * float(w)
-            edges[(int(u), int(v))] = edges.get((int(u), int(v)), 0.0) + q
-            diag[int(u)] += 0.5 * lam * float(w)
-            diag[int(v)] += 0.5 * lam * float(w)
+    fused = lam * problem.edge_w > 0
+    eu, ev = problem.edge_u[fused], problem.edge_v[fused]
+    ew = lam * problem.edge_w[fused]
+    pinned = lam * kappa > 0
+    host, pin, ak = host[pinned], n + np.flatnonzero(pinned), lam * kappa[pinned]
+    # the diagonal first, then each coupling's halves in edge order: the
+    # same sums, added in the same order, as folding in edge by edge
+    full_diag = np.bincount(
+        np.concatenate([np.arange(n), np.column_stack([eu, ev]).ravel(), host]),
+        np.concatenate([diag, np.repeat(0.5 * ew, 2), 0.5 * ak]), total)
+    qbm = QuadraticBinaryProblem(total, full_diag, *_canonical_edges(
+        np.concatenate([eu, host]), np.concatenate([ev, pin]),
+        np.concatenate([-ew, -ak]), total))
 
-    n_anchor = len(anchors)
-    full_diag = np.concatenate([diag, np.zeros(n_anchor)])
-    anchor_mask = np.zeros(n + n_anchor, dtype=bool)
-    anchor_values = np.zeros(n + n_anchor)
-    for k, (i, b, kappa) in enumerate(anchors):
-        node = n + k
-        anchor_mask[node] = True
-        anchor_values[node] = b
-        if lam * kappa > 0:
-            edges[(i, node)] = -lam * kappa
-            full_diag[i] += 0.5 * lam * kappa
-
-    finite_vals = [np.abs(problem.a).max(initial=0.0)]
-    if n_anchor:
-        finite_vals.append(max(abs(b) for _, b, _ in anchors))
-    bound = float(max(finite_vals)) + float(np.abs(problem.a).sum()) + \
-        lam * (float(problem.edge_w.sum()) + sum(k for _, _, k in anchors)) + 1.0
-    qbm = QuadraticBinaryProblem.from_parts(full_diag, edges)
-    return ProxBuild(qbm, np.ones(n + n_anchor), anchor_mask, anchor_values,
-                     bound, const)
+    anchor_mask = np.arange(total) >= n
+    anchor_values = np.concatenate([np.zeros(n), anchor_b])
+    bound = float(max(np.abs(problem.a).max(initial=0.0),
+                      np.abs(anchor_b).max(initial=0.0))) + \
+        float(np.abs(problem.a).sum()) + \
+        lam * (float(problem.edge_w.sum()) + sum(kappa.tolist())) + 1.0
+    return ProxBuild(qbm, np.ones(total), anchor_mask, anchor_values, bound, const)
 
 
 def prox_solve(problem: ProxProblem,
@@ -270,6 +261,7 @@ def certificate(problem: ProxProblem, u, tol: float = FUSE_TOL) -> float:
     optimality.
     """
     from scipy.optimize import linprog
+    from scipy.sparse import coo_array
 
     u = np.asarray(u, dtype=np.float64)
     n = problem.n
@@ -277,45 +269,46 @@ def certificate(problem: ProxProblem, u, tol: float = FUSE_TOL) -> float:
     scale = max(1.0, float(np.abs(u).max(initial=0.0)))
     fixed = 2.0 * (u - problem.a)
 
-    free_cols = []  # (column index -> rows/coeffs)
-    bounds = []
-    rows_of_col = []
-    for k in range(len(problem.edge_u)):
-        i, j = int(problem.edge_u[k]), int(problem.edge_v[k])
-        wk = lam * float(problem.edge_w[k])
-        if wk == 0:
-            continue
-        d = u[i] - u[j]
-        if abs(d) > tol * scale:
-            fixed[i] += wk * np.sign(d)
-            fixed[j] -= wk * np.sign(d)
-        else:
-            rows_of_col.append(((i, +1.0), (j, -1.0)))
-            bounds.append((-wk, wk))
+    wk = lam * problem.edge_w
+    d = u[problem.edge_u] - u[problem.edge_v]
+    split = (wk != 0) & (np.abs(d) > tol * scale)
+    free = (wk != 0) & ~split
+    g = wk[split] * np.sign(d[split])
+    fixed += np.bincount(problem.edge_u[split], g, n) - \
+        np.bincount(problem.edge_v[split], g, n)
+    pen_rows, lows, highs = [], [], []
     for i, pen in problem.penalties.items():
         lo, hi = pen.subgradient(float(u[i]), tol)
         if lam * (hi - lo) <= 0:
             fixed[i] += lam * lo
         else:
-            rows_of_col.append(((int(i), +1.0),))
-            bounds.append((lam * lo, lam * hi))
+            pen_rows.append(int(i))
+            lows.append(lam * lo)
+            highs.append(lam * hi)
 
-    if not rows_of_col:
+    n_fused = int(free.sum())
+    ncols = n_fused + len(pen_rows)
+    if not ncols:
         return float(np.abs(fixed).max(initial=0.0))
 
-    ncols = len(rows_of_col)
     # variables: [free subgradients..., t]; minimize t subject to
-    # |fixed_i + (B x)_i| <= t
-    B = np.zeros((n, ncols))
-    for c, entries in enumerate(rows_of_col):
-        for row, coef in entries:
-            B[row, c] = coef
-    A_ub = np.vstack([np.hstack([B, -np.ones((n, 1))]),
-                      np.hstack([-B, -np.ones((n, 1))])])
+    # |fixed_i + (B x)_i| <= t, i.e. B x - t <= -fixed and -B x - t <= fixed
+    rows = np.concatenate([problem.edge_u[free], problem.edge_v[free],
+                           np.array(pen_rows, dtype=np.int64)])
+    cols = np.concatenate([np.arange(n_fused), np.arange(n_fused),
+                           n_fused + np.arange(len(pen_rows))])
+    vals = np.concatenate([np.ones(n_fused), -np.ones(n_fused),
+                           np.ones(len(pen_rows))])
+    A_ub = coo_array((np.concatenate([vals, -vals, -np.ones(2 * n)]),
+                      (np.concatenate([rows, rows + n, np.arange(2 * n)]),
+                       np.concatenate([cols, cols, np.full(2 * n, ncols)]))),
+                     shape=(2 * n, ncols + 1)).tocsr()
     b_ub = np.concatenate([-fixed, fixed])
     cvec = np.zeros(ncols + 1)
     cvec[-1] = 1.0
-    var_bounds = bounds + [(0, None)]
+    var_bounds = np.column_stack([
+        np.concatenate([-wk[free], lows, [0.0]]),
+        np.concatenate([wk[free], highs, [np.inf]])])
     res = linprog(cvec, A_ub=A_ub, b_ub=b_ub, bounds=var_bounds, method="highs")
     if not res.success:
         raise RuntimeError(f"certificate LP failed: {res.message}")

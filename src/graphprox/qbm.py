@@ -12,7 +12,9 @@ not just argmins.
 
 Conventions
 -----------
-* Node indices are 0-based.  Edges are stored once with u < v.
+* Node indices are 0-based.  Edges are stored once with u < v; the
+  constructors store each pair once, summing the values of a pair given
+  more than once, in either order.
 * A coupling of -inf marks a hard tie: both endpoints must take the same
   label, and any set splitting them evaluates to +inf.
 * The optimal set of the cut problem is the set of interior nodes on the
@@ -30,19 +32,32 @@ from .errors import DimensionMismatch, NonSubmodularEnergy
 REL_TOL = 1e-9
 
 
-def _as_edge_arrays(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalize {(i, j): value} or (u, v, val) triples to sorted arrays."""
+def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, val) arrays from {(i, j): value} or (i, j, value) triples."""
     if isinstance(edges, dict):
-        items = [(min(i, j), max(i, j), float(q)) for (i, j), q in edges.items()]
-    else:
-        items = [(min(i, j), max(i, j), float(q)) for i, j, q in edges]
-    items.sort(key=lambda t: (t[0], t[1]))
-    if not items:
-        return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.float64))
-    u, v, q = zip(*items)
-    return (np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64),
-            np.asarray(q, dtype=np.float64))
+        u, v = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
+        return u, v, np.fromiter(edges.values(), np.float64, len(edges))
+    t = np.array(list(edges), dtype=object).reshape(-1, 3)
+    return (t[:, 0].astype(np.int64), t[:, 1].astype(np.int64),
+            t[:, 2].astype(np.float64))
+
+
+def _canonical_edges(u, v, val, n: int):
+    """``(u, v, val)`` with each pair stored once: ordered u < v, sorted by
+    (u, v), and the values of duplicate pairs summed in input order.
+
+    Raises DimensionMismatch for an endpoint outside [0, n).  A self-loop
+    passes through as a pair (i, i) for the caller to reject.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    if len(lo) and (lo.min() < 0 or hi.max() >= n):
+        raise DimensionMismatch("edge endpoint out of range")
+    keys, inv = np.unique(lo * n + hi, return_inverse=True)
+    summed = np.bincount(inv, weights=np.asarray(val, dtype=np.float64),
+                         minlength=len(keys))
+    return keys // max(n, 1), keys % max(n, 1), summed
 
 
 @dataclass
@@ -128,10 +143,19 @@ class QuadraticBinaryProblem:
 
     @classmethod
     def from_parts(cls, diag, edges, offset: float = 0.0) -> "QuadraticBinaryProblem":
-        """Build from a diagonal vector and an edge mapping or triple list."""
+        """Build from a diagonal vector and an edge mapping {(i, j): q_ij}
+        or (i, j, q_ij) triples.  Pairs given more than once, in either
+        order, are stored once with their couplings summed; every given
+        coupling must be <= 0, even one a duplicate would cancel.
+        """
         diag = np.asarray(diag, dtype=np.float64)
-        u, v, q = _as_edge_arrays(edges)
-        return cls(len(diag), diag, u, v, q, offset)
+        u, v, q = _edge_arrays(edges)
+        bad = np.flatnonzero(q > 0.0)
+        if bad.size:
+            k = int(bad[0])
+            raise NonSubmodularEnergy(int(min(u[k], v[k])), int(max(u[k], v[k])),
+                                      float(q[k]))
+        return cls(len(diag), diag, *_canonical_edges(u, v, q, len(diag)), offset)
 
     @property
     def n_edges(self) -> int:
@@ -149,11 +173,10 @@ class QuadraticBinaryProblem:
 
     def degree_half_sums(self) -> np.ndarray:
         """Per-node value (1/2) * sum of incident finite couplings."""
-        half = np.zeros(self.n)
         finite = ~self.ties
-        np.add.at(half, self.edge_u[finite], 0.5 * self.edge_q[finite])
-        np.add.at(half, self.edge_v[finite], 0.5 * self.edge_q[finite])
-        return half
+        q = 0.5 * self.edge_q[finite]
+        return np.bincount(np.concatenate([self.edge_u[finite], self.edge_v[finite]]),
+                           np.concatenate([q, q]), self.n)
 
 
 def from_energies(energies: EnergyTable) -> QuadraticBinaryProblem:
@@ -277,36 +300,18 @@ def normalize_directed(arcs, source_caps, sink_caps) -> QuadraticBinaryProblem:
     path (absorbed by the terminal arcs).  Every s-t cut cost changes by
     the same constant, so the sink-side minimizer sets are preserved; the
     returned problem's minimizers (via :func:`evaluate`) equal them.
+    Together the average and the reroute add each arc's capacity to the
+    diagonal of its head.  Self-loops are ignored.
     """
-    c_si = np.asarray(source_caps, dtype=np.float64).copy()
-    c_it = np.asarray(sink_caps, dtype=np.float64).copy()
+    c_si = np.asarray(source_caps, dtype=np.float64)
+    c_it = np.asarray(sink_caps, dtype=np.float64)
     if c_si.shape != c_it.shape:
         raise DimensionMismatch("source and sink capacity lengths differ")
     n = len(c_si)
-
-    directed: dict[tuple[int, int], float] = {}
-    for i, j, c in arcs:
-        if i == j:
-            continue
-        directed[(i, j)] = directed.get((i, j), 0.0) + float(c)
-
-    sym: dict[tuple[int, int], float] = {}
-    for (i, j) in list(directed):
-        if (min(i, j), max(i, j)) in sym:
-            continue
-        cf = directed.get((i, j), 0.0)
-        cb = directed.get((j, i), 0.0)
-        if cf < cb:
-            i, j, cf, cb = j, i, cb, cf
-        delta = cf - cb
-        # path s -> j -> i -> t at half strength equalizes both directions
-        c_si[j] += 0.5 * delta
-        c_it[i] += 0.5 * delta
-        sym[(min(i, j), max(i, j))] = 0.5 * (cf + cb)
-
-    edges = {(i, j): -2.0 * c for (i, j), c in sym.items() if c > 0.0}
-    diag = c_si - c_it
-    for (i, j), c in sym.items():
-        diag[i] += c
-        diag[j] += c
-    return QuadraticBinaryProblem.from_parts(diag, edges)
+    i, j, c = _edge_arrays(arcs)
+    keep = i != j
+    i, j, c = i[keep], j[keep], c[keep]
+    u, v, total = _canonical_edges(i, j, c, n)
+    pos = total > 0.0
+    return QuadraticBinaryProblem(n, c_si - c_it + np.bincount(j, c, n),
+                                  u[pos], v[pos], -total[pos])

@@ -22,7 +22,7 @@ import numpy as np
 from ._engine import ParametricSolution, bisection_cut, solve_parametric
 from .errors import DimensionMismatch, WeightNotPositiveInteger
 from .parametric import Pseudoflow
-from .qbm import QuadraticBinaryProblem
+from .qbm import QuadraticBinaryProblem, _canonical_edges
 
 
 @dataclass
@@ -102,17 +102,14 @@ def augment_integer_weights(problem: QuadraticBinaryProblem, int_weights):
     w = w.astype(np.int64)
 
     n = problem.n
-    total_aux = int((w - 1).sum())
-    diag = np.concatenate([problem.diag, np.zeros(total_aux)])
-    edges = {}
-    for u, v, q in zip(problem.edge_u, problem.edge_v, problem.edge_q):
-        edges[(int(u), int(v))] = float(q)
-    index_map = {}
-    nxt = n
-    for i in range(n):
-        index_map[i] = [i]
-        for _ in range(int(w[i]) - 1):
-            edges[(i, nxt)] = -np.inf
-            index_map[i].append(nxt)
-            nxt += 1
-    return QuadraticBinaryProblem.from_parts(diag, edges, problem.offset), index_map
+    copies = np.repeat(np.arange(n), w - 1)
+    aux = n + np.arange(len(copies))
+    diag = np.concatenate([problem.diag, np.zeros(len(aux))])
+    u, v, q = _canonical_edges(
+        np.concatenate([problem.edge_u, copies]),
+        np.concatenate([problem.edge_v, aux]),
+        np.concatenate([problem.edge_q, np.full(len(aux), -np.inf)]), len(diag))
+    groups = np.split(aux, np.cumsum(w - 1)[:-1])
+    index_map = {i: [i, *g.tolist()] for i, g in zip(range(n), groups)}
+    return QuadraticBinaryProblem(len(diag), diag, u, v, q, problem.offset), \
+        index_map

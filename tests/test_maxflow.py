@@ -138,9 +138,12 @@ class TestScipyBackend:
         assert tied == 2 * pinned
 
     @pytest.mark.parametrize("method", ["push_relabel", "scipy"])
-    @pytest.mark.parametrize("caps", [[1.5, 2.0, 0.0], [2.0, 0.0]])
+    @pytest.mark.parametrize("caps", [[1.5, 2.0, 0.0], [2.0, 0.0],
+                                      [3.0, 3.0, 2.0, 3.0]])
     def test_parallel_arcs(self, method, caps):
-        # repeated arc 0 -> 1, including a zero-capacity twin, then 1 -> 2
+        # repeated arc 0 -> 1, including a zero-capacity twin, then 1 -> 2;
+        # in the last case the repeats sum past the int32 room that twice
+        # the largest single arc leaves on scipy's grid
         k = len(caps)
         net = FlowNetwork(3, [5.0, 0.0, 0.0], [0.0, 0.0, 4.0],
                           [0] * k + [1], [1] * k + [2], caps + [3.0])
@@ -150,6 +153,29 @@ class TestScipyBackend:
         s_min, s_max = min_cut(net, state)
         value, sets = brute_min_cut(net)
         assert frozenset(s_min) in sets and frozenset(s_max) in sets
+
+
+def random_multigraph(rng, n):
+    """A random network whose interior arcs repeat up to three times, with
+    zero capacities common among them."""
+    pairs = rng.integers(0, n, (int(rng.integers(1, 3 * n + 1)), 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    arcs = np.repeat(pairs, rng.integers(1, 4, len(pairs)), axis=0)
+    return FlowNetwork(n, rng.integers(0, 6, n).astype(float),
+                       rng.integers(0, 6, n).astype(float), arcs[:, 0],
+                       arcs[:, 1], rng.integers(0, 4, len(arcs)).astype(float))
+
+
+class TestParallelArcs:
+    def test_scipy_matches_push_relabel(self, rng):
+        # scipy sums the arcs of a node pair; its pair flow is split back
+        # over them, each arc taking up to its own capacity
+        for _ in range(200):
+            net = random_multigraph(rng, int(rng.integers(2, 9)))
+            state = max_flow(net, method="scipy")
+            exact = max_flow(net, method="push_relabel").value
+            assert state.value == pytest.approx(exact, abs=1e-9)
+            assert check_flow(net, state).is_valid_flow
 
 
 class TestMinCut:

@@ -14,6 +14,46 @@ from conftest import random_submodular
 PAIR = QuadraticBinaryProblem.from_parts([0.5, 2.5], {(0, 1): -1.0})
 
 
+def random_with_tie(rng, n):
+    """A random submodular problem whose edge (0, 1) is a hard tie."""
+    prob = random_submodular(rng, n)
+    edges = prob.offdiag()
+    edges[(0, 1)] = -np.inf
+    return QuadraticBinaryProblem.from_parts(prob.diag, edges)
+
+
+def random_box_alpha(rng, prob):
+    """Flows in the box, a third of them saturated; ties carry [-2, 2]."""
+    cap = np.where(prob.ties, 2.0, -prob.edge_q)
+    alpha = rng.uniform(-1, 1, prob.n_edges) * cap
+    sat = rng.random(prob.n_edges) < 1 / 3
+    return np.where(sat, np.sign(alpha) * cap, alpha)
+
+
+def check_optimality_by_edge(problem, alpha, weights, tol=1e-7):
+    """Edge-by-edge reference for ``check_optimality``."""
+    r = reductions(problem, alpha).r
+    cap = np.where(problem.ties, np.inf, -problem.edge_q)
+    scale = max(1.0, float(np.abs(r).max(initial=0.0)))
+
+    def key(i):
+        if weights[i] > 0:
+            return r[i] / weights[i]
+        return np.inf if r[i] > 0 else -np.inf
+
+    for k in range(problem.n_edges):
+        ki, kj = key(problem.edge_u[k]), key(problem.edge_v[k])
+        if ki == kj:
+            continue
+        gap = abs(ki - kj) if np.isfinite(ki) and np.isfinite(kj) else np.inf
+        if gap <= tol * scale:
+            continue
+        want = cap[k] if ki > kj else -cap[k]
+        if np.isfinite(want) and abs(alpha[k] - want) > tol * max(1.0, cap[k]):
+            return False
+    return True
+
+
 class TestReductions:
     def test_no_edges(self):
         prob = QuadraticBinaryProblem.from_parts([1.0, -2.0, 0.3], {})
@@ -43,6 +83,17 @@ class TestReductions:
     def test_box_violation_raises(self):
         with pytest.raises(AlphaOutOfBox):
             reductions(PAIR, np.array([1.5]))
+
+    def test_matches_edge_fold(self, rng):
+        # reference: the edge terms folded into the diagonal in edge order
+        for _ in range(20):
+            prob = random_with_tie(rng, int(rng.integers(2, 9)))
+            alpha = random_box_alpha(rng, prob)
+            static = np.where(prob.ties, 0.0, prob.edge_q)
+            ref = prob.diag.copy()
+            np.add.at(ref, prob.edge_u, 0.5 * (static - alpha))
+            np.add.at(ref, prob.edge_v, 0.5 * (static + alpha))
+            assert np.array_equal(reductions(prob, alpha).r, ref)
 
 
 class TestAlphaReduction:
@@ -151,6 +202,21 @@ class TestCheckOptimality:
     def test_single_node_vacuous(self):
         prob = QuadraticBinaryProblem.from_parts([1.0], {})
         assert check_optimality(prob, np.zeros(0))
+
+    def test_zero_weights_and_tie_match_edge_loop(self, rng):
+        # zero weights give infinite keys; the tie (0, 1) is never pinned
+        verdicts = []
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            prob = random_with_tie(rng, n)
+            w = rng.choice([0.0, 0.5, 1.0, 2.0], n)
+            w[0] = 0.0
+            alphas = [solve(prob, weights=w).alpha]
+            alphas += [random_box_alpha(rng, prob) for _ in range(5)]
+            for alpha in alphas:
+                verdicts.append(check_optimality(prob, alpha, w))
+                assert verdicts[-1] == check_optimality_by_edge(prob, alpha, w)
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestStructure:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from graphprox import (NonConvexPenalty, PiecewiseLinearPenalty, ProxProblem,
-                       build_prox_qbm, certificate, prox, prox_solve,
-                       pwl_decompose)
+from graphprox import (DimensionMismatch, NonConvexPenalty,
+                       PiecewiseLinearPenalty, ProxProblem, build_prox_qbm,
+                       certificate, prox, prox_solve, pwl_decompose)
 from graphprox.oracle import prox_reference
-from conftest import random_prox_problem
+from conftest import random_penalty, random_prox_problem
 
 ABS = PiecewiseLinearPenalty.abs_value()
 
@@ -60,6 +60,36 @@ class TestPwlDecompose:
                                    np.array([0.0, 0.5, 1.0]))
 
 
+def build_by_edge(problem):
+    """Edge-by-edge reference for ``build_prox_qbm``'s arrays."""
+    n, lam = problem.n, problem.lam
+    diag = problem.a.copy()
+    anchors = []
+    for i, pen in sorted(problem.penalties.items()):
+        c, anc, _ = pwl_decompose(pen)
+        diag[i] -= 0.5 * lam * c
+        anchors += [(i, b, kappa) for b, kappa in anc]
+    edges = {}
+    for u, v, w in zip(problem.edge_u, problem.edge_v, problem.edge_w):
+        if lam * w > 0:
+            key = (int(min(u, v)), int(max(u, v)))
+            edges[key] = edges.get(key, 0.0) - lam * w
+            diag[u] += 0.5 * lam * w
+            diag[v] += 0.5 * lam * w
+    diag = np.concatenate([diag, np.zeros(len(anchors))])
+    for k, (i, b, kappa) in enumerate(anchors):
+        edges[(i, n + k)] = -lam * kappa
+        diag[i] += 0.5 * lam * kappa
+    keys = sorted(edges)
+    return {"diag": diag,
+            "edge_u": np.array([k[0] for k in keys], dtype=np.int64),
+            "edge_v": np.array([k[1] for k in keys], dtype=np.int64),
+            "edge_q": np.array([edges[k] for k in keys]),
+            "anchor_mask": np.arange(n + len(anchors)) >= n,
+            "anchor_values": np.concatenate(
+                [np.zeros(n), [b for _, b, _ in anchors]])}
+
+
 class TestBuildProxQbm:
     def test_lambda_zero_decouples(self):
         p = ProxProblem.from_edges([1.0, -2.0], {(0, 1): 1.0}, lam=0.0)
@@ -84,6 +114,30 @@ class TestBuildProxQbm:
                     enc = evaluate(build.qbm, s, beta, np.ones(2))
                     vals[(x0, x1)] = direct - enc
             assert np.ptp(list(vals.values())) < 1e-10
+
+    def test_duplicate_pairs_summed(self):
+        p = ProxProblem.from_edges([0.0, 2.0], [(0, 1, 0.25), (1, 0, 0.75)])
+        assert p.edge_u.tolist() == [0] and p.edge_v.tolist() == [1]
+        assert p.edge_w.tolist() == [1.0]
+        with pytest.raises(DimensionMismatch):
+            ProxProblem.from_edges([0.0, 2.0], [(0, 1, -1.0), (1, 0, 2.0)])
+
+    def test_matches_edge_by_edge_build(self, rng):
+        # repeated pairs in both orders, zero weights and penalty anchors:
+        # the same arrays, bit for bit, as folding in edge by edge
+        for _ in range(20):
+            n = int(rng.integers(2, 30))
+            eu, ev = rng.integers(0, n, (2, 3 * n))
+            keep = eu != ev
+            w = rng.uniform(0, 2, int(keep.sum())) * (rng.random(int(keep.sum())) < 0.8)
+            pens = {i: random_penalty(rng) for i in range(n) if rng.random() < 0.4}
+            p = ProxProblem(rng.normal(0, 2, n), eu[keep], ev[keep], w,
+                            float(rng.uniform(0.1, 2.0)), pens)
+            build, ref = build_prox_qbm(p), build_by_edge(p)
+            for name in ("diag", "edge_u", "edge_v", "edge_q"):
+                assert np.array_equal(getattr(build.qbm, name), ref[name])
+            assert np.array_equal(build.anchor_values, ref["anchor_values"])
+            assert build.anchor_mask.tolist() == ref["anchor_mask"].tolist()
 
     def test_anchor_metadata(self):
         p = ProxProblem.from_edges([0.8], {}, lam=1.0, penalties={0: ABS})
@@ -174,3 +228,17 @@ class TestCertificate:
             n = int(rng.integers(2, 50))
             p = random_prox_problem(rng, n, with_penalties=True)
             assert certificate(p, prox(p)) < 1e-7
+
+    def test_grid_64(self, rng):
+        # 4,096 nodes, 8,064 edges: the LP has 8,192 rows and a column per
+        # fused edge, which a dense matrix would hold in full
+        H = 64
+        img = np.zeros((H, H))
+        img[:, H // 3:] = 0.5
+        img[H // 2:, 2 * H // 3:] = 0.9
+        idx = np.arange(H * H).reshape(H, H)
+        eu = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+        ev = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+        p = ProxProblem((img + rng.normal(0, 0.1, (H, H))).ravel(), eu, ev,
+                        np.ones(len(eu)), 0.1)
+        assert certificate(p, prox(p)) <= 1e-7

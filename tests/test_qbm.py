@@ -72,6 +72,17 @@ class TestFromEnergies:
         with pytest.raises(NonSubmodularEnergy):
             QuadraticBinaryProblem.from_parts([0.0, 0.0], {(0, 1): 0.5})
 
+    def test_positive_coupling_rejected_before_summing(self):
+        # the duplicate would bring the pair's sum to -0.5
+        with pytest.raises(NonSubmodularEnergy):
+            QuadraticBinaryProblem.from_parts([0.0, 0.0],
+                                              {(0, 1): 0.5, (1, 0): -1.0})
+
+    def test_duplicate_pairs_summed(self):
+        prob = QuadraticBinaryProblem.from_parts(
+            [0.5, 2.5], [(0, 1, -1.0), (1, 0, -2.0)])
+        assert prob.offdiag() == {(0, 1): -3.0}
+
 
 class TestToCutGraph:
     def test_single_node(self):

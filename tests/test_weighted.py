@@ -198,6 +198,12 @@ class TestAugmentation:
         assert sol.u2(1.0) == {0, 1}
         assert sol.u2(0.99) == set()
 
+    def test_parallel_couplings_kept(self):
+        # two (0, 1) couplings: the augmentation sums them, dropping neither
+        prob = QuadraticBinaryProblem(2, [1.0, 1.0], [0, 0], [1, 1], [-0.5, -0.5])
+        aug, _ = augment_integer_weights(prob, [1, 1])
+        assert evaluate(aug, {0, 1}) == evaluate(prob, {0, 1}) == 1.0
+
     def test_rejects_bad_weights(self):
         with pytest.raises(WeightNotPositiveInteger):
             augment_integer_weights(PAIR, [1, 0])
