@@ -23,7 +23,7 @@ from . import oracle, parametric, regression, weighted
 from .errors import GraphProxError, ParseError
 from .prox import ProxProblem
 from .prox import prox as prox_op
-from .qbm import QuadraticBinaryProblem
+from .qbm import QuadraticBinaryProblem, _canonical_edges
 
 EXIT_CHECK_FAIL = 1
 EXIT_PARSE = 2
@@ -123,9 +123,10 @@ def cmd_fit(args) -> int:
     A = gio.read_csv_matrix(args.design)
     y = gio.read_csv_matrix(args.response).ravel()
     if args.edges is not None:
-        eu, ev, ew = gio.read_edge_file(args.edges, args.index_base)
+        eu, ev, ew, size = gio._edge_lines(args.edges, args.index_base)
         if np.any(ew < 0):
             raise GraphProxError("negative fusion weight")
+        eu, ev, ew = _canonical_edges(eu, ev, ew, size)
     else:
         eu = ev = np.zeros(0, dtype=np.int64)
         ew = np.zeros(0)

@@ -58,9 +58,11 @@ def read_node_file(path, index_base: int = 0):
     return diag, weights
 
 
-def read_edge_file(path, index_base: int = 0):
-    """Read ``i j value`` lines; returns (u, v, value) arrays (u < v), one
-    entry per node pair with the values of repeated pairs summed."""
+def _edge_lines(path, index_base: int):
+    """Read ``i j value`` lines; returns (u, v, value) arrays with one
+    entry per line, as written, and 1 + the largest endpoint (0 if none).
+    Callers check each line's sign here, before repeated pairs are
+    summed."""
     rows = []
     for lineno, toks in _data_lines(path):
         if len(toks) != 3:
@@ -75,25 +77,28 @@ def read_edge_file(path, index_base: int = 0):
             raise ParseError(f"{path}:{lineno}: bad endpoints {i} {j}")
         rows.append((i, j, val))
     u, v, vals = _edge_arrays(rows)
-    return _canonical_edges(u, v, vals, int(np.maximum(u, v).max(initial=-1)) + 1)
+    return u, v, vals, int(np.maximum(u, v).max(initial=-1)) + 1
+
+
+def read_edge_file(path, index_base: int = 0):
+    """Read ``i j value`` lines; returns (u, v, value) arrays (u < v), one
+    entry per node pair with the values of repeated pairs summed."""
+    u, v, vals, size = _edge_lines(path, index_base)
+    return _canonical_edges(u, v, vals, size)
 
 
 def read_qbm(node_path, edge_path=None, index_base: int = 0):
-    """Assemble a QuadraticBinaryProblem plus weights from text files."""
+    """Assemble a QuadraticBinaryProblem plus weights from text files.
+    Every edge line's coupling must be <= 0, even one that a repeated
+    pair would cancel."""
     diag, weights = read_node_file(node_path, index_base)
-    n = len(diag)
+    u = v = q = ()
     if edge_path is not None:
-        u, v, q = read_edge_file(edge_path, index_base)
-        if len(u) and v.max() >= n:
-            n2 = int(v.max()) + 1
-            diag = np.concatenate([diag, np.zeros(n2 - n)])
-            weights = np.concatenate([weights, np.ones(n2 - n)])
-            n = n2
-    else:
-        u = v = np.zeros(0, dtype=np.int64)
-        q = np.zeros(0)
-    problem = QuadraticBinaryProblem(n, diag, u, v, q)
-    return problem, weights
+        u, v, q, size = _edge_lines(edge_path, index_base)
+        extra = max(size - len(diag), 0)
+        diag = np.concatenate([diag, np.zeros(extra)])
+        weights = np.concatenate([weights, np.ones(extra)])
+    return QuadraticBinaryProblem.from_parts(diag, zip(u, v, q)), weights
 
 
 def read_penalty_file(path, index_base: int = 0) -> dict:
@@ -121,7 +126,9 @@ def read_penalty_file(path, index_base: int = 0) -> dict:
 
 def read_prox_problem(node_path, edge_path=None, penalty_path=None,
                       lam: float = 1.0, index_base: int = 0) -> ProxProblem:
-    """Assemble a ProxProblem from ``i a_i`` nodes and ``i j w_ij`` edges."""
+    """Assemble a ProxProblem from ``i a_i`` nodes and ``i j w_ij`` edges.
+    Every edge line's weight must be >= 0, even one that a repeated pair
+    would cancel."""
     centers = {}
     for lineno, toks in _data_lines(node_path):
         if len(toks) != 2:
@@ -136,18 +143,15 @@ def read_prox_problem(node_path, edge_path=None, penalty_path=None,
     a = np.zeros(n)
     for i, val in centers.items():
         a[i] = val
+    u = v = w = ()
     if edge_path is not None:
-        u, v, w = read_edge_file(edge_path, index_base)
+        u, v, w, size = _edge_lines(edge_path, index_base)
         if np.any(w < 0):
             raise ParseError(f"{edge_path}: negative fusion weight")
-        if len(u) and v.max() >= n:
-            a = np.concatenate([a, np.zeros(int(v.max()) + 1 - n)])
-    else:
-        u = v = np.zeros(0, dtype=np.int64)
-        w = np.zeros(0)
+        a = np.concatenate([a, np.zeros(max(size - n, 0))])
     penalties = read_penalty_file(penalty_path, index_base) \
         if penalty_path is not None else {}
-    return ProxProblem(a, u, v, w, lam, penalties)
+    return ProxProblem.from_edges(a, zip(u, v, w), lam, penalties)
 
 
 def read_csv_matrix(path) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Maximum-flow / minimum-cut solver.
 
-The default algorithm is highest-label push-relabel with the gap heuristic
-and periodic global relabeling (every n relabels).  For large graphs an
-exact dyadic rescaling to integers lets scipy's C implementation do the
-work; both backends share the same interface and are cross-checked in the
-test suite.
+Two backends share one interface and are cross-checked in the test suite.
+The float backend is Dinic's blocking-flow algorithm in pure Python on the
+float capacities; it serves small networks.  For large ones, scipy's C
+``maximum_flow`` solves the network with its capacities snapped down to a
+power-of-two grid (``_quantize_network``), so its cuts are those of the
+snapped network.
 
 Callers mark infinite capacities with ``np.inf``.  An infinite terminal
 arc forces its node onto one side of every finite cut; an infinite arc
@@ -214,184 +215,84 @@ def _clamped(net: FlowNetwork) -> tuple[FlowNetwork, float]:
 
 
 # ---------------------------------------------------------------------------
-# push-relabel core (pure python, float capacities)
+# Dinic core (pure python, float capacities)
 # ---------------------------------------------------------------------------
 
-def _push_relabel(net: FlowNetwork, tol: float) -> FlowState:
+def _dinic(net: FlowNetwork, tol: float) -> FlowState:
+    """Dinic's blocking-flow algorithm on float capacities; a residual arc
+    with at most ``tol`` left counts as saturated.  Residual arc 2k is the
+    k-th arc of positive capacity (terminal arcs first) and 2k + 1 its
+    reverse, whose residual is the arc's flow.  Each phase levels nodes by
+    BFS from s and saturates level-increasing paths with an iterative DFS
+    (no recursion: paths can be longer than the recursion limit); a dead
+    end drops out of the phase at level -1."""
     n = net.n
-    N = n + 2
-    S, T = n, n + 1
-
-    # residual arc arrays; paired arcs at 2k, 2k+1
-    to: list[int] = []
-    res: list[float] = []
-    adj: list[list[int]] = [[] for _ in range(N)]
-
-    def add_arc(a, b, cap):
-        adj[a].append(len(to))
-        to.append(b)
-        res.append(cap)
-        adj[b].append(len(to))
-        to.append(a)
-        res.append(0.0)
-
-    src_arc = np.full(n, -1, dtype=np.int64)
-    snk_arc = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        if net.source_caps[i] > 0:
-            src_arc[i] = len(to)
-            add_arc(S, i, float(net.source_caps[i]))
-        if net.sink_caps[i] > 0:
-            snk_arc[i] = len(to)
-            add_arc(i, T, float(net.sink_caps[i]))
-    int_arc = np.full(len(net.arc_u), -1, dtype=np.int64)
-    for k in range(len(net.arc_u)):
-        if net.arc_cap[k] > 0:
-            int_arc[k] = len(to)
-            add_arc(int(net.arc_u[k]), int(net.arc_v[k]), float(net.arc_cap[k]))
-
-    height = [0] * N
-    excess = [0.0] * N
-    cur = [0] * N
-    cnt = [0] * (2 * N + 1)
-
-    def global_relabel():
-        # heights = BFS distance to t in the residual; unreachable nodes
-        # get N + distance to s (so they drain back to the source)
-        INF = 2 * N
-        h = [INF] * N
-        h[T] = 0
-        dq = [T]
-        while dq:
-            nxt = []
-            for x in dq:
-                for aid in adj[x]:
-                    y = to[aid]
-                    if h[y] == INF and res[aid ^ 1] > tol:
-                        h[y] = h[x] + 1
-                        nxt.append(y)
-            dq = nxt
-        h[S] = N
-        dq = [S]
-        while dq:
-            nxt = []
-            for x in dq:
-                for aid in adj[x]:
-                    y = to[aid]
-                    if h[y] == INF and res[aid ^ 1] > tol:
-                        h[y] = h[x] + 1
-                        nxt.append(y)
-            dq = nxt
-        for x in range(N):
-            if h[x] == INF:
-                h[x] = 2 * N
-        for i in range(2 * N + 1):
-            cnt[i] = 0
-        for x in range(N):
-            height[x] = h[x]
-            cnt[h[x]] += 1
-            cur[x] = 0
-
-    # initialize: saturate source arcs
-    height[S] = N
-    for aid in adj[S]:
-        if aid % 2 == 0 and res[aid] > 0:
-            d = res[aid]
-            res[aid] = 0.0
-            res[aid ^ 1] += d
-            excess[to[aid]] += d
-            excess[S] -= d
-    global_relabel()
-
-    buckets: list[list[int]] = [[] for _ in range(2 * N + 1)]
-    in_bucket = [False] * N
-    highest = 0
-    for x in range(n):
-        if excess[x] > tol:
-            buckets[height[x]].append(x)
-            in_bucket[x] = True
-            highest = max(highest, height[x])
-
-    relabels = 0
-    work_since_gr = 0
-
-    def activate(x):
-        nonlocal highest
-        if x < n and not in_bucket[x] and excess[x] > tol:
-            buckets[height[x]].append(x)
-            in_bucket[x] = True
-            if height[x] > highest:
-                highest = height[x]
-
+    s, t = n, n + 1
+    tail = np.concatenate([np.full(n, s), np.arange(n), net.arc_u])
+    head = np.concatenate([np.arange(n), np.full(n, t), net.arc_v])
+    cap = np.concatenate([net.source_caps, net.sink_caps, net.arc_cap])
+    keep = np.flatnonzero(cap > 0)
+    ends = np.column_stack([tail[keep], head[keep]])
+    order = np.argsort(ends.ravel(), kind="stable")
+    first = np.searchsorted(ends.ravel()[order], np.arange(n + 3)).tolist()
+    adj = order.tolist()
+    to = ends[:, ::-1].ravel().tolist()
+    res = np.column_stack([cap[keep], np.zeros(len(keep))]).ravel().tolist()
     while True:
-        while highest >= 0 and not buckets[highest]:
-            highest -= 1
-        if highest < 0:
+        level = [-1] * (n + 2)
+        level[s] = depth = 0
+        frontier = [s]
+        while frontier and level[t] < 0:
+            depth += 1
+            nxt = []
+            for x in frontier:
+                for a in adj[first[x]:first[x + 1]]:
+                    y = to[a]
+                    if level[y] < 0 and res[a] > tol:
+                        level[y] = depth
+                        nxt.append(y)
+            frontier = nxt
+        if level[t] < 0:
             break
-        x = buckets[highest].pop()
-        in_bucket[x] = False
-        if excess[x] <= tol:
-            continue
-        # discharge x
-        while excess[x] > tol:
-            if cur[x] >= len(adj[x]):
-                # relabel
-                old = height[x]
-                mn = 4 * N
-                for aid in adj[x]:
-                    if res[aid] > tol:
-                        mn = min(mn, height[to[aid]])
-                height[x] = mn + 1 if mn < 4 * N else 2 * N
-                cur[x] = 0
-                cnt[old] -= 1
-                cnt[height[x]] += 1
-                relabels += 1
-                work_since_gr += 1
-                if cnt[old] == 0 and old < N:
-                    # gap heuristic: heights above the gap are unreachable
-                    for y in range(n):
-                        if old < height[y] < N:
-                            cnt[height[y]] -= 1
-                            height[y] = N + 1
-                            cnt[N + 1] += 1
-                if height[x] >= 2 * N:
+        ptr = first[:]
+        path = []
+        x = s
+        while True:
+            if x == t:
+                d = min([res[a] for a in path])
+                for a in path:
+                    res[a] -= d
+                    res[a ^ 1] += d
+                # retreat to the tail of the first saturated arc
+                k = next(j for j, a in enumerate(path) if res[a] <= tol)
+                x = to[path[k] ^ 1]
+                del path[k:]
+                continue
+            # move x's current arc to its next arc into the next level
+            i, end, up = ptr[x], first[x + 1], level[x] + 1
+            while i < end:
+                a = adj[i]
+                if res[a] > tol and level[to[a]] == up:
                     break
-                if work_since_gr >= max(n, 16):
-                    work_since_gr = 0
-                    global_relabel()
-                    activate(x)
-                    break
+                i += 1
+            ptr[x] = i
+            if i < end:
+                path.append(a)
+                x = to[a]
+            elif x == s:
+                break
             else:
-                aid = adj[x][cur[x]]
-                y = to[aid]
-                if res[aid] > tol and height[x] == height[y] + 1:
-                    d = min(excess[x], res[aid])
-                    res[aid] -= d
-                    res[aid ^ 1] += d
-                    excess[x] -= d
-                    excess[y] += d
-                    activate(y)
-                else:
-                    cur[x] += 1
-        activate(x)
-
-    # assemble flows: flow on paired arc = reverse residual
-    z_src = np.zeros(n)
-    z_snk = np.zeros(n)
-    for i in range(n):
-        if src_arc[i] >= 0:
-            z_src[i] = res[int(src_arc[i]) ^ 1]
-        if snk_arc[i] >= 0:
-            z_snk[i] = res[int(snk_arc[i]) ^ 1]
-    z_arc = np.zeros(len(net.arc_u))
-    for k in range(len(net.arc_u)):
-        if int_arc[k] >= 0:
-            z_arc[k] = res[int(int_arc[k]) ^ 1]
-    return FlowState(z_src, z_snk, z_arc, float(z_snk.sum()))
+                level[x] = -1
+                x = to[path.pop() ^ 1]
+                ptr[x] += 1
+    z = np.zeros(len(cap))
+    z[keep] = res[1::2]
+    z_snk = z[n:2 * n]
+    return FlowState(z[:n], z_snk, z[2 * n:], float(z_snk.sum()))
 
 
 # ---------------------------------------------------------------------------
-# scipy backend (exact dyadic integer scaling)
+# scipy backend (capacities snapped to a power-of-two grid)
 # ---------------------------------------------------------------------------
 
 def _quantize_network(net: FlowNetwork) -> tuple[FlowNetwork, float]:
@@ -467,9 +368,11 @@ def max_flow(graph, method: str = "auto") -> FlowState:
     Parameters
     ----------
     graph : FlowNetwork or CutGraph
-    method : {"auto", "push_relabel", "scipy"}
-        "auto" uses push-relabel up to a size threshold and the scipy
-        backend beyond it.
+    method : {"auto", "float", "scipy"}
+        "float" is the pure-Python Dinic on the float capacities, "scipy"
+        scipy's C max-flow on capacities snapped to a power-of-two grid,
+        and "auto" uses "float" up to a size threshold and "scipy" beyond
+        it.
 
     Returns
     -------
@@ -482,7 +385,7 @@ def max_flow(graph, method: str = "auto") -> FlowState:
     if net.n == 0:
         return FlowState(np.zeros(0), np.zeros(0), np.zeros(0), 0.0)
     if method == "auto":
-        method = "scipy" if net.n > _SCIPY_NODE_THRESHOLD else "push_relabel"
+        method = "scipy" if net.n > _SCIPY_NODE_THRESHOLD else "float"
     if method == "scipy":
         qnet, quantum = _quantize_network(net)
         state = _scipy_backend(qnet, 1.0 / quantum)
@@ -490,11 +393,11 @@ def max_flow(graph, method: str = "auto") -> FlowState:
         state.eff_sink = qnet.sink_caps
         state.eff_arc = qnet.arc_cap
         return state
-    if method != "push_relabel":
+    if method != "float":
         raise ValueError(f"unknown method {method!r}")
     # tolerance from the caller's network: a clamp-sized max_cap would
     # inflate it
-    return _push_relabel(_clamped(net)[0], net.tol())
+    return _dinic(_clamped(net)[0], net.tol())
 
 
 def _residual_reach(net: FlowNetwork, state: FlowState):

@@ -232,14 +232,6 @@ def prox_solve(problem: ProxProblem,
                method: str = "auto") -> tuple[np.ndarray, ParametricSolution, ProxBuild]:
     """Solve and return (u*, parametric solution, build)."""
     build = build_prox_qbm(problem)
-    if problem.lam == 0.0:
-        # the objective is pure quadratic fit: u* = a exactly
-        a = problem.a.astype(np.float64).copy()
-        sol = ParametricSolution(build.qbm, build.weights,
-                                 np.zeros(build.qbm.n_edges),
-                                 build.qbm.diag.copy(), a.copy(), a.copy(),
-                                 None)
-        return a, sol, build
     sol = solve_parametric(build.qbm, weights=build.weights,
                            anchor_mask=build.anchor_mask,
                            anchor_values=build.anchor_values, method=method)

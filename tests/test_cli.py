@@ -179,6 +179,16 @@ class TestPathCommand:
         assert len(bps) == 1
         assert float(bps[0]) == pytest.approx(1.0 / 3.0)
 
+    def test_positive_line_exit_3(self, capsys, tmp_path):
+        # the pair sums to -0.5, but its first line is a positive coupling
+        nodes = tmp_path / "n.txt"
+        edges = tmp_path / "e.txt"
+        nodes.write_text("0 0.5\n1 2.5\n")
+        edges.write_text("0 1 0.5\n1 0 -1.0\n")
+        rc, _, err = run(capsys, "path", str(nodes), "--edges", str(edges))
+        assert rc == 3
+        assert "error" in err
+
     def test_reductions_exact_on_large_block(self, capsys, tmp_path):
         # a 400-node component goes to the quantized scipy backend, whose
         # in-block flows are off by ~1e-7; the printed r column must be
@@ -201,7 +211,7 @@ class TestPathCommand:
         assert rc == 0
         r = np.array([float(line.split()[2]) for line in out.splitlines()[3:]])
         problem = QuadraticBinaryProblem(n, diag, eu, ev, q)
-        exact = solve_weighted(problem, w, method="push_relabel").levels
+        exact = solve_weighted(problem, w, method="float").levels
         np.testing.assert_allclose(r, exact, rtol=0, atol=1e-9)
 
 
@@ -231,6 +241,19 @@ class TestFitCommand:
         assert rc == 0
         coefs = [float(ln.split()[1]) for ln in out.read_text().splitlines()]
         assert coefs == pytest.approx([0.5, 1.5], abs=1e-6)
+
+    def test_negative_weight_line_exit_3(self, capsys, tmp_path):
+        # the pair sums to 0.5, but its second line is a negative weight
+        A = tmp_path / "A.csv"
+        y = tmp_path / "y.csv"
+        e = tmp_path / "e.txt"
+        A.write_text("1,0\n0,1\n")
+        y.write_text("0\n2\n")
+        e.write_text("0 1 1.0\n1 0 -0.5\n")
+        rc, _, err = run(capsys, "fit", str(A), str(y), "--edges", str(e),
+                         "--lam", "1", "-o", str(tmp_path / "c.txt"))
+        assert rc == 3
+        assert "negative fusion weight" in err
 
     def test_nonconvergence_exit_4(self, capsys, tmp_path, rng):
         A = tmp_path / "A.csv"

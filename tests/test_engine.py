@@ -54,6 +54,16 @@ class TestBatching:
         np.testing.assert_allclose(sol.levels, prob.diag, rtol=1e-15)
         assert np.array_equal(sol.flip_hi, prob.diag / w)
 
+    def test_lambda_zero_needs_no_flow(self, flow_calls):
+        # with lambda = 0 no edge or anchor coupling survives the build
+        p = random_prox_problem(np.random.default_rng(3), 40,
+                                with_penalties=True)
+        problem = ProxProblem(p.a, p.edge_u, p.edge_v, p.edge_w, 0.0,
+                              p.penalties)
+        assert problem.penalties and len(problem.edge_u)
+        assert np.array_equal(prox(problem), problem.a)
+        assert flow_calls == []
+
     def test_chain_exact(self):
         problem = chain_prox()
         assert certificate(problem, prox(problem)) <= 1e-7
@@ -78,7 +88,7 @@ class TestBatching:
         auto = engine.solve_parametric(b.qbm, b.weights, method="auto")
         assert big in flow_calls  # the fused chain, cut on its own
         assert any(n <= 300 for n in flow_calls)
-        ref = engine.solve_parametric(b.qbm, b.weights, method="push_relabel")
+        ref = engine.solve_parametric(b.qbm, b.weights, method="float")
         for key in ("levels", "flip_lo", "flip_hi"):
             x, y = getattr(auto, key), getattr(ref, key)
             assert np.allclose(x, y, rtol=1e-9, atol=1e-9), key
@@ -98,7 +108,7 @@ class TestBatching:
         b = build_prox_qbm(problem)
         auto = engine.solve_parametric(b.qbm, b.weights)
         assert flow_calls[:2] == [350, 350]
-        ref = engine.solve_parametric(b.qbm, b.weights, method="push_relabel")
+        ref = engine.solve_parametric(b.qbm, b.weights, method="float")
         np.testing.assert_allclose(auto.levels, ref.levels, rtol=1e-9,
                                    atol=1e-9)
         assert certificate(problem, auto.levels) <= 1e-7
@@ -164,7 +174,7 @@ class TestAnchoredHarvest:
         r = reductions(build.qbm, sol.alpha).r
         return sol, float(np.abs(r - sol.levels)[sol.interior()].max())
 
-    @pytest.mark.parametrize("method", ["push_relabel", "scipy"])
+    @pytest.mark.parametrize("method", ["float", "scipy"])
     def test_excess_into_anchor(self, method):
         # soft thresholding puts u at the anchor 0, with all of a = -0.2
         # carried by the anchor edge
@@ -179,11 +189,11 @@ class TestAnchoredHarvest:
         for _ in range(40):
             problem = random_prox_problem(rng, int(rng.integers(1, 40)),
                                           with_penalties=True)
-            assert self.residual(problem, "push_relabel")[1] <= 1e-9
+            assert self.residual(problem, "float")[1] <= 1e-9
 
 
 class TestHardTies:
-    @pytest.mark.parametrize("method", ["push_relabel", "scipy"])
+    @pytest.mark.parametrize("method", ["float", "scipy"])
     def test_random_ties_brute_force(self, method):
         # cycles and chains of infinite couplings among finite ones
         rng = np.random.default_rng(4)
@@ -200,7 +210,7 @@ class TestHardTies:
             prob = QuadraticBinaryProblem.from_parts(rng.normal(0, 2, n), edges)
             w = rng.uniform(0.5, 2.0, n)
             sol = engine.solve_parametric(prob, w, method=method)
-            if method == "push_relabel":
+            if method == "float":
                 r = reductions(prob, sol.alpha).r
                 assert np.abs(r - sol.levels).max() <= 1e-9
             f0, wS, memb = brute_force_values(prob, w)
@@ -270,7 +280,7 @@ class TestComponents:
         pieces = three_pieces(rng, (60, 40, 50))
         whole = union(pieces)
         sol = solve(whole)
-        ref = solve(whole, "push_relabel")
+        ref = solve(whole, "float")
         alone = [solve(p) for p in pieces]
         for key in KEYS:
             got = getattr(sol, key)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from graphprox import ParseError
+from graphprox import NonSubmodularEnergy, ParseError
 from graphprox import io as gio
 
 
@@ -47,6 +47,33 @@ class TestTextFormats:
         assert prob.diag == pytest.approx([0.5, 2.5])
         assert prob.offdiag() == {(0, 1): -1.0}
         assert w == pytest.approx([1.0, 1.0])
+
+    def test_edge_signs_checked_per_line(self, tmp_path):
+        # each line's sign is checked before a repeated pair is summed,
+        # even when the sum has the allowed sign
+        nodes = tmp_path / "n.txt"
+        edges = tmp_path / "e.txt"
+        nodes.write_text("0 0.5\n1 2.5\n")
+        edges.write_text("0 1 0.5\n1 0 -1.0\n")
+        with pytest.raises(NonSubmodularEnergy):
+            gio.read_qbm(nodes, edges)
+        edges.write_text("0 1 -0.5\n1 0 1.0\n")
+        with pytest.raises(ParseError):
+            gio.read_prox_problem(nodes, edges)
+
+    def test_repeated_edge_lines_summed(self, tmp_path):
+        nodes = tmp_path / "n.txt"
+        edges = tmp_path / "e.txt"
+        nodes.write_text("0 0.5\n")
+        edges.write_text("0 1 0.5\n1 0 0.25\n")
+        p = gio.read_prox_problem(nodes, edges)
+        assert p.a.tolist() == [0.5, 0.0]
+        assert (p.edge_u.tolist(), p.edge_v.tolist()) == ([0], [1])
+        assert p.edge_w.tolist() == [0.75]
+        edges.write_text("0 1 -0.5\n1 0 -0.25\n")
+        prob, w = gio.read_qbm(nodes, edges)
+        assert prob.offdiag() == {(0, 1): -0.75}
+        assert w.tolist() == [1.0, 1.0]
 
     def test_penalty_file(self, tmp_path):
         p = tmp_path / "pen.txt"

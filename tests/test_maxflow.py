@@ -58,7 +58,7 @@ class TestMaxFlow:
         net = FlowNetwork(0, np.zeros(0), np.zeros(0))
         assert max_flow(net).value == 0.0
 
-    @pytest.mark.parametrize("method", ["push_relabel", "scipy"])
+    @pytest.mark.parametrize("method", ["float", "scipy"])
     def test_duality_random(self, rng, method):
         for _ in range(60):
             n = int(rng.integers(1, 9))
@@ -74,14 +74,14 @@ class TestMaxFlow:
             net = random_network(rng, n)
             net = FlowNetwork(n, net.source_caps * 0.137, net.sink_caps * 0.137,
                               net.arc_u, net.arc_v, net.arc_cap * 0.137)
-            state = max_flow(net, method="push_relabel")
+            state = max_flow(net, method="float")
             value, _ = brute_min_cut(net)
             assert state.value == pytest.approx(value, rel=1e-9)
 
     def test_backends_agree(self, rng):
         for _ in range(25):
             net = random_network(rng, int(rng.integers(1, 10)))
-            v1 = max_flow(net, method="push_relabel").value
+            v1 = max_flow(net, method="float").value
             v2 = max_flow(net, method="scipy").value
             assert v1 == pytest.approx(v2, abs=1e-6)
 
@@ -113,7 +113,7 @@ class TestScipyBackend:
         net = wide_range_block(seed)
         state = max_flow(net, method="scipy")
         min_cut(net, state)  # raises StaleFlow on a non-maximum flow
-        exact = max_flow(net, method="push_relabel").value
+        exact = max_flow(net, method="float").value
         assert state.value == pytest.approx(exact, rel=1e-6)
 
     def test_headroom_only_for_large_arcs(self):
@@ -137,7 +137,7 @@ class TestScipyBackend:
             FlowNetwork(4, pin_src, pin_snk, *chain[::-1], [np.inf] * 3))[1]
         assert tied == 2 * pinned
 
-    @pytest.mark.parametrize("method", ["push_relabel", "scipy"])
+    @pytest.mark.parametrize("method", ["float", "scipy"])
     @pytest.mark.parametrize("caps", [[1.5, 2.0, 0.0], [2.0, 0.0],
                                       [3.0, 3.0, 2.0, 3.0]])
     def test_parallel_arcs(self, method, caps):
@@ -167,15 +167,60 @@ def random_multigraph(rng, n):
 
 
 class TestParallelArcs:
-    def test_scipy_matches_push_relabel(self, rng):
+    def test_scipy_matches_float(self, rng):
         # scipy sums the arcs of a node pair; its pair flow is split back
         # over them, each arc taking up to its own capacity
         for _ in range(200):
             net = random_multigraph(rng, int(rng.integers(2, 9)))
             state = max_flow(net, method="scipy")
-            exact = max_flow(net, method="push_relabel").value
+            exact = max_flow(net, method="float").value
             assert state.value == pytest.approx(exact, abs=1e-9)
             assert check_flow(net, state).is_valid_flow
+
+
+class TestLargeNetworks:
+    """The float backend on networks that take many phases, long paths and
+    dead ends, against scipy, which is exact on integer capacities."""
+
+    def assert_matches_scipy(self, net):
+        state = max_flow(net, method="float")
+        ref = max_flow(net, method="scipy")
+        assert check_flow(net, state).is_valid_flow
+        assert state.value == pytest.approx(ref.value, abs=1e-9)
+        assert min_cut(net, state) == min_cut(net, ref)
+
+    def test_grid_40x40(self, rng):
+        # sources on the left columns, sinks on the right ones
+        idx = np.arange(1600).reshape(40, 40)
+        u = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+        v = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+        src, snk = np.zeros((40, 40)), np.zeros((40, 40))
+        src[:, :4] = rng.integers(0, 10, (40, 4))
+        snk[:, -4:] = rng.integers(0, 10, (40, 4))
+        self.assert_matches_scipy(FlowNetwork(
+            1600, src.ravel(), snk.ravel(), np.r_[u, v], np.r_[v, u],
+            rng.integers(0, 5, 2 * len(u)).astype(float)))
+
+    def test_path_1000(self, rng):
+        # one source at the head and sinks along the way: each phase
+        # reaches the next sink, the last one by a path through every
+        # node, as deep as Python's default recursion limit
+        src, snk = np.zeros(1000), np.zeros(1000)
+        snk[rng.integers(0, 1000, 30)] = rng.integers(1, 10, 30)
+        src[0], snk[-1] = 1000.0, 5.0
+        u = np.arange(999)
+        fwd = rng.integers(200, 400, 999).astype(float)
+        bwd = rng.integers(0, 5, 999).astype(float)
+        self.assert_matches_scipy(FlowNetwork(
+            1000, src, snk, np.r_[u, u + 1], np.r_[u + 1, u], np.r_[fwd, bwd]))
+
+    def test_multigraph_300(self, rng):
+        self.assert_matches_scipy(random_multigraph(rng, 300))
+
+    def test_unknown_method_rejected(self):
+        net = FlowNetwork(1, np.array([1.0]), np.array([1.0]))
+        with pytest.raises(ValueError):
+            max_flow(net, method="push_relabel")
 
 
 class TestMinCut:
@@ -206,7 +251,7 @@ class TestMinCut:
         assert s_min < s_max
         assert frozenset(s_min) in sets and frozenset(s_max) in sets
 
-    @pytest.mark.parametrize("method", ["push_relabel", "scipy"])
+    @pytest.mark.parametrize("method", ["float", "scipy"])
     def test_extremes_bound_all_optima(self, rng, method):
         for _ in range(50):
             n = int(rng.integers(1, 9))
@@ -303,14 +348,14 @@ class TestInfiniteCapacities:
         with pytest.raises(DimensionMismatch):
             max_flow(net)
 
-    @pytest.mark.parametrize("method", ["push_relabel", "scipy"])
+    @pytest.mark.parametrize("method", ["float", "scipy"])
     def test_infinite_chain_rejected(self, method):
         net = FlowNetwork(3, [np.inf, 0.0, 0.0], [0.0, 0.0, np.inf],
                           [0, 1], [1, 2], [np.inf, np.inf])
         with pytest.raises(DimensionMismatch):
             max_flow(net, method=method)
 
-    @pytest.mark.parametrize("method", ["push_relabel", "scipy"])
+    @pytest.mark.parametrize("method", ["float", "scipy"])
     def test_one_way_arc_into_source_side(self, method):
         # 0 -> 1 infinite: 1 must join the sink side whenever 0 does; here
         # 0 joins it and 1 has no arcs to pay for
@@ -320,7 +365,7 @@ class TestInfiniteCapacities:
         assert state.value == 0.0
         assert min_cut(net, state) == ({0}, {0})
 
-    @pytest.mark.parametrize("method", ["push_relabel", "scipy"])
+    @pytest.mark.parametrize("method", ["float", "scipy"])
     def test_one_way_arc_against_pins(self, method):
         # 1 -> 0 infinite runs from the sink pin to the source pin, which
         # no finite cut crosses the wrong way
@@ -330,7 +375,7 @@ class TestInfiniteCapacities:
         assert state.value == 0.0
         assert min_cut(net, state) == ({1}, {1})
 
-    @pytest.mark.parametrize("method", ["push_relabel", "scipy"])
+    @pytest.mark.parametrize("method", ["float", "scipy"])
     def test_random_against_brute_force(self, rng, method):
         finite = 0
         for _ in range(80):
