@@ -341,7 +341,7 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
 
 
 def bisection_cut(problem: QuadraticBinaryProblem, weights, T, alpha,
-                  method: str = "auto", tol: float = TERM_TOL):
+                  tol: float = TERM_TOL):
     """One weighted bisection step on node subset T (exposed primitive).
 
     Computes the pivot level for T from the current reductions, shifts the
@@ -378,5 +378,5 @@ def bisection_cut(problem: QuadraticBinaryProblem, weights, T, alpha,
     pinned = np.zeros(len(T), dtype=bool)
     net = _block_network(problem, cap, T, edges, unary, pinned, pinned,
                          np.arange(len(T)))
-    _, s_max = min_cut(net, max_flow(net, method=method))
+    _, s_max = min_cut(net, max_flow(net))
     return set(T[_mask(s_max, len(T))].tolist())

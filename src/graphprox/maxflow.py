@@ -4,8 +4,8 @@ Two backends share one interface and are cross-checked in the test suite.
 The float backend is Dinic's blocking-flow algorithm in pure Python on the
 float capacities; it serves small networks.  For large ones, scipy's C
 ``maximum_flow`` solves the network with its capacities snapped down to a
-power-of-two grid (``_quantize_network``), so its cuts are those of the
-snapped network.
+power-of-two grid (``_scipy_flow``), so its cuts are those of the snapped
+network, whose capacities the flow carries as ``eff_*``.
 
 Callers mark infinite capacities with ``np.inf``.  An infinite terminal
 arc forces its node onto one side of every finite cut; an infinite arc
@@ -42,8 +42,8 @@ class FlowNetwork:
     """Directed s-t network on n interior nodes.
 
     source_caps[i] is the capacity of arc s->i, sink_caps[i] of i->t.
-    Interior arcs are directed triples (arc_u[k], arc_v[k], arc_cap[k]).
-    Capacities may be np.inf.
+    Interior arcs are directed triples (arc_u[k], arc_v[k], arc_cap[k])
+    with endpoints in [0, n).  Capacities are nonnegative or np.inf.
     """
 
     n: int
@@ -61,9 +61,15 @@ class FlowNetwork:
         self.arc_cap = np.asarray(self.arc_cap, dtype=np.float64)
         if self.source_caps.shape != (self.n,) or self.sink_caps.shape != (self.n,):
             raise DimensionMismatch("terminal capacity arrays must have length n")
-        if np.any(self.arc_cap < 0) or np.any(self.source_caps < 0) \
-                or np.any(self.sink_caps < 0):
-            raise DimensionMismatch("capacities must be nonnegative")
+        if not len(self.arc_u) == len(self.arc_v) == len(self.arc_cap):
+            raise DimensionMismatch("arc arrays must have equal length")
+        if len(self.arc_u) and (min(self.arc_u.min(), self.arc_v.min()) < 0 or
+                                max(self.arc_u.max(), self.arc_v.max()) >= self.n):
+            raise DimensionMismatch("arc endpoint out of range")
+        # NaN fails every comparison, so this rejects it too
+        if not all(np.all(c >= 0) for c in
+                   (self.source_caps, self.sink_caps, self.arc_cap)):
+            raise DimensionMismatch("capacities must be nonnegative, not NaN")
 
     @classmethod
     def from_cut_graph(cls, cut) -> "FlowNetwork":
@@ -93,9 +99,10 @@ class FlowState:
 
     z_source[i] is the flow on s->i, z_sink[i] on i->t, z_arc[k] on interior
     arc k.  ``value`` is the total flow out of the source.  When the solver
-    ran on rescaled-integer capacities, ``eff_source``/``eff_sink``/
-    ``eff_arc`` record the effective capacities actually enforced; checks
-    and cut extraction use them in place of the originals.
+    ran on capacities snapped down onto a power-of-two grid (the scipy
+    backend), ``eff_source``/``eff_sink``/``eff_arc`` are those snapped
+    capacities; checks and cut extraction use them in place of the
+    originals.
     """
 
     z_source: np.ndarray
@@ -295,71 +302,68 @@ def _dinic(net: FlowNetwork, tol: float) -> FlowState:
 # scipy backend (capacities snapped to a power-of-two grid)
 # ---------------------------------------------------------------------------
 
-def _quantize_network(net: FlowNetwork) -> tuple[FlowNetwork, float]:
-    """Clamp ``net`` to its flow bound (``_clamped``) and snap the
-    capacities down onto a power-of-two grid so the scipy backend's int32
-    arithmetic is exact.
+def _scipy_flow(net: FlowNetwork) -> FlowState:
+    """Maximum flow by scipy's int32 ``maximum_flow`` on the clamped
+    network (``_clamped``) with its capacities snapped down onto a
+    power-of-two grid; the snapped capacities are the flow's ``eff_*``.
 
-    scipy keeps the residual of arc u -> v as c(u, v) - f(u, v) in int32,
-    which reaches c(u, v) + c(v, u); where that sum wraps, it silently
-    returns a non-maximum flow.  So the grid leaves room for twice the
-    largest clamped arc capacity, not only for the clamp: twice the clamp
-    when an interior arc is infinite, since both directions of a tie carry
-    it.  scipy sums parallel arcs, so c(u, v) is the sum of the arcs from
-    u to v.  Returns the quantized network, whose capacities are all
-    finite, and the grid quantum.
+    scipy sums parallel arcs into c(u, v) and keeps the residual of u -> v
+    as c(u, v) - f(u, v) in int32, which reaches c(u, v) + c(v, u); where
+    that sum wraps, it silently returns a non-maximum flow.  So the grid
+    leaves room for twice the largest interior pair sum, not only for the
+    clamp: twice the clamp when an interior arc is infinite, since both
+    directions of a tie carry it.  One stable sort of the arcs by (tail,
+    head) gives the pair sums, the CSR graph, each pair's flow, and its
+    split back over the pair's arcs in order.
     """
-    from scipy.sparse import coo_matrix
-
-    cnet, clamp = _clamped(net)
-    pair_caps = coo_matrix((cnet.arc_cap, (net.arc_u, net.arc_v)),
-                           shape=(net.n, net.n)).tocsr().data
-    top = max(clamp, 2.0 * float(pair_caps.max(initial=0.0)))
-    scale_bits = int(np.floor(np.log2((2.0 ** 31 - 1) / (top + 1.0))))
-    scale = float(2.0 ** scale_bits)
-
-    def snap(caps):
-        return np.floor(caps * scale) / scale
-
-    qnet = FlowNetwork(net.n, snap(cnet.source_caps), snap(cnet.sink_caps),
-                       net.arc_u, net.arc_v, snap(cnet.arc_cap))
-    return qnet, 1.0 / scale
-
-
-def _scipy_backend(net: FlowNetwork, scale: float) -> FlowState:
-    """Exact solve of a quantized network (finite capacities on the
-    1/scale grid) via scipy's integer max-flow."""
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow
 
-    n = net.n
-    S, T = n, n + 1
-    rows = np.concatenate([np.full(n, S), np.arange(n), net.arc_u])
-    cols = np.concatenate([np.arange(n), np.full(n, T), net.arc_v])
-    icaps = np.round(np.concatenate([net.source_caps, net.sink_caps, net.arc_cap])
-                     * scale).astype(np.int64)
-    keep = icaps > 0
-    g = coo_matrix((icaps[keep], (rows[keep], cols[keep])),
-                   shape=(n + 2, n + 2)).tocsr()
-    flow = maximum_flow(g, S, T).flow
-    # the positive part of the antisymmetric flow matrix is the flow of each
-    # arc's node pair; CSR construction summed parallel arcs, so split it
-    # over the pair's arcs in order, each taking up to its capacity (an arc
-    # dropped at zero integer capacity takes none)
-    pair = np.maximum(np.asarray(flow.tocsr()[rows, cols]).ravel(), 0)
-    key = rows * (n + 2) + cols
-    del g, flow, rows, cols  # free them before the split's temporaries
+    cnet, clamp = _clamped(net)
+    n, width = net.n, net.n + 2  # source n, sink n + 1
+    key = np.concatenate([n * width + np.arange(n), np.arange(n) * width + n + 1,
+                          net.arc_u * width + net.arc_v])
     order = np.argsort(key, kind="stable")
-    key, c = key[order], icaps[order]
-    # before[k]: the capacity of the arcs ahead of arc k in its pair
-    before = np.cumsum(c)
-    before -= c
-    start = np.where(np.r_[True, key[1:] != key[:-1]], before, 0)
-    before -= np.maximum.accumulate(start, out=start)
-    z = np.empty(len(key))
-    z[order] = np.clip(pair[order] - before, 0, c) / float(scale)
+    key = key[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])  # pair starts
+    key = key[first]
+    c = np.concatenate([cnet.source_caps, cnet.sink_caps, cnet.arc_cap])[order]
+    del cnet
+    # interior pairs are those whose first arc is interior (arcs 2n and up)
+    inner = np.add.reduceat(c, first)[order[first] >= 2 * n]
+    top = max(clamp, 2.0 * float(inner.max(initial=0.0)))
+    scale = float(2.0 ** np.floor(np.log2((2.0 ** 31 - 1) / (top + 1.0))))
+    c = np.floor(c * scale)
+    eff = np.empty(len(c))
+    eff[order] = c / scale
+    c = c.astype(np.int64)
+    pair_cap = np.add.reduceat(c, first)
+    live = np.flatnonzero(pair_cap)
+    key = key[live]
+    g = csr_matrix((pair_cap[live].astype(np.int32),
+                    (key % width).astype(np.int32),
+                    np.searchsorted(key, np.arange(width + 1) * width)
+                    .astype(np.int32)), shape=(width, width))
+    del inner, pair_cap
+    flow = maximum_flow(g, n, n + 1).flow
+    del g
+    # the antisymmetric flow matrix holds each pair's net flow
+    flow.sort_indices()
+    fkey = np.repeat(np.arange(width) * width, np.diff(flow.indptr)) + flow.indices
+    pair_flow = np.zeros(len(first), dtype=np.int64)
+    pair_flow[live] = flow.data[np.searchsorted(fkey, key)]
+    del flow, fkey, key, live
+    # each arc takes what its pair's flow leaves after the arcs ahead of it
+    # (none where the net flow runs the other way)
+    ahead = np.cumsum(c) - c
+    left = np.repeat(pair_flow + ahead[first], np.diff(np.r_[first, len(c)]))
+    left -= ahead
+    del ahead
+    z = np.empty(len(c))
+    z[order] = np.clip(left, 0, c, out=left) / scale
     z_snk = z[n:2 * n]
-    return FlowState(z[:n], z_snk, z[2 * n:], float(z_snk.sum()))
+    return FlowState(z[:n], z_snk, z[2 * n:], float(z_snk.sum()),
+                     eff[:n], eff[n:2 * n], eff[2 * n:])
 
 
 def max_flow(graph, method: str = "auto") -> FlowState:
@@ -387,12 +391,7 @@ def max_flow(graph, method: str = "auto") -> FlowState:
     if method == "auto":
         method = "scipy" if net.n > _SCIPY_NODE_THRESHOLD else "float"
     if method == "scipy":
-        qnet, quantum = _quantize_network(net)
-        state = _scipy_backend(qnet, 1.0 / quantum)
-        state.eff_source = qnet.source_caps
-        state.eff_sink = qnet.sink_caps
-        state.eff_arc = qnet.arc_cap
-        return state
+        return _scipy_flow(net)
     if method != "float":
         raise ValueError(f"unknown method {method!r}")
     # tolerance from the caller's network: a clamp-sized max_cap would
@@ -514,26 +513,22 @@ def read_dimacs(path) -> FlowNetwork:
                 raise ParseError(f"bad line {line!r}: {exc}") from exc
     if n_decl is None or source is None or sink is None:
         raise ParseError("missing problem line or terminal designators")
+    if source == sink:
+        raise ParseError(f"node {source} is both source and sink")
+    u, v, c = np.array(arcs, dtype=np.float64).reshape(-1, 3).T
+    u, v = u.astype(np.int64), v.astype(np.int64)
+    ends = np.concatenate([[source, sink], u, v])
+    bad = ends[(ends < 1) | (ends > n_decl)]
+    if len(bad):
+        raise ParseError(f"node {bad[0]} outside 1..{n_decl}")
     # interior nodes are everything except the declared terminals,
     # renumbered densely from 0
-    ids = sorted(set(range(1, n_decl + 1)) - {source, sink})
-    remap = {node: k for k, node in enumerate(ids)}
-    n = len(ids)
-    src = np.zeros(n)
-    snk = np.zeros(n)
-    au, av, ac = [], [], []
-    for u, v, c in arcs:
-        if u == source and v == sink:
-            continue
-        if u == source:
-            src[remap[v]] += c
-        elif v == sink:
-            snk[remap[u]] += c
-        elif v == source or u == sink:
-            continue
-        else:
-            au.append(remap[u])
-            av.append(remap[v])
-            ac.append(c)
-    return FlowNetwork(n, src, snk, np.array(au, dtype=np.int64),
-                       np.array(av, dtype=np.int64), np.array(ac))
+    remap = np.cumsum(~np.isin(np.arange(n_decl + 1), [0, source, sink])) - 1
+    n = n_decl - 2
+    # arcs into s or out of t cross no s-t cut; s -> t crosses all alike
+    keep = (v != source) & (u != sink) & ((u != source) | (v != sink))
+    out_s, into_t = keep & (u == source), keep & (v == sink)
+    mid = keep & ~out_s & ~into_t
+    return FlowNetwork(n, np.bincount(remap[v[out_s]], c[out_s], n),
+                       np.bincount(remap[u[into_t]], c[into_t], n),
+                       remap[u[mid]], remap[v[mid]], c[mid])

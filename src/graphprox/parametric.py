@@ -103,16 +103,14 @@ def reductions(problem: QuadraticBinaryProblem, alpha) -> ReductionVector:
     return ReductionVector(r)
 
 
-def solve(problem: QuadraticBinaryProblem, weights=None,
-          method: str = "auto") -> ParametricSolution:
+def solve(problem: QuadraticBinaryProblem, weights=None) -> ParametricSolution:
     """Full parametric solve returning flips and levels besides alpha."""
-    return solve_parametric(problem, weights=weights, method=method)
+    return solve_parametric(problem, weights=weights)
 
 
-def alpha_reduction(problem: QuadraticBinaryProblem,
-                    method: str = "auto") -> Pseudoflow:
+def alpha_reduction(problem: QuadraticBinaryProblem) -> Pseudoflow:
     """Optimal pseudoflow minimizing ||r(alpha)||_2 over the box."""
-    sol = solve_parametric(problem, method=method)
+    sol = solve_parametric(problem)
     return Pseudoflow(problem, sol.alpha)
 
 

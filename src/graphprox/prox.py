@@ -47,6 +47,8 @@ class PiecewiseLinearPenalty:
             raise NonConvexPenalty(
                 f"need {len(self.breakpoints) + 1} slopes for "
                 f"{len(self.breakpoints)} breakpoints, got {len(self.slopes)}")
+        if np.isnan(self.breakpoints).any() or np.isnan(self.slopes).any():
+            raise NonConvexPenalty("breakpoints and slopes must not be NaN")
         if len(self.breakpoints) and np.any(np.diff(self.breakpoints) <= 0):
             raise NonConvexPenalty("breakpoints must be strictly increasing")
         if np.any(np.diff(self.slopes) < 0):
@@ -110,7 +112,8 @@ class ProxProblem:
     """Data of the graph-fused proximal problem.
 
     a is the prox center; edges carry nonnegative fusion weights w_ij;
-    ``penalties`` maps node index -> PiecewiseLinearPenalty (sparse).
+    ``penalties`` maps node index -> PiecewiseLinearPenalty (sparse).  a,
+    the weights and lam must be finite.
     """
 
     a: np.ndarray
@@ -126,15 +129,18 @@ class ProxProblem:
         self.edge_v = np.asarray(self.edge_v, dtype=np.int64)
         self.edge_w = np.asarray(self.edge_w, dtype=np.float64)
         n = len(self.a)
+        if not np.all(np.isfinite(self.a)):
+            raise DimensionMismatch("prox center must be finite")
         if len(self.edge_u) and (self.edge_u.min() < 0 or
                                  max(self.edge_u.max(), self.edge_v.max()) >= n):
             raise DimensionMismatch("edge endpoint out of range")
         if np.any(self.edge_u == self.edge_v):
             raise DimensionMismatch("self-loops not allowed")
-        if np.any(self.edge_w < 0):
-            raise DimensionMismatch("edge weights must be nonnegative")
-        if self.lam < 0:
-            raise DimensionMismatch("lambda must be nonnegative")
+        # NaN fails both comparisons
+        if not np.all((self.edge_w >= 0) & (self.edge_w < np.inf)):
+            raise DimensionMismatch("edge weights must be finite and nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise DimensionMismatch("lambda must be finite and nonnegative")
         # normalize to u < v
         flip = self.edge_u > self.edge_v
         if np.any(flip):
@@ -228,19 +234,18 @@ def build_prox_qbm(problem: ProxProblem) -> ProxBuild:
     return ProxBuild(qbm, np.ones(total), anchor_mask, anchor_values, bound, const)
 
 
-def prox_solve(problem: ProxProblem,
-               method: str = "auto") -> tuple[np.ndarray, ParametricSolution, ProxBuild]:
+def prox_solve(problem: ProxProblem) -> tuple[np.ndarray, ParametricSolution, ProxBuild]:
     """Solve and return (u*, parametric solution, build)."""
     build = build_prox_qbm(problem)
     sol = solve_parametric(build.qbm, weights=build.weights,
                            anchor_mask=build.anchor_mask,
-                           anchor_values=build.anchor_values, method=method)
+                           anchor_values=build.anchor_values)
     return sol.levels[:problem.n].copy(), sol, build
 
 
-def prox(problem: ProxProblem, method: str = "auto") -> np.ndarray:
+def prox(problem: ProxProblem) -> np.ndarray:
     """The unique minimizer of the prox objective."""
-    u, _, _ = prox_solve(problem, method=method)
+    u, _, _ = prox_solve(problem)
     return u
 
 

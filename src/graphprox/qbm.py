@@ -108,9 +108,9 @@ class EnergyTable:
 class QuadraticBinaryProblem:
     """Submodular quadratic form over binary indicator vectors.
 
-    diag holds q_ii; edges hold q_ij <= 0 for i < j (q_ij = -inf marks a
-    hard tie).  Instances are immutable after construction and safe to
-    share across solver invocations.
+    diag holds finite q_ii; edges hold q_ij <= 0 for i < j (q_ij = -inf
+    marks a hard tie).  Instances are immutable after construction and
+    safe to share across solver invocations.
     """
 
     n: int
@@ -133,6 +133,10 @@ class QuadraticBinaryProblem:
             raise DimensionMismatch("edges must be stored with u < v")
         if len(self.edge_u) and (self.edge_u.min() < 0 or self.edge_v.max() >= self.n):
             raise DimensionMismatch("edge endpoint out of range")
+        if not np.all(np.isfinite(self.diag)):
+            raise DimensionMismatch("diagonal entries must be finite")
+        if np.any(np.isnan(self.edge_q)):
+            raise DimensionMismatch("couplings must not be NaN")
         bad = np.nonzero(self.edge_q > 0.0)[0]
         if bad.size:
             k = int(bad[0])
@@ -184,12 +188,18 @@ def from_energies(energies: EnergyTable) -> QuadraticBinaryProblem:
 
     The returned problem has the same minimizer sets; its objective differs
     from the energy by the constant sum_i E_i(0) + sum_{ij} E_ij(0,0),
-    which is recorded in ``offset``.
+    which is recorded in ``offset``.  A table whose two off-diagonal
+    entries are +inf is a hard tie: its coupling is -inf and its finite
+    E_ij(1,1) - E_ij(0,0) goes to the diagonal of i.
 
     Raises
     ------
     NonSubmodularEnergy
         If any pairwise table violates the submodularity inequality.
+    DimensionMismatch
+        If a table has any other non-finite entry, such as one infinite
+        off-diagonal entry: a one-way constraint, which no symmetric
+        coupling can hold.
     """
     n = energies.n
     diag = energies.unary[:, 1] - energies.unary[:, 0]
@@ -200,12 +210,19 @@ def from_energies(energies: EnergyTable) -> QuadraticBinaryProblem:
         if gap > REL_TOL * max(1.0, float(np.abs(tbl[np.isfinite(tbl)]).max())
                                if np.isfinite(tbl).any() else 1.0):
             raise NonSubmodularEnergy(i, j, float(gap))
-        q = min(gap, 0.0)
-        edges[(i, j)] = q
-        diag = diag.copy()
+        offset += float(tbl[0, 0])
+        if np.isfinite(tbl[[0, 1], [0, 1]]).all() and \
+                np.isposinf(tbl[[0, 1], [1, 0]]).all():
+            edges[(i, j)] = -np.inf
+            diag[i] += tbl[1, 1] - tbl[0, 0]
+            continue
+        if not np.isfinite(tbl).all():
+            raise DimensionMismatch(
+                f"pairwise table on ({i}, {j}) has non-finite entries other "
+                "than a hard tie's two off-diagonal ones")
+        edges[(i, j)] = min(gap, 0.0)
         diag[i] += tbl[1, 0] - tbl[0, 0]
         diag[j] += tbl[0, 1] - tbl[0, 0]
-        offset += float(tbl[0, 0])
     return QuadraticBinaryProblem.from_parts(diag, edges, offset)
 
 
@@ -244,9 +261,9 @@ def terminal_values(problem: QuadraticBinaryProblem, beta: float,
                     weights) -> np.ndarray:
     """Signed terminal capacities a_i = (1/2)*sum_j q_ij + q_ii - beta*w_i.
 
-    Hard ties contribute nothing here; their infinite halves cancel against
-    the infinite diagonal folds and are handled structurally by the flow
-    solver.
+    Hard ties contribute nothing here: the diagonal is finite, and a tie
+    is only the infinite arc between its endpoints (``to_cut_graph``),
+    which the flow solver handles structurally.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (problem.n,):

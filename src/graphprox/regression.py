@@ -100,8 +100,7 @@ class FitResult:
 
 
 def fista_fit(problem: RegressionProblem, tol: float = 1e-8,
-              max_iter: int = 10_000, L: float | None = None,
-              method: str = "auto") -> FitResult:
+              max_iter: int = 10_000, L: float | None = None) -> FitResult:
     """Run the accelerated proximal-gradient loop.
 
     Returns the best iterate, the per-iteration objective trace, and a
@@ -125,7 +124,7 @@ def fista_fit(problem: RegressionProblem, tol: float = 1e-8,
         g = 2.0 * (A.T @ (A @ z - y))
         v = z - g / L
         if problem.lam > 0 or problem.penalties:
-            u_new = prox(problem.prox_problem(v, lam_eff), method=method)
+            u_new = prox(problem.prox_problem(v, lam_eff))
         else:
             u_new = v
         obj = objective(problem, u_new)

@@ -53,7 +53,7 @@ def _as_weights(weights, n: int) -> np.ndarray:
 
 
 def weighted_bisection_cut(problem: QuadraticBinaryProblem, weights, T,
-                           alpha=None, method: str = "auto") -> set:
+                           alpha=None) -> set:
     """One bisection step: the maximal minimum cut of the pivot-shifted
     subproblem on T.  Empty when the shifted unary terms all vanish; when
     the weights on T sum to zero the unshifted (sign-splitting) cut is
@@ -63,20 +63,18 @@ def weighted_bisection_cut(problem: QuadraticBinaryProblem, weights, T,
         alpha = np.zeros(problem.n_edges)
     elif isinstance(alpha, Pseudoflow):
         alpha = alpha.alpha
-    return bisection_cut(problem, w, T, alpha, method=method)
+    return bisection_cut(problem, w, T, alpha)
 
 
-def solve_weighted(problem: QuadraticBinaryProblem, weights,
-                   method: str = "auto") -> ParametricSolution:
+def solve_weighted(problem: QuadraticBinaryProblem, weights) -> ParametricSolution:
     """Weighted parametric solve returning flips and levels."""
     w = _as_weights(weights, problem.n)
-    return solve_parametric(problem, weights=w, method=method)
+    return solve_parametric(problem, weights=w)
 
 
-def find_weighted_reductions(problem: QuadraticBinaryProblem, weights,
-                             method: str = "auto") -> Pseudoflow:
+def find_weighted_reductions(problem: QuadraticBinaryProblem, weights) -> Pseudoflow:
     """Optimal pseudoflow for the weighted minimum-norm problem."""
-    sol = solve_weighted(problem, weights, method=method)
+    sol = solve_weighted(problem, weights)
     return Pseudoflow(problem, sol.alpha)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphprox import QuadraticBinaryProblem, certificate, io as gio
-from graphprox import solve_weighted
+from graphprox._engine import solve_parametric
 from graphprox.cli import main
 from graphprox.prox import ProxProblem
 
@@ -211,7 +211,7 @@ class TestPathCommand:
         assert rc == 0
         r = np.array([float(line.split()[2]) for line in out.splitlines()[3:]])
         problem = QuadraticBinaryProblem(n, diag, eu, ev, q)
-        exact = solve_weighted(problem, w, method="float").levels
+        exact = solve_parametric(problem, w, method="float").levels
         np.testing.assert_allclose(r, exact, rtol=0, atol=1e-9)
 
 

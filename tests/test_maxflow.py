@@ -8,7 +8,6 @@ import pytest
 from graphprox import (DimensionMismatch, FlowNetwork, FlowState, StaleFlow,
                        check_flow, max_flow, min_cut, read_dimacs,
                        to_cut_graph)
-from graphprox.maxflow import _quantize_network
 from conftest import random_submodular
 
 
@@ -78,6 +77,25 @@ class TestMaxFlow:
             value, _ = brute_min_cut(net)
             assert state.value == pytest.approx(value, rel=1e-9)
 
+    @pytest.mark.parametrize("arcs", [
+        ([0], [-1], [1.0]),            # head out of range: Dinic never returns
+        ([0], [2], [1.0]),             # head past n
+        ([-1], [1], [1.0]),            # tail out of range
+        ([0, 1], [1], [1.0]),          # arc arrays of unequal length
+        ([0], [1], [1.0, 2.0]),
+        ([0], [1], [np.nan]),          # NaN arc capacity
+        ([0], [1], [-1.0]),
+    ])
+    def test_malformed_arcs_rejected(self, arcs):
+        with pytest.raises(DimensionMismatch):
+            FlowNetwork(2, [1.0, 0.0], [0.0, 1.0], *arcs)
+
+    def test_nan_terminal_capacity_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            FlowNetwork(2, [np.nan, 0.0], [0.0, 1.0])
+        with pytest.raises(DimensionMismatch):
+            FlowNetwork(2, [1.0, 0.0], [0.0, np.nan])
+
     def test_backends_agree(self, rng):
         for _ in range(25):
             net = random_network(rng, int(rng.integers(1, 10)))
@@ -117,24 +135,29 @@ class TestScipyBackend:
         assert state.value == pytest.approx(exact, rel=1e-6)
 
     def test_headroom_only_for_large_arcs(self):
-        # flow bound 4000: arcs far below it keep the full-range grid,
-        # arcs near it halve the grid step (one bit for c(u,v) + c(v,u))
-        src = snk = np.full(4, 1000.0)
+        # flow bound about 4000: arcs far below it keep the full-range
+        # grid, arcs near it halve the grid step (one bit for c(u,v) +
+        # c(v,u)).  Terminal capacities 1000 - 2^-40 lie off every grid,
+        # so their snapped value 1000 - quantum reads the grid off eff_*.
+        def quantum(src, snk, arcs, caps):
+            state = max_flow(FlowNetwork(4, src, snk, *arcs, caps), "scipy")
+            return 1000.0 - state.eff_source[1]
+
+        off = 1000.0 - 2.0 ** -40
+        src = snk = np.full(4, off)
         chain = ([0, 1, 2], [1, 2, 3])
-        fine = _quantize_network(FlowNetwork(4, src, snk, *chain, [0.25] * 3))[1]
-        coarse = _quantize_network(FlowNetwork(4, src, snk, *chain, [3000.0] * 3))[1]
+        fine = quantum(src, snk, chain, [0.25] * 3)
         assert fine == 2.0 ** -19
-        assert coarse == 2 * fine
+        assert quantum(src, snk, chain, [3000.0] * 3) == 2 * fine
         # pins on both sides: the clamp comes from the finite capacities
-        # (4000.75), not from the clamped network, whose side sums double
-        pin_src = [np.inf, 1000.0, 1000.0, 0.0]
-        pin_snk = [0.0, 1000.0, 1000.0, np.inf]
-        pinned = _quantize_network(
-            FlowNetwork(4, pin_src, pin_snk, *chain, [0.25] * 3))[1]
+        # (about 4000.75), and the pinned terminal arcs, clamped to it,
+        # leave no room of their own: only interior pairs get headroom
+        pin_src = [np.inf, off, off, 0.0]
+        pin_snk = [0.0, off, off, np.inf]
+        pinned = quantum(pin_src, pin_snk, chain, [0.25] * 3)
         assert pinned == 2.0 ** -19
         # infinite arcs 3 -> 2 -> 1 -> 0 carry the clamp in each direction
-        tied = _quantize_network(
-            FlowNetwork(4, pin_src, pin_snk, *chain[::-1], [np.inf] * 3))[1]
+        tied = quantum(pin_src, pin_snk, chain[::-1], [np.inf] * 3)
         assert tied == 2 * pinned
 
     @pytest.mark.parametrize("method", ["float", "scipy"])
@@ -444,6 +467,28 @@ a 3 4 2
         # brute force of the same small graph
         value, _ = brute_min_cut(net)
         assert state.value == pytest.approx(value) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("text", [
+        "p max 4 3\nn 1 s\nn 4 t\na 1 2 1\na 2 7 1\n",   # head past n
+        "p max 4 3\nn 1 s\nn 4 t\na 0 2 1\n",             # tail below 1
+        "p max 4 3\nn 5 s\nn 4 t\na 2 3 1\n",             # source past n
+        "p max 4 3\nn 1 s\nn 1 t\na 1 2 1\n",             # source == sink
+    ])
+    def test_reader_rejects_bad_nodes(self, tmp_path, text):
+        from graphprox import ParseError
+        path = tmp_path / "bad.dimacs"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            read_dimacs(path)
+
+    def test_reader_drops_terminal_loops(self, tmp_path):
+        # s -> s and t -> t cross no cut, so the reader drops them
+        path = tmp_path / "loops.dimacs"
+        path.write_text("p max 3 4\nn 1 s\nn 3 t\na 1 1 5\na 3 3 5\n"
+                        "a 1 2 2\na 2 3 1\n")
+        net = read_dimacs(path)
+        assert (net.n, len(net.arc_u)) == (1, 0)
+        assert max_flow(net).value == 1.0
 
     def test_reader_rejects_garbage(self, tmp_path):
         from graphprox import ParseError

@@ -59,6 +59,13 @@ class TestPwlDecompose:
             PiecewiseLinearPenalty(np.array([1.0, 1.0]),
                                    np.array([0.0, 0.5, 1.0]))
 
+    @pytest.mark.parametrize("b,th", [([np.nan], [-1.0, 1.0]),
+                                      ([0.0], [np.nan, 1.0]),
+                                      ([], [np.nan])])
+    def test_nan_rejected(self, b, th):
+        with pytest.raises(NonConvexPenalty):
+            PiecewiseLinearPenalty(b, th)
+
 
 def build_by_edge(problem):
     """Edge-by-edge reference for ``build_prox_qbm``'s arrays."""
@@ -88,6 +95,27 @@ def build_by_edge(problem):
             "anchor_mask": np.arange(n + len(anchors)) >= n,
             "anchor_values": np.concatenate(
                 [np.zeros(n), [b for _, b, _ in anchors]])}
+
+
+class TestProxProblemInput:
+    @pytest.mark.parametrize("a", [[0.0, np.nan], [np.inf, 1.0]])
+    def test_non_finite_center_rejected(self, a):
+        with pytest.raises(DimensionMismatch):
+            ProxProblem.from_edges(a, {(0, 1): 1.0})
+
+    @pytest.mark.parametrize("w", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, w):
+        # a NaN weight used to leave [0, 1] unfused, an infinite one gave
+        # [inf, inf]
+        with pytest.raises(DimensionMismatch):
+            ProxProblem.from_edges([0.0, 1.0], {(0, 1): w})
+        with pytest.raises(DimensionMismatch):
+            ProxProblem([0.0, 1.0], [0], [1], [w])
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(DimensionMismatch):
+            ProxProblem.from_edges([0.0, 1.0], {(0, 1): 1.0}, lam=lam)
 
 
 class TestBuildProxQbm:

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from graphprox import (EnergyTable, NonSubmodularEnergy, QuadraticBinaryProblem,
-                       evaluate, from_energies, normalize_directed, to_cut_graph)
+from graphprox import (DimensionMismatch, EnergyTable, NonSubmodularEnergy,
+                       QuadraticBinaryProblem, evaluate, from_energies,
+                       normalize_directed, solve, to_cut_graph)
 from graphprox.qbm import terminal_values
 from conftest import random_submodular
 
@@ -67,6 +68,39 @@ class TestFromEnergies:
         with pytest.raises(NonSubmodularEnergy) as exc:
             from_energies(et)
         assert (exc.value.i, exc.value.j) == (0, 1)
+
+    def test_hard_tie_table(self):
+        # both off-diagonal entries infinite: the labels must agree, and
+        # E(1,1) - E(0,0) = -2 stays finite on one endpoint's diagonal
+        inf = np.inf
+        et = EnergyTable(2, [[0.5, 1.0], [0.0, -1.0]],
+                         {(0, 1): [[0.0, inf], [inf, -2.0]]})
+        prob = from_energies(et)
+        assert np.all(np.isfinite(prob.diag)) and prob.ties.all()
+        for x in itertools.product((0, 1), repeat=2):
+            S = [i for i in range(2) if x[i]]
+            assert evaluate(prob, S) + prob.offset == et.energy(x)
+        levels = solve(prob).levels
+        assert levels[0] == levels[1] == pytest.approx(-1.25)
+
+    @pytest.mark.parametrize("tbl", [[[0.0, np.inf], [1.0, 0.0]],
+                                     [[0.0, 1.0], [np.inf, 0.0]]])
+    def test_one_way_table_rejected(self, tbl):
+        # one infinite entry forbids one split only, which no symmetric
+        # coupling can express
+        et = EnergyTable(2, np.zeros((2, 2)), {(0, 1): tbl})
+        with pytest.raises(DimensionMismatch):
+            from_energies(et)
+
+    @pytest.mark.parametrize("diag,q", [([np.nan, 0.0], -1.0),
+                                        ([np.inf, 0.0], -1.0),
+                                        ([-np.inf, 0.0], -1.0),
+                                        ([0.0, 0.0], np.nan)])
+    def test_constructor_rejects_non_finite(self, diag, q):
+        with pytest.raises(DimensionMismatch):
+            QuadraticBinaryProblem(2, diag, [0], [1], [q])
+        with pytest.raises(DimensionMismatch):
+            QuadraticBinaryProblem.from_parts(diag, {(0, 1): q})
 
     def test_constructor_rejects_positive_coupling(self):
         with pytest.raises(NonSubmodularEnergy):
