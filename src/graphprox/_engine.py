@@ -89,17 +89,18 @@ class ParametricSolution:
         return np.unique(f[np.isfinite(f)])
 
 
-def _block_network(problem: QuadraticBinaryProblem, cap, nodes, edges,
-                   unary, inf_src, inf_snk, local) -> FlowNetwork:
-    """The flow network of the blocks made of ``nodes`` (global ids) and
-    ``edges`` (the problem edges inside them).
+def _block_cut(problem: QuadraticBinaryProblem, cap, nodes, edges, unary,
+               inf_src, inf_snk, local, method: str = "auto"):
+    """Extreme sink-side minimum cuts of the blocks made of ``nodes``
+    (global ids) and ``edges`` (the problem edges inside them).
 
     ``unary``, ``inf_src``, ``inf_snk`` and ``local``, the network node of
     each, align with ``nodes``.  Nodes sharing a network node merge: their
     unaries add up and the edges between them get no capacity.  ``cap`` is
     the per-edge capacity of the whole problem, split evenly over the two
-    arc directions.  Arc k and arc k + len(edges) carry edge k forward and
-    backward.
+    arc directions.  Returns ``(s_min, s_max, flow)``: boolean masks
+    aligned with ``nodes`` and the forward-minus-backward max-flow of each
+    edge.
     """
     m = int(local.max(initial=-1)) + 1
     loc = np.empty(problem.n, dtype=np.int64)
@@ -111,15 +112,27 @@ def _block_network(problem: QuadraticBinaryProblem, cap, nodes, edges,
                    np.maximum(unary, 0.0))
     snk = np.where(np.bincount(local, inf_snk, m) > 0, np.inf,
                    np.maximum(-unary, 0.0))
-    return FlowNetwork(m, src, snk, np.concatenate([lu, lv]),
-                       np.concatenate([lv, lu]), np.concatenate([half, half]))
+    net = FlowNetwork(m, src, snk, np.concatenate([lu, lv]),
+                      np.concatenate([lv, lu]), np.concatenate([half, half]))
+    state = max_flow(net, method=method)
+    cuts = np.zeros((2, m), dtype=bool)
+    for mask, ids in zip(cuts, min_cut(net, state)):
+        mask[np.fromiter(ids, dtype=np.int64, count=len(ids))] = True
+    k = len(edges)
+    return cuts[0][local], cuts[1][local], state.z_arc[:k] - state.z_arc[k:]
 
 
-def _mask(ids: set, n: int) -> np.ndarray:
-    """Boolean mask of length n flagging the network node ids in ``ids``."""
-    m = np.zeros(n, dtype=bool)
-    m[np.fromiter(ids, dtype=np.int64, count=len(ids))] = True
-    return m
+def _check_weights(weights, n: int) -> np.ndarray:
+    """Node weights as a float array, all ones by default; raises
+    DimensionMismatch unless n of them, all finite and nonnegative."""
+    if weights is None:
+        return np.ones(n)
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise DimensionMismatch(f"weights must have length {n}")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise DimensionMismatch("weights must be finite and nonnegative")
+    return w
 
 
 def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
@@ -140,13 +153,7 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
     from scipy.sparse.csgraph import connected_components
 
     n = problem.n
-    if weights is None:
-        weights = np.ones(n)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise DimensionMismatch(f"weights must have length {n}")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise DimensionMismatch("weights must be finite and nonnegative")
+    w = _check_weights(weights, n)
     if anchor_mask is None:
         anchor_mask = np.zeros(n, dtype=bool)
         anchor_values = np.zeros(n)
@@ -192,7 +199,7 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
     nodes, bid, edges, ebid = regroup(np.arange(n),
                                       np.arange(problem.n_edges))
 
-    def cut(blocks, unary, src_pin, snk_pin, flow=None, merge=None):
+    def cut(blocks, unary, src_pin, snk_pin, flow, merge=None):
         """Extreme sink-side cuts of the current depth's ``blocks``, as
         masks over live nodes: blocks of at most _SCIPY_NODE_THRESHOLD
         nodes in one union network, larger ones alone.  The live nodes
@@ -215,16 +222,9 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
             if merge is not None:
                 key = np.where(merge[gn], -1 - bid[gn], local)
                 local = np.unique(key, return_inverse=True)[1]
-            net = _block_network(problem, cap, g_nodes, edges[ge],
-                                 unary[gn], src_pin[gn], snk_pin[gn], local)
-            state = max_flow(net, method=method)
-            lo, hi = min_cut(net, state)
-            s_min[gn] = _mask(lo, net.n)[local]
-            s_max[gn] = _mask(hi, net.n)[local]
-            if flow is not None:
-                k = len(net.arc_u) // 2
-                flow[ge] = state.z_arc[:k] - state.z_arc[k:]
-            del net, state
+            s_min[gn], s_max[gn], flow[ge] = _block_cut(
+                problem, cap, g_nodes, edges[ge], unary[gn], src_pin[gn],
+                snk_pin[gn], local, method)
         return s_min, s_max
 
     def splits(mask):
@@ -339,44 +339,3 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
                              anchor_mask if anchor_mask.any() else None)
     return sol
 
-
-def bisection_cut(problem: QuadraticBinaryProblem, weights, T, alpha,
-                  tol: float = TERM_TOL):
-    """One weighted bisection step on node subset T (exposed primitive).
-
-    Computes the pivot level for T from the current reductions, shifts the
-    unary terms, and returns the maximal minimum-cut set (a subset of T,
-    possibly empty or all of T).  Returns an empty set immediately when
-    every shifted unary term vanishes within tolerance.  When the total
-    weight on T is zero the cut splits positive from negative reductions
-    (the beta = 0 cut), per the zero-weight branch of the weighted
-    bisection rule.
-
-    The current pseudoflow must vanish on edges internal to T.
-    """
-    from .parametric import reductions
-
-    w = np.asarray(weights, dtype=np.float64)
-    T = np.asarray(sorted(T), dtype=np.int64)
-    r = reductions(problem, alpha).r[T]
-    w_T = w[T]
-    sw = float(w_T.sum())
-    if sw > ZERO_W_TOL:
-        mu = float(r.sum()) / sw
-        unary = r - mu * w_T
-    else:
-        mu = 0.0
-        unary = r.copy()
-    scale = max(1.0, float(np.abs(r).max(initial=0.0)))
-    if float(np.abs(unary).max(initial=0.0)) <= tol * scale:
-        return set()
-
-    in_T = np.zeros(problem.n, dtype=bool)
-    in_T[T] = True
-    edges = np.nonzero(in_T[problem.edge_u] & in_T[problem.edge_v])[0]
-    cap = np.where(problem.ties, np.inf, -problem.edge_q)
-    pinned = np.zeros(len(T), dtype=bool)
-    net = _block_network(problem, cap, T, edges, unary, pinned, pinned,
-                         np.arange(len(T)))
-    _, s_max = min_cut(net, max_flow(net))
-    return set(T[_mask(s_max, len(T))].tolist())

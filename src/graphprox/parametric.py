@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._engine import ParametricSolution, solve_parametric
+from ._engine import ParametricSolution, _check_weights, solve_parametric
 from .errors import AlphaOutOfBox, DimensionMismatch
-from .qbm import QuadraticBinaryProblem
+from .qbm import QuadraticBinaryProblem, _edge_arrays
 
 BOX_TOL = 1e-9
+OPT_TOL = 1e-7  # relative tolerance of the saturation test
 
 
 @dataclass
@@ -44,14 +45,21 @@ class Pseudoflow:
 
     @classmethod
     def from_dict(cls, problem: QuadraticBinaryProblem, mapping) -> "Pseudoflow":
+        """From {(i, j): alpha_ij}; a key (j, i) gives flow -alpha_ij."""
+        i, j, val = _edge_arrays(mapping)
+        lo, hi, n = np.minimum(i, j), np.maximum(i, j), problem.n
+        keys = problem.edge_u * n + problem.edge_v
+        order = np.argsort(keys, kind="stable")
+        # a pair with no edge reads another key or the -1 sentinel
+        pos = np.searchsorted(keys, lo * n + hi, "right", sorter=order)
+        found = (lo >= 0) & (hi < n) & \
+            (np.concatenate([[-1], keys[order]])[pos] == lo * n + hi)
+        if not found.all():
+            m = int(np.argmin(found))
+            raise DimensionMismatch(
+                f"no edge {(int(lo[m]), int(hi[m]))} in problem")
         alpha = np.zeros(problem.n_edges)
-        index = {(int(u), int(v)): k
-                 for k, (u, v) in enumerate(zip(problem.edge_u, problem.edge_v))}
-        for (i, j), val in mapping.items():
-            key = (min(i, j), max(i, j))
-            if key not in index:
-                raise DimensionMismatch(f"no edge {key} in problem")
-            alpha[index[key]] = val if i < j else -val
+        alpha[order[pos - 1]] = np.where(i < j, val, -val)
         return cls(problem, alpha)
 
     def as_dict(self) -> dict:
@@ -123,9 +131,8 @@ def level_sets(r, weights, beta: float) -> tuple[set, set]:
     rv = r.r if isinstance(r, ReductionVector) else np.asarray(r, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     shifted = rv - beta * w
-    u1 = set(int(i) for i in np.nonzero(shifted < 0)[0])
-    u2 = set(int(i) for i in np.nonzero(shifted <= 0)[0])
-    return u1, u2
+    return (set(np.flatnonzero(shifted < 0).tolist()),
+            set(np.flatnonzero(shifted <= 0).tolist()))
 
 
 def breakpoints(r, weights) -> np.ndarray:
@@ -136,18 +143,16 @@ def breakpoints(r, weights) -> np.ndarray:
     return np.unique(rv[pos] / w[pos])
 
 
-def check_optimality(problem: QuadraticBinaryProblem, alpha, weights=None,
-                     tol: float = 1e-7) -> bool:
+def check_optimality(problem: QuadraticBinaryProblem, alpha,
+                     weights=None) -> bool:
     """Test the edge saturation conditions for (weighted) optimality.
 
     For each coupling, alpha must sit at +|q| when r_i/w_i > r_j/w_j and
-    at -|q| when r_i/w_i < r_j/w_j; ties leave it free.  Zero-weight nodes
-    compare as -inf when r_i <= 0 and +inf when r_i > 0 (they are in every
-    / no optimal set).
+    at -|q| when r_i/w_i < r_j/w_j, up to OPT_TOL (relative); ties leave
+    it free.  Zero-weight nodes compare as -inf when r_i <= 0 and +inf
+    when r_i > 0 (they are in every / no optimal set).
     """
-    if weights is None:
-        weights = np.ones(problem.n)
-    w = np.asarray(weights, dtype=np.float64)
+    w = _check_weights(weights, problem.n)
     if isinstance(alpha, Pseudoflow):
         alpha = alpha.alpha
     a = np.asarray(alpha, dtype=np.float64)
@@ -164,6 +169,6 @@ def check_optimality(problem: QuadraticBinaryProblem, alpha, weights=None,
         gap = np.where(np.isfinite(ki) & np.isfinite(kj), np.abs(ki - kj), np.inf)
     want = np.where(ki > kj, cap, -cap)
     # split ties are already infeasible; nothing to pin
-    pinned = (ki != kj) & (gap > tol * scale) & np.isfinite(want)
-    off = np.abs(a - want)[pinned] > tol * np.maximum(1.0, cap[pinned])
+    pinned = (ki != kj) & (gap > OPT_TOL * scale) & np.isfinite(want)
+    off = np.abs(a - want)[pinned] > OPT_TOL * np.maximum(1.0, cap[pinned])
     return not off.any()

@@ -74,10 +74,11 @@ class PiecewiseLinearPenalty:
             x = b[k]
         return float(val + th[-1] * (u - x))
 
-    def subgradient(self, u: float, tol: float = FUSE_TOL) -> tuple[float, float]:
-        """Interval [lo, hi] of subgradients at u."""
+    def subgradient(self, u: float) -> tuple[float, float]:
+        """Interval [lo, hi] of subgradients at u; u within FUSE_TOL
+        (relative) of a breakpoint counts as on it."""
         b, th = self.breakpoints, self.slopes
-        t = tol * max(1.0, abs(u))
+        t = FUSE_TOL * max(1.0, abs(u))
         for k, bk in enumerate(b):
             if abs(u - bk) <= t:
                 return float(th[k]), float(th[k + 1])
@@ -182,11 +183,8 @@ class ProxBuild:
     """Binary-problem encoding of a ProxProblem."""
 
     qbm: QuadraticBinaryProblem
-    weights: np.ndarray
     anchor_mask: np.ndarray
     anchor_values: np.ndarray
-    bound: float          # all levels/breakpoints lie strictly inside (-M, M)
-    linear_const: float   # dropped additive constant from the xi terms
 
 
 def build_prox_qbm(problem: ProxProblem) -> ProxBuild:
@@ -200,12 +198,10 @@ def build_prox_qbm(problem: ProxProblem) -> ProxBuild:
     n = problem.n
     lam = problem.lam
     diag = problem.a.astype(np.float64).copy()
-    const = 0.0
     anchors = []  # (node, b, kappa)
     for i, pen in sorted(problem.penalties.items()):
-        c, anc, cst = pwl_decompose(pen)
+        c, anc, _ = pwl_decompose(pen)
         diag[i] -= 0.5 * lam * c
-        const += lam * cst
         anchors += [(i, b, kappa) for b, kappa in anc]
     host, anchor_b, kappa = np.array(anchors, dtype=np.float64).reshape(-1, 3).T
     host = host.astype(np.int64)
@@ -227,18 +223,13 @@ def build_prox_qbm(problem: ProxProblem) -> ProxBuild:
 
     anchor_mask = np.arange(total) >= n
     anchor_values = np.concatenate([np.zeros(n), anchor_b])
-    bound = float(max(np.abs(problem.a).max(initial=0.0),
-                      np.abs(anchor_b).max(initial=0.0))) + \
-        float(np.abs(problem.a).sum()) + \
-        lam * (float(problem.edge_w.sum()) + sum(kappa.tolist())) + 1.0
-    return ProxBuild(qbm, np.ones(total), anchor_mask, anchor_values, bound, const)
+    return ProxBuild(qbm, anchor_mask, anchor_values)
 
 
 def prox_solve(problem: ProxProblem) -> tuple[np.ndarray, ParametricSolution, ProxBuild]:
     """Solve and return (u*, parametric solution, build)."""
     build = build_prox_qbm(problem)
-    sol = solve_parametric(build.qbm, weights=build.weights,
-                           anchor_mask=build.anchor_mask,
+    sol = solve_parametric(build.qbm, anchor_mask=build.anchor_mask,
                            anchor_values=build.anchor_values)
     return sol.levels[:problem.n].copy(), sol, build
 
@@ -249,13 +240,13 @@ def prox(problem: ProxProblem) -> np.ndarray:
     return u
 
 
-def certificate(problem: ProxProblem, u, tol: float = FUSE_TOL) -> float:
+def certificate(problem: ProxProblem, u) -> float:
     """Minimal subgradient residual ||2(u - a) + lambda * dPhi(u)||_inf.
 
     Subgradient selections are free on fused edges (|u_i - u_j| within
-    tolerance) and inside penalty-breakpoint intervals; the minimum over
-    the free box is an exact linear program.  A value near zero certifies
-    optimality.
+    FUSE_TOL * max(1, max |u|)) and inside penalty-breakpoint intervals;
+    the minimum over the free box is an exact linear program.  A value
+    near zero certifies optimality.
     """
     from scipy.optimize import linprog
     from scipy.sparse import coo_array
@@ -268,14 +259,14 @@ def certificate(problem: ProxProblem, u, tol: float = FUSE_TOL) -> float:
 
     wk = lam * problem.edge_w
     d = u[problem.edge_u] - u[problem.edge_v]
-    split = (wk != 0) & (np.abs(d) > tol * scale)
+    split = (wk != 0) & (np.abs(d) > FUSE_TOL * scale)
     free = (wk != 0) & ~split
     g = wk[split] * np.sign(d[split])
     fixed += np.bincount(problem.edge_u[split], g, n) - \
         np.bincount(problem.edge_v[split], g, n)
     pen_rows, lows, highs = [], [], []
     for i, pen in problem.penalties.items():
-        lo, hi = pen.subgradient(float(u[i]), tol)
+        lo, hi = pen.subgradient(float(u[i]))
         if lam * (hi - lo) <= 0:
             fixed[i] += lam * lo
         else:

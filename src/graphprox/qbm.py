@@ -88,11 +88,14 @@ class EnergyTable:
             clean[(i, j)] = np.asarray(tbl, dtype=np.float64).reshape(2, 2)
         self.pairwise = clean
 
-    def is_submodular(self, tol: float = REL_TOL) -> bool:
-        for tbl in self.pairwise.values():
-            gap = tbl[0, 0] + tbl[1, 1] - tbl[0, 1] - tbl[1, 0]
-            if gap > tol * max(1.0, float(np.abs(tbl).max())):
-                return False
+    def is_submodular(self) -> bool:
+        """True exactly when every pairwise table passes the check of
+        ``from_energies``."""
+        try:
+            for (i, j), tbl in self.pairwise.items():
+                _pair_coupling(i, j, tbl)
+        except (NonSubmodularEnergy, DimensionMismatch):
+            return False
         return True
 
     def energy(self, x) -> float:
@@ -183,6 +186,25 @@ class QuadraticBinaryProblem:
                            np.concatenate([q, q]), self.n)
 
 
+def _pair_coupling(i: int, j: int, tbl: np.ndarray) -> float:
+    """The coupling q_ij of pairwise table ``tbl``: its gap
+    t[0,0] + t[1,1] - t[0,1] - t[1,0] clipped at 0, or -inf for a hard tie.
+    Raises as ``from_energies`` documents."""
+    finite = np.isfinite(tbl)
+    with np.errstate(invalid="ignore"):
+        gap = tbl[1, 1] + tbl[0, 0] - tbl[0, 1] - tbl[1, 0]
+    if gap > REL_TOL * max(1.0, float(np.abs(tbl[finite]).max())
+                           if finite.any() else 1.0):
+        raise NonSubmodularEnergy(i, j, float(gap))
+    if finite[[0, 1], [0, 1]].all() and np.isposinf(tbl[[0, 1], [1, 0]]).all():
+        return -np.inf
+    if not finite.all():
+        raise DimensionMismatch(
+            f"pairwise table on ({i}, {j}) has non-finite entries other "
+            "than a hard tie's two off-diagonal ones")
+    return min(gap, 0.0)
+
+
 def from_energies(energies: EnergyTable) -> QuadraticBinaryProblem:
     """Convert an energy table to quadratic binary form.
 
@@ -206,23 +228,13 @@ def from_energies(energies: EnergyTable) -> QuadraticBinaryProblem:
     offset = float(energies.unary[:, 0].sum())
     edges = {}
     for (i, j), tbl in sorted(energies.pairwise.items()):
-        gap = tbl[1, 1] + tbl[0, 0] - tbl[0, 1] - tbl[1, 0]
-        if gap > REL_TOL * max(1.0, float(np.abs(tbl[np.isfinite(tbl)]).max())
-                               if np.isfinite(tbl).any() else 1.0):
-            raise NonSubmodularEnergy(i, j, float(gap))
+        edges[(i, j)] = _pair_coupling(i, j, tbl)
         offset += float(tbl[0, 0])
-        if np.isfinite(tbl[[0, 1], [0, 1]]).all() and \
-                np.isposinf(tbl[[0, 1], [1, 0]]).all():
-            edges[(i, j)] = -np.inf
+        if np.isinf(edges[(i, j)]):
             diag[i] += tbl[1, 1] - tbl[0, 0]
-            continue
-        if not np.isfinite(tbl).all():
-            raise DimensionMismatch(
-                f"pairwise table on ({i}, {j}) has non-finite entries other "
-                "than a hard tie's two off-diagonal ones")
-        edges[(i, j)] = min(gap, 0.0)
-        diag[i] += tbl[1, 0] - tbl[0, 0]
-        diag[j] += tbl[0, 1] - tbl[0, 0]
+        else:
+            diag[i] += tbl[1, 0] - tbl[0, 0]
+            diag[j] += tbl[0, 1] - tbl[0, 0]
     return QuadraticBinaryProblem.from_parts(diag, edges, offset)
 
 

@@ -18,6 +18,9 @@ from .errors import DimensionMismatch
 from .prox import ProxProblem, prox
 
 L_FLOOR = 1e-12
+L_SAFETY = 1.1       # factor on the power-iteration estimate
+POWER_ITERS = 200
+POWER_RTOL = 1e-6    # relative change that stops the power iteration
 
 
 @dataclass
@@ -63,12 +66,13 @@ def objective(problem: RegressionProblem, u) -> float:
     return float(resid @ resid) + problem.lam * helper.regularizer(u)
 
 
-def lipschitz_estimate(A, safety: float = 1.1, iters: int = 200,
-                       rtol: float = 1e-6) -> float:
+def lipschitz_estimate(A) -> float:
     """Upper bound on the gradient Lipschitz constant 2*sigma_max(A)^2.
 
-    Power iteration on A^T A with a safety factor; degenerate (zero)
-    designs get a tiny positive floor so step sizes stay finite.
+    Power iteration on A^T A (at most POWER_ITERS steps, stopping once
+    the estimate changes by at most POWER_RTOL, relative) times L_SAFETY;
+    degenerate (zero) designs get a tiny positive floor so step sizes stay
+    finite.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.size == 0 or not np.any(A):
@@ -77,18 +81,18 @@ def lipschitz_estimate(A, safety: float = 1.1, iters: int = 200,
     v = rng.standard_normal(A.shape[1])
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         w = A.T @ (A @ v)
         norm = np.linalg.norm(w)
         if norm == 0:
             return L_FLOOR
         lam_new = float(v @ w)
         v = w / norm
-        if abs(lam_new - lam) <= rtol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= POWER_RTOL * max(1.0, abs(lam_new)):
             lam = lam_new
             break
         lam = lam_new
-    return max(safety * 2.0 * lam, L_FLOOR)
+    return max(L_SAFETY * 2.0 * lam, L_FLOOR)
 
 
 @dataclass

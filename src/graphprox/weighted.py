@@ -7,6 +7,9 @@ epsilon-downward limit of w_i = max(eps, w_i): such nodes either fuse
 with a positive-weight block (flipping with it) or resolve by the sign of
 their reduction inside an all-zero block.
 
+``weighted_bisection_cut`` is one bisection step on a node subset: the
+largest minimizer at its pivot sum(r) / sum(w), or at beta = 0.
+
 Positive integer weights admit an independent oracle: augment the problem
 with w_i - 1 auxiliary copies of node i, hard-tied to it, and solve the
 unweighted problem; restricted to the original nodes the level sets
@@ -19,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._engine import ParametricSolution, bisection_cut, solve_parametric
+from ._engine import (TERM_TOL, ZERO_W_TOL, ParametricSolution, _block_cut,
+                      _check_weights, solve_parametric)
 from .errors import DimensionMismatch, WeightNotPositiveInteger
-from .parametric import Pseudoflow
+from .parametric import Pseudoflow, reductions
 from .qbm import QuadraticBinaryProblem, _canonical_edges
 
 
@@ -32,9 +36,7 @@ class WeightVector:
     w: np.ndarray
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        if np.any(self.w < 0) or not np.all(np.isfinite(self.w)):
-            raise DimensionMismatch("weights must be finite and nonnegative")
+        self.w = _check_weights(self.w, np.size(self.w))
 
     @property
     def positive_mask(self) -> np.ndarray:
@@ -43,33 +45,50 @@ class WeightVector:
     def __len__(self):
         return len(self.w)
 
-
-def _as_weights(weights, n: int) -> np.ndarray:
-    w = weights.w if isinstance(weights, WeightVector) else \
-        np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise DimensionMismatch(f"weights must have length {n}")
-    return w
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.w, dtype=dtype, copy=copy)
 
 
 def weighted_bisection_cut(problem: QuadraticBinaryProblem, weights, T,
                            alpha=None) -> set:
-    """One bisection step: the maximal minimum cut of the pivot-shifted
-    subproblem on T.  Empty when the shifted unary terms all vanish; when
-    the weights on T sum to zero the unshifted (sign-splitting) cut is
-    used.  See the engine docs for the recursion built on this step."""
-    w = _as_weights(weights, problem.n)
+    """One bisection step on node subset T: the largest minimum cut of the
+    subproblem on T with unary terms r_i - mu * w_i, a subset of T.
+
+    The pivot mu is sum(r) / sum(w) over T, which zero-sums the shifted
+    terms; when the weights on T sum to zero, mu = 0 (the beta = 0 cut,
+    which splits negative from positive reductions).  Returns the empty
+    set when every shifted term is within TERM_TOL * max(1, max |r_T|) of
+    zero.  The pseudoflow ``alpha`` (default zero) must vanish on the
+    edges inside T.  Raises DimensionMismatch for weights that
+    ``solve_weighted`` rejects and for node ids outside [0, n).
+    """
+    w = _check_weights(weights, problem.n)
     if alpha is None:
         alpha = np.zeros(problem.n_edges)
-    elif isinstance(alpha, Pseudoflow):
-        alpha = alpha.alpha
-    return bisection_cut(problem, w, T, alpha)
+    T = np.unique(np.fromiter(T, dtype=np.int64))
+    if len(T) and (T[0] < 0 or T[-1] >= problem.n):
+        raise DimensionMismatch(f"T must hold node ids in [0, {problem.n})")
+    r = reductions(problem, alpha).r[T]
+    w_T = w[T]
+    sw = float(w_T.sum())
+    unary = r - float(r.sum()) / sw * w_T if sw > ZERO_W_TOL else r
+    scale = max(1.0, float(np.abs(r).max(initial=0.0)))
+    if float(np.abs(unary).max(initial=0.0)) <= TERM_TOL * scale:
+        return set()
+
+    in_T = np.zeros(problem.n, dtype=bool)
+    in_T[T] = True
+    edges = np.flatnonzero(in_T[problem.edge_u] & in_T[problem.edge_v])
+    cap = np.where(problem.ties, np.inf, -problem.edge_q)
+    pinned = np.zeros(len(T), dtype=bool)
+    _, s_max, _ = _block_cut(problem, cap, T, edges, unary, pinned, pinned,
+                             np.arange(len(T)))
+    return set(T[s_max].tolist())
 
 
 def solve_weighted(problem: QuadraticBinaryProblem, weights) -> ParametricSolution:
     """Weighted parametric solve returning flips and levels."""
-    w = _as_weights(weights, problem.n)
-    return solve_parametric(problem, weights=w)
+    return solve_parametric(problem, weights=weights)
 
 
 def find_weighted_reductions(problem: QuadraticBinaryProblem, weights) -> Pseudoflow:

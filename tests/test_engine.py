@@ -85,10 +85,10 @@ class TestBatching:
         w = np.concatenate([np.full(big - 1, 5.0), np.full(pairs, 0.2)])
         problem = ProxProblem(a, eu, eu + 1, w, 1.0)
         b = build_prox_qbm(problem)
-        auto = engine.solve_parametric(b.qbm, b.weights, method="auto")
+        auto = engine.solve_parametric(b.qbm, method="auto")
         assert big in flow_calls  # the fused chain, cut on its own
         assert any(n <= 300 for n in flow_calls)
-        ref = engine.solve_parametric(b.qbm, b.weights, method="float")
+        ref = engine.solve_parametric(b.qbm, method="float")
         for key in ("levels", "flip_lo", "flip_hi"):
             x, y = getattr(auto, key), getattr(ref, key)
             assert np.allclose(x, y, rtol=1e-9, atol=1e-9), key
@@ -106,9 +106,9 @@ class TestBatching:
         problem = ProxProblem(a, eu, eu + 2, rng.uniform(0.5, 2.0, n - 2),
                               0.4)
         b = build_prox_qbm(problem)
-        auto = engine.solve_parametric(b.qbm, b.weights)
+        auto = engine.solve_parametric(b.qbm)
         assert flow_calls[:2] == [350, 350]
-        ref = engine.solve_parametric(b.qbm, b.weights, method="float")
+        ref = engine.solve_parametric(b.qbm, method="float")
         np.testing.assert_allclose(auto.levels, ref.levels, rtol=1e-9,
                                    atol=1e-9)
         assert certificate(problem, auto.levels) <= 1e-7
@@ -168,7 +168,7 @@ class TestAnchoredHarvest:
 
     def residual(self, problem, method="auto"):
         build = build_prox_qbm(problem)
-        sol = engine.solve_parametric(build.qbm, build.weights,
+        sol = engine.solve_parametric(build.qbm, None,
                                       build.anchor_mask, build.anchor_values,
                                       method=method)
         r = reductions(build.qbm, sol.alpha).r
@@ -260,7 +260,7 @@ def three_pieces(rng, sizes):
         lam=0.7, penalties={0: PiecewiseLinearPenalty([0.5], [-1.0, 1.0]),
                             3: PiecewiseLinearPenalty([-1.0], [-0.5, 2.0])})
     b = build_prox_qbm(prox_problem)
-    pieces.append((b.qbm, b.weights, b.anchor_mask, b.anchor_values))
+    pieces.append((b.qbm, np.ones(b.qbm.n), b.anchor_mask, b.anchor_values))
     return pieces
 
 

@@ -5,9 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from graphprox import (AlphaOutOfBox, Pseudoflow, QuadraticBinaryProblem,
-                       alpha_reduction, breakpoints, check_optimality,
-                       evaluate, level_sets, reductions, solve)
+from graphprox import (AlphaOutOfBox, DimensionMismatch, Pseudoflow,
+                       QuadraticBinaryProblem, alpha_reduction, breakpoints,
+                       check_optimality, evaluate, level_sets, reductions,
+                       solve)
 from graphprox.oracle import brute_force_minimizers, min_norm_reference
 from conftest import random_submodular
 
@@ -278,6 +279,41 @@ class TestPseudoflowType:
         # reversed key flips sign
         pf2 = Pseudoflow.from_dict(PAIR, {(1, 0): 0.5})
         assert pf2.alpha == pytest.approx([-0.5])
+
+    def test_from_dict_matches_edge_loop(self, rng):
+        for _ in range(20):
+            prob = random_submodular(rng, int(rng.integers(2, 9)))
+            mapping = {}
+            for u, v, q in zip(prob.edge_u.tolist(), prob.edge_v.tolist(),
+                               prob.edge_q):
+                if rng.random() < 0.7:
+                    key = (u, v) if rng.random() < 0.5 else (v, u)
+                    mapping[key] = float(rng.uniform(-1, 1) * -q)
+            ref = np.zeros(prob.n_edges)
+            for k, (u, v) in enumerate(zip(prob.edge_u.tolist(),
+                                           prob.edge_v.tolist())):
+                if (u, v) in mapping:
+                    ref[k] = mapping[(u, v)]
+                elif (v, u) in mapping:
+                    ref[k] = -mapping[(v, u)]
+            assert np.array_equal(Pseudoflow.from_dict(prob, mapping).alpha,
+                                  ref)
+
+    def test_unsorted_edges(self):
+        # edges stored out of order still map each pair to its own slot
+        prob = QuadraticBinaryProblem(4, np.zeros(4), [2, 0, 1], [3, 1, 3],
+                                      [-1.0, -2.0, -3.0])
+        pf = Pseudoflow.from_dict(prob, {(3, 1): 0.5, (0, 1): -1.5,
+                                         (2, 3): 0.25})
+        assert pf.alpha.tolist() == [0.25, -1.5, -0.5]
+
+    @pytest.mark.parametrize("key", [(0, 2), (1, 1), (-1, 1), (0, 5)])
+    def test_missing_pair_rejected(self, key):
+        # (0, 5) would alias the key of edge (1, 2) without a range check
+        prob = QuadraticBinaryProblem.from_parts(np.zeros(3),
+                                                 {(0, 1): -1.0, (1, 2): -1.0})
+        with pytest.raises(DimensionMismatch):
+            Pseudoflow.from_dict(prob, {(0, 1): 0.5, key: 0.5})
 
     def test_out_of_box_rejected(self):
         with pytest.raises(AlphaOutOfBox):

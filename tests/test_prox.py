@@ -173,7 +173,6 @@ class TestBuildProxQbm:
         assert build.qbm.n == 2
         assert build.anchor_mask.tolist() == [False, True]
         assert build.anchor_values[1] == 0.0
-        assert abs(p.a[0]) < build.bound
 
 
 class TestProxClosedForms:

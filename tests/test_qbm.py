@@ -92,6 +92,23 @@ class TestFromEnergies:
         with pytest.raises(DimensionMismatch):
             from_energies(et)
 
+    @pytest.mark.parametrize("tbl,ok", [
+        ([[0.0, 1.0], [1.0, 0.0]], True),
+        ([[0.0, np.inf], [np.inf, -2.0]], True),          # hard tie
+        ([[0.0, 0.0], [0.0, 1.0]], False),                # repulsive
+        ([[np.inf, 0.0], [0.0, 5.0]], False),             # gap +inf
+        ([[0.0, np.inf], [1.0, 0.0]], False),             # one-way
+        ([[np.nan, 0.0], [0.0, 0.0]], False),
+        ([[np.inf, np.inf], [np.inf, np.inf]], False)])   # gap NaN
+    def test_is_submodular_iff_from_energies_accepts(self, tbl, ok):
+        et = EnergyTable(2, np.zeros((2, 2)), {(0, 1): tbl})
+        assert et.is_submodular() == ok
+        if ok:
+            from_energies(et)
+        else:
+            with pytest.raises((NonSubmodularEnergy, DimensionMismatch)):
+                from_energies(et)
+
     @pytest.mark.parametrize("diag,q", [([np.nan, 0.0], -1.0),
                                         ([np.inf, 0.0], -1.0),
                                         ([-np.inf, 0.0], -1.0),

@@ -6,8 +6,8 @@ import pytest
 from graphprox import (DimensionMismatch, QuadraticBinaryProblem,
                        WeightNotPositiveInteger, WeightVector, alpha_reduction,
                        augment_integer_weights, check_optimality, evaluate,
-                       find_weighted_reductions, reductions, solve,
-                       solve_weighted, weighted_bisection_cut)
+                       find_weighted_reductions, level_sets, reductions,
+                       solve, solve_weighted, weighted_bisection_cut)
 from graphprox.oracle import brute_force_minimizers, min_norm_reference
 from conftest import random_submodular
 
@@ -32,6 +32,15 @@ class TestWeightVector:
         r = reductions(prob, find_weighted_reductions(prob, wv)).r
         ref = reductions(prob, find_weighted_reductions(prob, wv.w)).r
         assert np.allclose(r, ref)
+
+    def test_accepted_as_an_array(self):
+        wv = WeightVector(np.array([1.0, 2.0]))
+        sol = solve_weighted(PAIR, wv)
+        assert check_optimality(PAIR, sol.alpha, wv)
+        r = reductions(PAIR, sol.alpha)
+        assert level_sets(r, wv, 0.5) == level_sets(r, wv.w, 0.5)
+        assert weighted_bisection_cut(PAIR, wv, [0, 1]) == \
+            weighted_bisection_cut(PAIR, wv.w, [0, 1])
 
 
 class TestWeightedBisectionCut:
@@ -60,6 +69,34 @@ class TestWeightedBisectionCut:
         prob = QuadraticBinaryProblem.from_parts([0.5, 2.5, 9.0], {(0, 1): -1.0})
         cut = weighted_bisection_cut(prob, np.ones(3), [0, 1])
         assert cut == {0}
+
+    def test_random_against_brute_force(self, rng):
+        # T = all nodes, alpha = 0: the cut is the largest minimizer at the
+        # pivot sum(r) / sum(w), or at beta = 0 when the weights are all
+        # zero.  n >= 2, since a single node's shifted term vanishes and
+        # its cut is empty; the tolerance admits the empty/full tie that the
+        # pivot makes exact up to rounding
+        for trial in range(90):
+            n = int(rng.integers(2, 9))
+            prob = random_submodular(rng, n)
+            w = (rng.uniform(0.1, 3.0, n), np.zeros(n),
+                 rng.choice([0.0, 0.5, 1.0, 2.0], n))[trial % 3]
+            r = reductions(prob, np.zeros(prob.n_edges)).r
+            beta = float(r.sum()) / w.sum() if w.sum() > 0 else 0.0
+            ref = brute_force_minimizers(prob, beta, w, tol=1e-9)
+            assert weighted_bisection_cut(prob, w, range(n)) == ref.s_max
+
+    @pytest.mark.parametrize("w", [[1.0, -3.0], [np.nan, 1.0], [np.inf, 1.0],
+                                   [1.0, 1.0, 1.0]])
+    def test_invalid_weights_rejected(self, w):
+        with pytest.raises(DimensionMismatch):
+            weighted_bisection_cut(PAIR, w, [0, 1])
+
+    @pytest.mark.parametrize("T", [[-2, 1], [0, 2]])
+    def test_node_ids_out_of_range_rejected(self, T):
+        # -2 would otherwise index node 0 from the end and come back as -2
+        with pytest.raises(DimensionMismatch):
+            weighted_bisection_cut(PAIR, np.ones(2), T)
 
 
 class TestFindWeightedReductions:
