@@ -50,9 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .maxflow import _SCIPY_NODE_THRESHOLD, FlowNetwork, max_flow, min_cut
-from .qbm import QuadraticBinaryProblem
+from .qbm import QuadraticBinaryProblem, _check_weights
 
 TERM_TOL = 1e-9  # relative tolerance for "block is one level set"
 ZERO_W_TOL = 1e-12
@@ -120,19 +119,6 @@ def _block_cut(problem: QuadraticBinaryProblem, cap, nodes, edges, unary,
         mask[np.fromiter(ids, dtype=np.int64, count=len(ids))] = True
     k = len(edges)
     return cuts[0][local], cuts[1][local], state.z_arc[:k] - state.z_arc[k:]
-
-
-def _check_weights(weights, n: int) -> np.ndarray:
-    """Node weights as a float array, all ones by default; raises
-    DimensionMismatch unless n of them, all finite and nonnegative."""
-    if weights is None:
-        return np.ones(n)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise DimensionMismatch(f"weights must have length {n}")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise DimensionMismatch("weights must be finite and nonnegative")
-    return w
 
 
 def solve_parametric(problem: QuadraticBinaryProblem, weights=None,

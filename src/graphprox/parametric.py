@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._engine import ParametricSolution, _check_weights, solve_parametric
+from ._engine import ParametricSolution, solve_parametric
 from .errors import AlphaOutOfBox, DimensionMismatch
-from .qbm import QuadraticBinaryProblem, _edge_arrays
+from .qbm import QuadraticBinaryProblem, _check_weights, _edge_arrays
 
 BOX_TOL = 1e-9
 OPT_TOL = 1e-7  # relative tolerance of the saturation test
@@ -129,8 +129,7 @@ def level_sets(r, weights, beta: float) -> tuple[set, set]:
     U2 = {i : r_i - beta*w_i <= 0} the unique largest.
     """
     rv = r.r if isinstance(r, ReductionVector) else np.asarray(r, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    shifted = rv - beta * w
+    shifted = rv - beta * _check_weights(weights, len(rv))
     return (set(np.flatnonzero(shifted < 0).tolist()),
             set(np.flatnonzero(shifted <= 0).tolist()))
 
@@ -138,7 +137,7 @@ def level_sets(r, weights, beta: float) -> tuple[set, set]:
 def breakpoints(r, weights) -> np.ndarray:
     """Sorted distinct flip values r_i / w_i over strictly positive weights."""
     rv = r.r if isinstance(r, ReductionVector) else np.asarray(r, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
+    w = _check_weights(weights, len(rv))
     pos = w > 0
     return np.unique(rv[pos] / w[pos])
 

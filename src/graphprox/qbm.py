@@ -60,6 +60,19 @@ def _canonical_edges(u, v, val, n: int):
     return keys // max(n, 1), keys % max(n, 1), summed
 
 
+def _check_weights(weights, n: int) -> np.ndarray:
+    """Node weights as a float array, all ones by default; raises
+    DimensionMismatch unless n of them, all finite and nonnegative."""
+    if weights is None:
+        return np.ones(n)
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise DimensionMismatch(f"weights must have length {n}")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise DimensionMismatch("weights must be finite and nonnegative")
+    return w
+
+
 @dataclass
 class EnergyTable:
     """Unary/pairwise energy tables over binary labels.
@@ -277,9 +290,7 @@ def terminal_values(problem: QuadraticBinaryProblem, beta: float,
     is only the infinite arc between its endpoints (``to_cut_graph``),
     which the flow solver handles structurally.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (problem.n,):
-        raise DimensionMismatch(f"weights must have length {problem.n}")
+    w = _check_weights(weights, problem.n)
     return problem.degree_half_sums() + problem.diag - beta * w
 
 
@@ -287,8 +298,6 @@ def to_cut_graph(problem: QuadraticBinaryProblem, beta: float = 0.0,
                  weights=None) -> CutGraph:
     """Build the cut graph whose sink-side minimum cuts minimize
     f(S) - beta * w(S)."""
-    if weights is None:
-        weights = np.ones(problem.n)
     a = terminal_values(problem, beta, weights)
     cap = np.where(problem.ties, np.inf, -0.5 * problem.edge_q)
     return CutGraph(problem.n, a, problem.edge_u.copy(), problem.edge_v.copy(), cap)
@@ -297,9 +306,7 @@ def to_cut_graph(problem: QuadraticBinaryProblem, beta: float = 0.0,
 def evaluate(problem: QuadraticBinaryProblem, S, beta: float = 0.0,
              weights=None) -> float:
     """f(S) - beta * w(S).  Returns +inf if S splits a hard tie."""
-    if weights is None:
-        weights = np.ones(problem.n)
-    w = np.asarray(weights, dtype=np.float64)
+    w = _check_weights(weights, problem.n)
     mask = np.zeros(problem.n, dtype=bool)
     idx = np.fromiter(S, dtype=np.int64) if not isinstance(S, np.ndarray) else S
     if len(idx):

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._engine import (TERM_TOL, ZERO_W_TOL, ParametricSolution, _block_cut,
-                      _check_weights, solve_parametric)
+                      solve_parametric)
 from .errors import DimensionMismatch, WeightNotPositiveInteger
 from .parametric import Pseudoflow, reductions
-from .qbm import QuadraticBinaryProblem, _canonical_edges
+from .qbm import QuadraticBinaryProblem, _canonical_edges, _check_weights
 
 
 @dataclass

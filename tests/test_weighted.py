@@ -5,9 +5,10 @@ import pytest
 
 from graphprox import (DimensionMismatch, QuadraticBinaryProblem,
                        WeightNotPositiveInteger, WeightVector, alpha_reduction,
-                       augment_integer_weights, check_optimality, evaluate,
-                       find_weighted_reductions, level_sets, reductions,
-                       solve, solve_weighted, weighted_bisection_cut)
+                       augment_integer_weights, breakpoints, check_optimality,
+                       evaluate, find_weighted_reductions, level_sets,
+                       reductions, solve, solve_weighted, to_cut_graph,
+                       weighted_bisection_cut)
 from graphprox.oracle import brute_force_minimizers, min_norm_reference
 from conftest import random_submodular
 
@@ -32,6 +33,22 @@ class TestWeightVector:
         r = reductions(prob, find_weighted_reductions(prob, wv)).r
         ref = reductions(prob, find_weighted_reductions(prob, wv.w)).r
         assert np.allclose(r, ref)
+
+    @pytest.mark.parametrize("w", [[1.0, -3.0], [np.nan, 1.0], [np.inf, 1.0],
+                                   [1.0, 1.0, 1.0]])
+    def test_invalid_weights_rejected_everywhere(self, w):
+        # every function taking node weights runs the same check
+        r = np.array([0.0, 2.0])
+        calls = [lambda: solve_weighted(PAIR, w),
+                 lambda: weighted_bisection_cut(PAIR, w, [0, 1]),
+                 lambda: check_optimality(PAIR, np.zeros(1), w),
+                 lambda: level_sets(r, w, 0.5),
+                 lambda: breakpoints(r, w),
+                 lambda: evaluate(PAIR, {0}, 0.5, w),
+                 lambda: to_cut_graph(PAIR, 0.5, w)]
+        for call in calls:
+            with pytest.raises(DimensionMismatch):
+                call()
 
     def test_accepted_as_an_array(self):
         wv = WeightVector(np.array([1.0, 2.0]))
@@ -85,12 +102,6 @@ class TestWeightedBisectionCut:
             beta = float(r.sum()) / w.sum() if w.sum() > 0 else 0.0
             ref = brute_force_minimizers(prob, beta, w, tol=1e-9)
             assert weighted_bisection_cut(prob, w, range(n)) == ref.s_max
-
-    @pytest.mark.parametrize("w", [[1.0, -3.0], [np.nan, 1.0], [np.inf, 1.0],
-                                   [1.0, 1.0, 1.0]])
-    def test_invalid_weights_rejected(self, w):
-        with pytest.raises(DimensionMismatch):
-            weighted_bisection_cut(PAIR, w, [0, 1])
 
     @pytest.mark.parametrize("T", [[-2, 1], [0, 2]])
     def test_node_ids_out_of_range_rejected(self, T):
