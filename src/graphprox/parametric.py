@@ -16,7 +16,7 @@ import numpy as np
 
 from ._engine import ParametricSolution, solve_parametric
 from .errors import AlphaOutOfBox, DimensionMismatch
-from .qbm import QuadraticBinaryProblem, _check_weights, _edge_arrays
+from .qbm import QuadraticBinaryProblem, _check_weights
 
 BOX_TOL = 1e-9
 OPT_TOL = 1e-7  # relative tolerance of the saturation test
@@ -46,20 +46,14 @@ class Pseudoflow:
     @classmethod
     def from_dict(cls, problem: QuadraticBinaryProblem, mapping) -> "Pseudoflow":
         """From {(i, j): alpha_ij}; a key (j, i) gives flow -alpha_ij."""
-        i, j, val = _edge_arrays(mapping)
-        lo, hi, n = np.minimum(i, j), np.maximum(i, j), problem.n
-        keys = problem.edge_u * n + problem.edge_v
-        order = np.argsort(keys, kind="stable")
-        # a pair with no edge reads another key or the -1 sentinel
-        pos = np.searchsorted(keys, lo * n + hi, "right", sorter=order)
-        found = (lo >= 0) & (hi < n) & \
-            (np.concatenate([[-1], keys[order]])[pos] == lo * n + hi)
-        if not found.all():
-            m = int(np.argmin(found))
-            raise DimensionMismatch(
-                f"no edge {(int(lo[m]), int(hi[m]))} in problem")
+        index = {key: k for k, key in enumerate(zip(problem.edge_u.tolist(),
+                                                    problem.edge_v.tolist()))}
         alpha = np.zeros(problem.n_edges)
-        alpha[order[pos - 1]] = np.where(i < j, val, -val)
+        for (i, j), val in mapping.items():
+            key = (min(i, j), max(i, j))
+            if key not in index:
+                raise DimensionMismatch(f"no edge {key} in problem")
+            alpha[index[key]] = val if i < j else -val
         return cls(problem, alpha)
 
     def as_dict(self) -> dict:

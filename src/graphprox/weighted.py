@@ -46,11 +46,13 @@ class WeightVector:
         return len(self.w)
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self.w, dtype=dtype, copy=copy)
+        # NumPy 1.x never passes copy, and np.array rejects copy=None there
+        w = np.asarray(self.w, dtype=dtype)
+        return w.copy() if copy else w
 
 
-def weighted_bisection_cut(problem: QuadraticBinaryProblem, weights, T,
-                           alpha=None) -> set:
+def weighted_bisection_cut(problem: QuadraticBinaryProblem, weights,
+                           T) -> set:
     """One bisection step on node subset T: the largest minimum cut of the
     subproblem on T with unary terms r_i - mu * w_i, a subset of T.
 
@@ -58,17 +60,15 @@ def weighted_bisection_cut(problem: QuadraticBinaryProblem, weights, T,
     terms; when the weights on T sum to zero, mu = 0 (the beta = 0 cut,
     which splits negative from positive reductions).  Returns the empty
     set when every shifted term is within TERM_TOL * max(1, max |r_T|) of
-    zero.  The pseudoflow ``alpha`` (default zero) must vanish on the
-    edges inside T.  Raises DimensionMismatch for weights that
-    ``solve_weighted`` rejects and for node ids outside [0, n).
+    zero.  The reductions are those of the zero pseudoflow.  Raises
+    DimensionMismatch for weights that ``solve_weighted`` rejects and for
+    node ids outside [0, n).
     """
     w = _check_weights(weights, problem.n)
-    if alpha is None:
-        alpha = np.zeros(problem.n_edges)
     T = np.unique(np.fromiter(T, dtype=np.int64))
     if len(T) and (T[0] < 0 or T[-1] >= problem.n):
         raise DimensionMismatch(f"T must hold node ids in [0, {problem.n})")
-    r = reductions(problem, alpha).r[T]
+    r = reductions(problem, Pseudoflow.zero(problem)).r[T]
     w_T = w[T]
     sw = float(w_T.sum())
     unary = r - float(r.sum()) / sw * w_T if sw > ZERO_W_TOL else r

@@ -309,7 +309,6 @@ class TestPseudoflowType:
 
     @pytest.mark.parametrize("key", [(0, 2), (1, 1), (-1, 1), (0, 5)])
     def test_missing_pair_rejected(self, key):
-        # (0, 5) would alias the key of edge (1, 2) without a range check
         prob = QuadraticBinaryProblem.from_parts(np.zeros(3),
                                                  {(0, 1): -1.0, (1, 2): -1.0})
         with pytest.raises(DimensionMismatch):

@@ -59,6 +59,15 @@ class TestWeightVector:
         assert weighted_bisection_cut(PAIR, wv, [0, 1]) == \
             weighted_bisection_cut(PAIR, wv.w, [0, 1])
 
+    @pytest.mark.parametrize("args", [(), (np.float32,), (None, None),
+                                      (None, True)])
+    def test_array_protocol_without_copy(self, args):
+        # NumPy 1.x calls __array__() or __array__(dtype), never with copy
+        wv = WeightVector(np.array([1.0, 2.0]))
+        a = wv.__array__(*args)
+        assert a.tolist() == [1.0, 2.0]
+        assert (a is wv.w) == (args in [(), (None, None)])
+
 
 class TestWeightedBisectionCut:
     def test_uniform_level_returns_empty(self):
