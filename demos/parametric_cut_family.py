@@ -36,14 +36,13 @@ assert gp.check_optimality(problem, sol.alpha)
 print("\n  beta     U2 (largest minimizer)        brute force agrees?")
 lo, hi = r.r.min() - 0.5, r.r.max() + 0.5
 for beta in np.linspace(lo, hi, 9):
-    u1, u2 = gp.level_sets(r, np.ones(n), beta)
+    u1, u2 = sol.u1(beta), sol.u2(beta)
     mp = brute_force_minimizers(problem, beta)
     ok = (u1 == mp.s_min) and (u2 == mp.s_max)
     print(f"  {beta:+.3f}   {str(sorted(u2)):28s}  {ok}")
 
-# breakpoints are exactly where memberships change
+# breakpoints are exactly where memberships change: at one, the nodes
+# that flip there are in the weak set U2 but not yet in the strict set U1
 b0 = float(sol.breakpoints()[0])
-before, _ = gp.level_sets(r, np.ones(n), b0 - 1e-9)
-_, at = gp.level_sets(r, np.ones(n), b0)
-print(f"\nfirst breakpoint {b0:.4f}: strict set before = {sorted(before)}, "
-      f"weak set at = {sorted(at)}")
+print(f"\nfirst breakpoint {b0:.4f}: U1 = {sorted(sol.u1(b0))}, "
+      f"U2 = {sorted(sol.u2(b0))}")

@@ -2,9 +2,11 @@
 operators.
 
 The core pipeline: a submodular quadratic binary problem (qbm) maps to an
-s-t cut graph; a recursive parametric solver (parametric / weighted)
-computes the minimum-norm pseudoflow whose reduction-vector level sets
-solve the size-biased cut family for every bias at once; the prox module
+s-t cut graph; one recursive parametric solve (``solve`` or
+``solve_weighted``) computes the minimum-norm pseudoflow, and the
+``ParametricSolution`` it returns reads the size-biased cut family for
+every bias at once off its level sets (``u1``, ``u2``,
+``breakpoints()``); the prox module
 uses this to evaluate graph-fused proximal operators exactly, and the
 regression module wraps them in a FISTA outer loop.
 """
@@ -14,20 +16,15 @@ from ._engine import ParametricSolution
 from .errors import (AlphaOutOfBox, DimensionMismatch, GraphProxError,
                      NonConvexPenalty, NonSubmodularEnergy, ParseError,
                      StaleFlow, TooLarge, WeightNotPositiveInteger)
-from .maxflow import (FlowNetwork, FlowState, check_flow, max_flow, min_cut,
-                      read_dimacs)
-from .parametric import (Pseudoflow, ReductionVector, alpha_reduction,
-                         breakpoints, check_optimality, level_sets,
-                         reductions, solve)
+from .maxflow import FlowNetwork, FlowState, check_flow, max_flow, min_cut
+from .parametric import ReductionVector, check_optimality, reductions, solve
 from .prox import (PiecewiseLinearPenalty, ProxProblem, build_prox_qbm,
                    certificate, prox, prox_solve, pwl_decompose)
 from .qbm import (CutGraph, EnergyTable, QuadraticBinaryProblem, evaluate,
-                  from_energies, normalize_directed, to_cut_graph)
+                  from_energies, to_cut_graph)
 from .regression import (FitResult, RegressionProblem, fista_fit,
                          lipschitz_estimate, objective)
-from .weighted import (WeightVector, augment_integer_weights,
-                       find_weighted_reductions, solve_weighted,
-                       weighted_bisection_cut)
+from .weighted import solve_weighted
 
 __version__ = "0.1.0"
 
@@ -35,14 +32,11 @@ __all__ = [
     "AlphaOutOfBox", "CutGraph", "DimensionMismatch", "EnergyTable",
     "FitResult", "FlowNetwork", "FlowState", "GraphProxError",
     "NonConvexPenalty", "NonSubmodularEnergy", "ParametricSolution",
-    "ParseError", "PiecewiseLinearPenalty", "ProxProblem", "Pseudoflow",
+    "ParseError", "PiecewiseLinearPenalty", "ProxProblem",
     "QuadraticBinaryProblem", "ReductionVector", "RegressionProblem",
-    "StaleFlow", "TooLarge", "WeightNotPositiveInteger", "WeightVector",
-    "alpha_reduction", "augment_integer_weights", "breakpoints",
-    "build_prox_qbm", "certificate", "check_flow", "check_optimality",
-    "evaluate", "find_weighted_reductions", "fista_fit", "from_energies",
-    "io", "level_sets", "lipschitz_estimate", "max_flow", "min_cut",
-    "normalize_directed", "objective", "oracle", "prox", "prox_solve",
-    "pwl_decompose", "read_dimacs", "reductions", "solve", "solve_weighted",
-    "to_cut_graph", "weighted_bisection_cut",
+    "StaleFlow", "TooLarge", "WeightNotPositiveInteger", "build_prox_qbm",
+    "certificate", "check_flow", "check_optimality", "evaluate", "fista_fit",
+    "from_energies", "io", "lipschitz_estimate", "max_flow", "min_cut",
+    "objective", "oracle", "prox", "prox_solve", "pwl_decompose",
+    "reductions", "solve", "solve_weighted", "to_cut_graph",
 ]

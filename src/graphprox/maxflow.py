@@ -22,6 +22,10 @@ sets minimize f(S).  ``min_cut`` returns the extreme optimal sets
 (S_min, S_max): S_min is the set of nodes that can reach t in the residual
 graph, S_max the set of nodes unreachable from s.  Every minimum cut's
 optimal set T satisfies S_min <= T <= S_max.
+
+``check_flow`` lists a flow's capacity and conservation violations.
+``min_cut`` runs it on every flow it is given and raises ``StaleFlow``
+with those messages, or when an augmenting path is left.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, StaleFlow
+from .errors import DimensionMismatch, StaleFlow
 
 SAT_TOL = 1e-12  # absolute slack scale for saturation tests
 
@@ -125,57 +129,29 @@ class FlowState:
                 - np.bincount(net.arc_u, self.z_arc, net.n))
 
 
-@dataclass
-class FlowReport:
-    """Classification of a FlowState against the three flow definitions."""
-
-    is_valid_flow: bool
-    is_preflow: bool
-    is_pseudoflow: bool
-    violations: list
-
-    @property
-    def classification(self) -> str:
-        if self.violations and not (self.is_valid_flow or self.is_preflow
-                                    or self.is_pseudoflow):
-            return "invalid"
-        labels = []
-        if self.is_valid_flow:
-            labels.append("flow")
-        if self.is_preflow:
-            labels.append("preflow")
-        if self.is_pseudoflow:
-            labels.append("pseudoflow")
-        return "+".join(labels) if labels else "invalid"
-
-
-def check_flow(net: FlowNetwork, state: FlowState) -> FlowReport:
-    """Test capacity, conservation, and terminal-saturation constraint sets."""
+def check_flow(net: FlowNetwork, state: FlowState) -> list:
+    """Violations of the capacity bounds (the first five per arc kind) or,
+    when those hold, of conservation at the interior nodes, where a message
+    names the node of largest |excess|.  Empty when ``state`` is a valid
+    flow of ``net``."""
     tol = net.tol()
     violations = []
-    c_src, c_snk, c_arc = state.caps(net)
-
-    def in_bounds(z, cap, label):
+    for z, cap, label in zip((state.z_source, state.z_sink, state.z_arc),
+                             state.caps(net), ("z_source", "z_sink", "z_arc")):
         bad = (z < -tol) | (z > cap + tol)
         for k in np.nonzero(bad)[0][:5]:
             violations.append(f"{label}[{k}] = {z[k]:.6g} outside [0, {cap[k]:.6g}]")
-        return not bad.any()
+    if violations:
+        return violations
 
-    ok = in_bounds(state.z_source, c_src, "z_source")
-    ok &= in_bounds(state.z_sink, c_snk, "z_sink")
-    ok &= in_bounds(state.z_arc, c_arc, "z_arc")
-    if not ok:
-        return FlowReport(False, False, False, violations)
-
-    ex = state.excess(net)
-    is_flow = bool(np.all(np.abs(ex) <= tol * max(1, net.n)))
-    is_preflow = bool(np.all(ex >= -tol * max(1, net.n)))
-    finite_s = np.isfinite(c_src)
-    finite_t = np.isfinite(c_snk)
-    is_pseudo = bool(
-        np.all(np.abs(state.z_source[finite_s] - c_src[finite_s]) <= tol)
-        and np.all(np.abs(state.z_sink[finite_t] - c_snk[finite_t]) <= tol))
-    return FlowReport(is_flow, is_preflow, is_pseudo, violations)
+    ex = np.abs(state.excess(net))
+    slack = tol * max(1, net.n)
+    # NaN fails the comparison, so an excess of NaN is a violation too
+    if not np.all(ex <= slack):
+        k = int(np.argmax(ex))
+        violations.append(f"conservation fails: node {k} has |excess| "
+                          f"{ex[k]:.6g} > {slack:.6g}")
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +449,9 @@ def min_cut(graph, state: FlowState) -> tuple[set, set]:
         If ``state`` is not a valid maximum flow for ``graph``.
     """
     net = graph if isinstance(graph, FlowNetwork) else FlowNetwork.from_cut_graph(graph)
-    report = check_flow(net, state)
-    if not report.is_valid_flow:
-        raise StaleFlow("; ".join(report.violations) or "state is not a valid flow")
+    violations = check_flow(net, state)
+    if violations:
+        raise StaleFlow("; ".join(violations))
     from_s, to_t = _residual_reach(net, state)
     if np.any(from_s & to_t):
         raise StaleFlow("augmenting path exists; flow is not maximum")
@@ -483,52 +459,3 @@ def min_cut(graph, state: FlowState) -> tuple[set, set]:
     s_max = set(np.flatnonzero(~from_s).tolist())
     return s_min, s_max
 
-
-def read_dimacs(path) -> FlowNetwork:
-    """Read a DIMACS max-flow file into a FlowNetwork."""
-    n_decl = None
-    source = sink = None
-    arcs = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("c"):
-                continue
-            parts = line.split()
-            try:
-                if parts[0] == "p":
-                    if len(parts) != 4 or parts[1] not in ("max", "MAX"):
-                        raise ParseError(f"bad problem line: {line!r}")
-                    n_decl = int(parts[2])
-                elif parts[0] == "n":
-                    if parts[2] == "s":
-                        source = int(parts[1])
-                    elif parts[2] == "t":
-                        sink = int(parts[1])
-                    else:
-                        raise ParseError(f"bad node designator: {line!r}")
-                elif parts[0] == "a":
-                    arcs.append((int(parts[1]), int(parts[2]), float(parts[3])))
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"bad line {line!r}: {exc}") from exc
-    if n_decl is None or source is None or sink is None:
-        raise ParseError("missing problem line or terminal designators")
-    if source == sink:
-        raise ParseError(f"node {source} is both source and sink")
-    u, v, c = np.array(arcs, dtype=np.float64).reshape(-1, 3).T
-    u, v = u.astype(np.int64), v.astype(np.int64)
-    ends = np.concatenate([[source, sink], u, v])
-    bad = ends[(ends < 1) | (ends > n_decl)]
-    if len(bad):
-        raise ParseError(f"node {bad[0]} outside 1..{n_decl}")
-    # interior nodes are everything except the declared terminals,
-    # renumbered densely from 0
-    remap = np.cumsum(~np.isin(np.arange(n_decl + 1), [0, source, sink])) - 1
-    n = n_decl - 2
-    # arcs into s or out of t cross no s-t cut; s -> t crosses all alike
-    keep = (v != source) & (u != sink) & ((u != source) | (v != sink))
-    out_s, into_t = keep & (u == source), keep & (v == sink)
-    mid = keep & ~out_s & ~into_t
-    return FlowNetwork(n, np.bincount(remap[v[out_s]], c[out_s], n),
-                       np.bincount(remap[u[into_t]], c[into_t], n),
-                       remap[u[mid]], remap[v[mid]], c[mid])

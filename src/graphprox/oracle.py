@@ -5,6 +5,12 @@ main path: exhaustive enumeration for cut problems, accelerated projected
 gradient over the capacity box for minimum-norm points, and smoothed
 cyclic coordinate minimization for the prox objective.  They are slow and
 exact; the test suite compares them against the flow-based solvers.
+
+Positive integer weights admit an independent check of the weighted
+solver (``augment_integer_weights``): augment the problem with w_i - 1
+auxiliary copies of node i, hard-tied to it, and solve the unweighted
+problem; restricted to the original nodes the level sets coincide, and
+the augmented minimum-norm values are y_i = z_i / w_i.
 """
 
 from __future__ import annotations
@@ -13,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import DimensionMismatch, TooLarge, WeightNotPositiveInteger
 from .parametric import ReductionVector
 from .prox import ProxProblem
-from .qbm import QuadraticBinaryProblem
+from .qbm import QuadraticBinaryProblem, _canonical_edges
 
 ENUM_GUARD = 20
 
@@ -73,6 +79,41 @@ def brute_force_minimizers(problem: QuadraticBinaryProblem, beta: float = 0.0,
     s_min = set(int(i) for i in np.nonzero(rows.all(axis=0))[0])
     s_max = set(int(i) for i in np.nonzero(rows.any(axis=0))[0])
     return MinimizerPair(s_min, s_max, float(best))
+
+
+def augment_integer_weights(problem: QuadraticBinaryProblem, int_weights):
+    """Encode integer node weights by hard-tied auxiliary nodes.
+
+    Returns (augmented problem, index map).  index_map[i] lists the nodes
+    of the augmented problem representing original node i: itself first,
+    then its w_i - 1 tied copies.  Minimizers of the *unweighted*
+    beta-problem on the augmentation, restricted to the original nodes,
+    equal minimizers of the weighted problem.
+
+    Raises
+    ------
+    WeightNotPositiveInteger
+        If any weight is not a positive integer.
+    """
+    w = np.asarray(int_weights)
+    if w.shape != (problem.n,):
+        raise DimensionMismatch(f"weights must have length {problem.n}")
+    if not np.all(np.equal(np.mod(w, 1), 0)) or np.any(w < 1):
+        raise WeightNotPositiveInteger(f"got {w!r}")
+    w = w.astype(np.int64)
+
+    n = problem.n
+    copies = np.repeat(np.arange(n), w - 1)
+    aux = n + np.arange(len(copies))
+    diag = np.concatenate([problem.diag, np.zeros(len(aux))])
+    u, v, q = _canonical_edges(
+        np.concatenate([problem.edge_u, copies]),
+        np.concatenate([problem.edge_v, aux]),
+        np.concatenate([problem.edge_q, np.full(len(aux), -np.inf)]), len(diag))
+    groups = np.split(aux, np.cumsum(w - 1)[:-1])
+    index_map = {i: [i, *g.tolist()] for i, g in zip(range(n), groups)}
+    return QuadraticBinaryProblem(len(diag), diag, u, v, q, problem.offset), \
+        index_map
 
 
 def min_norm_reference(problem: QuadraticBinaryProblem, weights=None,

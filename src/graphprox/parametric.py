@@ -6,6 +6,11 @@ box |alpha_ij| <= |q_ij|.  Its level sets solve min f(S) - beta |S| for
 every beta simultaneously: U1(beta) = {i : r_i < beta} is the unique
 smallest minimizer and U2(beta) = {i : r_i <= beta} the unique largest.
 The per-node breakpoints are the r_i values themselves.
+
+``solve`` returns a ``ParametricSolution``, whose ``u1``, ``u2`` and
+``breakpoints()`` read the family off the solve.  ``reductions`` and
+``check_optimality`` take an alpha array aligned with the edge list
+(alpha_ij > 0 is flow from i to j, i < j).
 """
 
 from __future__ import annotations
@@ -22,46 +27,16 @@ BOX_TOL = 1e-9
 OPT_TOL = 1e-7  # relative tolerance of the saturation test
 
 
-@dataclass
-class Pseudoflow:
-    """Per-edge flow values alpha_ij aligned with a problem's edge list.
+def validate_alpha(problem: QuadraticBinaryProblem, alpha) -> np.ndarray:
+    """``alpha`` as a float array aligned with the edge list.
 
-    alpha_ij > 0 is flow from i to j (i < j); values are bounded by the
-    coupling magnitudes, |alpha_ij| <= |q_ij|.
+    Raises DimensionMismatch unless its shape is (n_edges,), and
+    AlphaOutOfBox for a flow outside |alpha_e| <= |q_e| (ties unbounded).
     """
-
-    problem: QuadraticBinaryProblem
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        if self.alpha.shape != (self.problem.n_edges,):
-            raise DimensionMismatch("alpha must align with the edge list")
-        validate_alpha(self.problem, self.alpha)
-
-    @classmethod
-    def zero(cls, problem: QuadraticBinaryProblem) -> "Pseudoflow":
-        return cls(problem, np.zeros(problem.n_edges))
-
-    @classmethod
-    def from_dict(cls, problem: QuadraticBinaryProblem, mapping) -> "Pseudoflow":
-        """From {(i, j): alpha_ij}; a key (j, i) gives flow -alpha_ij."""
-        index = {key: k for k, key in enumerate(zip(problem.edge_u.tolist(),
-                                                    problem.edge_v.tolist()))}
-        alpha = np.zeros(problem.n_edges)
-        for (i, j), val in mapping.items():
-            key = (min(i, j), max(i, j))
-            if key not in index:
-                raise DimensionMismatch(f"no edge {key} in problem")
-            alpha[index[key]] = val if i < j else -val
-        return cls(problem, alpha)
-
-    def as_dict(self) -> dict:
-        return {(int(u), int(v)): float(a) for u, v, a in
-                zip(self.problem.edge_u, self.problem.edge_v, self.alpha)}
-
-
-def validate_alpha(problem: QuadraticBinaryProblem, alpha: np.ndarray):
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.shape != (problem.n_edges,):
+        raise DimensionMismatch(f"alpha must have shape ({problem.n_edges},), "
+                                f"got {alpha.shape}")
     cap = np.where(problem.ties, np.inf, -problem.edge_q)
     slack = np.abs(alpha) - cap
     bad = slack > BOX_TOL * np.maximum(1.0, cap)
@@ -70,6 +45,7 @@ def validate_alpha(problem: QuadraticBinaryProblem, alpha: np.ndarray):
         raise AlphaOutOfBox(
             f"alpha on edge ({problem.edge_u[k]}, {problem.edge_v[k]}) "
             f"= {alpha[k]:.6g} exceeds capacity {cap[k]:.6g}")
+    return alpha
 
 
 @dataclass
@@ -90,11 +66,7 @@ def reductions(problem: QuadraticBinaryProblem, alpha) -> ReductionVector:
 
     Hard ties contribute their flow but no static coupling.
     """
-    if isinstance(alpha, Pseudoflow):
-        a = alpha.alpha
-    else:
-        a = np.asarray(alpha, dtype=np.float64)
-        validate_alpha(problem, a)
+    a = validate_alpha(problem, alpha)
     static = np.where(problem.ties, 0.0, problem.edge_q)
     # the diagonal first, then the edge terms: each node's sum is added up
     # in the order of folding the edges in one by one
@@ -110,32 +82,6 @@ def solve(problem: QuadraticBinaryProblem, weights=None) -> ParametricSolution:
     return solve_parametric(problem, weights=weights)
 
 
-def alpha_reduction(problem: QuadraticBinaryProblem) -> Pseudoflow:
-    """Optimal pseudoflow minimizing ||r(alpha)||_2 over the box."""
-    sol = solve_parametric(problem)
-    return Pseudoflow(problem, sol.alpha)
-
-
-def level_sets(r, weights, beta: float) -> tuple[set, set]:
-    """Extreme minimizers of f(S) - beta*w(S) from the reduction vector.
-
-    U1 = {i : r_i - beta*w_i < 0} is the unique smallest minimizer,
-    U2 = {i : r_i - beta*w_i <= 0} the unique largest.
-    """
-    rv = r.r if isinstance(r, ReductionVector) else np.asarray(r, dtype=np.float64)
-    shifted = rv - beta * _check_weights(weights, len(rv))
-    return (set(np.flatnonzero(shifted < 0).tolist()),
-            set(np.flatnonzero(shifted <= 0).tolist()))
-
-
-def breakpoints(r, weights) -> np.ndarray:
-    """Sorted distinct flip values r_i / w_i over strictly positive weights."""
-    rv = r.r if isinstance(r, ReductionVector) else np.asarray(r, dtype=np.float64)
-    w = _check_weights(weights, len(rv))
-    pos = w > 0
-    return np.unique(rv[pos] / w[pos])
-
-
 def check_optimality(problem: QuadraticBinaryProblem, alpha,
                      weights=None) -> bool:
     """Test the edge saturation conditions for (weighted) optimality.
@@ -149,10 +95,7 @@ def check_optimality(problem: QuadraticBinaryProblem, alpha,
     of its rounding noise does not tell.
     """
     w = _check_weights(weights, problem.n)
-    if isinstance(alpha, Pseudoflow):
-        alpha = alpha.alpha
-    a = np.asarray(alpha, dtype=np.float64)
-    validate_alpha(problem, a)
+    a = validate_alpha(problem, alpha)
     r = reductions(problem, a).r
 
     with np.errstate(divide="ignore"):

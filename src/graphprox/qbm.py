@@ -325,35 +325,3 @@ def evaluate(problem: QuadraticBinaryProblem, S, beta: float = 0.0,
     val += float(problem.edge_q[inside & ~ties].sum())
     return val
 
-
-def normalize_directed(arcs, source_caps, sink_caps) -> QuadraticBinaryProblem:
-    """Convert an arbitrary directed min-cut problem to quadratic form.
-
-    Parameters
-    ----------
-    arcs : list of (i, j, capacity)
-        Directed interior arcs, capacities >= 0.  Both directions may be
-        present with different capacities.
-    source_caps, sink_caps : arrays, length n
-        Capacities of s->i and i->t arcs.
-
-    For each node pair the two directed capacities are replaced by their
-    average, and half the difference is rerouted through an s->j->i->t
-    path (absorbed by the terminal arcs).  Every s-t cut cost changes by
-    the same constant, so the sink-side minimizer sets are preserved; the
-    returned problem's minimizers (via :func:`evaluate`) equal them.
-    Together the average and the reroute add each arc's capacity to the
-    diagonal of its head.  Self-loops are ignored.
-    """
-    c_si = np.asarray(source_caps, dtype=np.float64)
-    c_it = np.asarray(sink_caps, dtype=np.float64)
-    if c_si.shape != c_it.shape:
-        raise DimensionMismatch("source and sink capacity lengths differ")
-    n = len(c_si)
-    i, j, c = _edge_arrays(arcs)
-    keep = i != j
-    i, j, c = i[keep], j[keep], c[keep]
-    u, v, total = _canonical_edges(i, j, c, n)
-    pos = total > 0.0
-    return QuadraticBinaryProblem(n, c_si - c_it + np.bincount(j, c, n),
-                                  u[pos], v[pos], -total[pos])

@@ -11,8 +11,8 @@ from graphprox import (CutGraph, PiecewiseLinearPenalty, ProxProblem,
                        QuadraticBinaryProblem, RegressionProblem, certificate,
                        fista_fit, max_flow, prox, reductions, solve,
                        solve_weighted)
-from graphprox.oracle import (brute_force_values, min_norm_reference,
-                              prox_reference)
+from graphprox.oracle import (augment_integer_weights, brute_force_values,
+                              min_norm_reference, prox_reference)
 from conftest import random_prox_problem, random_submodular
 
 
@@ -135,7 +135,6 @@ class TestAcceptance:
         assert mm_u == 0 and mm_q == 0
 
         # integer augmentation oracle
-        from graphprox import augment_integer_weights
         for _ in range(50):
             n = int(rng.integers(1, 7))
             prob = random_submodular(rng, n)

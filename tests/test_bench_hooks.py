@@ -74,3 +74,19 @@ def test_uninstall_restores_the_library():
     assert _engine.max_flow is maxflow.max_flow
     assert _engine.min_cut is maxflow.min_cut
     assert gp.regression.prox is gp.prox
+
+
+def test_solve_weighted_records_engine_solve(tracer):
+    # path10k's hooks: gp.solve_weighted reaches the engine through the
+    # name the tracer wraps (graphprox.weighted.solve_parametric), and the
+    # alpha residual reads reductions(...).r
+    rng = np.random.default_rng(2)
+    n = 12
+    eu = np.arange(n - 1)
+    prob = gp.QuadraticBinaryProblem.from_parts(
+        rng.normal(0, 1, n), zip(eu, eu + 1, -rng.uniform(0.1, 1.0, n - 1)))
+    sol = gp.solve_weighted(prob, rng.choice([0.5, 1.0, 2.0], n))
+    assert [s[2] for s in tracer.spans].count("engine.solve") == 1
+    assert tracer.solutions[-1] is sol
+    residual = tracing._alpha_residual(sol)
+    assert isinstance(residual, float) and np.isfinite(residual)

@@ -1,6 +1,6 @@
-"""``import graphprox`` loads no scipy module: scipy is imported inside the
-functions that call it, so a process that only imports the package starts
-fast and small."""
+"""The package surface.  ``import graphprox`` loads no scipy module: scipy
+is imported inside the functions that call it, so a process that only
+imports the package starts fast and small.  Every public name resolves."""
 
 import os
 import subprocess
@@ -18,3 +18,11 @@ def test_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.strip() == "[]"
+
+
+def test_public_names_resolve_once():
+    import graphprox
+
+    names = graphprox.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(graphprox, n)] == []

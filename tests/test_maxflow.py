@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from graphprox import (DimensionMismatch, FlowNetwork, FlowState, StaleFlow,
-                       check_flow, max_flow, min_cut, read_dimacs,
-                       to_cut_graph)
+                       check_flow, max_flow, min_cut, to_cut_graph)
 from conftest import random_submodular
 
 
@@ -65,7 +64,7 @@ class TestMaxFlow:
             state = max_flow(net, method=method)
             value, _ = brute_min_cut(net)
             assert state.value == pytest.approx(value, abs=1e-9)
-            assert check_flow(net, state).is_valid_flow
+            assert check_flow(net, state) == []
 
     def test_float_capacities(self, rng):
         for _ in range(25):
@@ -172,7 +171,7 @@ class TestScipyBackend:
                           [0] * k + [1], [1] * k + [2], caps + [3.0])
         state = max_flow(net, method=method)
         assert state.value == pytest.approx(min(sum(caps), 3.0))
-        assert check_flow(net, state).is_valid_flow
+        assert check_flow(net, state) == []
         s_min, s_max = min_cut(net, state)
         value, sets = brute_min_cut(net)
         assert frozenset(s_min) in sets and frozenset(s_max) in sets
@@ -198,7 +197,7 @@ class TestParallelArcs:
             state = max_flow(net, method="scipy")
             exact = max_flow(net, method="float").value
             assert state.value == pytest.approx(exact, abs=1e-9)
-            assert check_flow(net, state).is_valid_flow
+            assert check_flow(net, state) == []
 
 
 class TestLargeNetworks:
@@ -208,7 +207,7 @@ class TestLargeNetworks:
     def assert_matches_scipy(self, net):
         state = max_flow(net, method="float")
         ref = max_flow(net, method="scipy")
-        assert check_flow(net, state).is_valid_flow
+        assert check_flow(net, state) == []
         assert state.value == pytest.approx(ref.value, abs=1e-9)
         assert min_cut(net, state) == min_cut(net, ref)
 
@@ -290,7 +289,7 @@ class TestMinCut:
     def test_stale_flow_rejected(self):
         net = FlowNetwork(1, np.array([3.0]), np.array([1.0]))
         bad = FlowState(np.array([2.0]), np.array([0.0]), np.zeros(0), 2.0)
-        with pytest.raises(StaleFlow):
+        with pytest.raises(StaleFlow, match=r"node 0 has \|excess\| 2"):
             min_cut(net, bad)
 
     def test_non_maximum_flow_rejected(self):
@@ -306,32 +305,40 @@ class TestCheckFlow:
                            np.array([0]), np.array([1]), np.array([1.5]))
 
     def test_zero_flow_is_flow_not_pseudoflow(self):
+        # a valid flow, although its terminal arcs are unsaturated
         net = self.net()
         state = FlowState(np.zeros(2), np.zeros(2), np.zeros(1), 0.0)
-        rep = check_flow(net, state)
-        assert rep.is_valid_flow and rep.is_preflow
-        assert not rep.is_pseudoflow  # terminal arcs unsaturated
+        assert check_flow(net, state) == []
 
     def test_saturated_terminals_is_pseudoflow(self):
+        # a pseudoflow, not a flow: node 0 carries excess 1, node 1 deficit 1
         net = self.net()
         state = FlowState(net.source_caps.copy(), net.sink_caps.copy(),
                           np.zeros(1), 3.0)
-        rep = check_flow(net, state)
-        assert rep.is_pseudoflow
-        assert not rep.is_valid_flow  # node 0 carries excess 1, node 1 deficit
+        violations = check_flow(net, state)
+        assert len(violations) == 1
+        assert "conservation fails: node 0 has |excess| 1" in violations[0]
 
     def test_capacity_violation_invalid(self):
         net = self.net()
         state = FlowState(np.array([2.5, 0.0]), np.zeros(2), np.zeros(1), 2.5)
-        rep = check_flow(net, state)
-        assert rep.classification == "invalid"
-        assert rep.violations
+        assert check_flow(net, state) == ["z_source[0] = 2.5 outside [0, 2]"]
+
+    def test_conservation_names_largest_excess(self):
+        # excesses (0.5, 1, -2, 1.5): node 2 has the largest |excess|
+        net = FlowNetwork(4, np.array([2.0, 0.0, 0.0, 2.0]), np.full(4, 3.0),
+                          np.array([0, 1]), np.array([1, 2]),
+                          np.array([2.0, 2.0]))
+        state = FlowState(np.array([1.5, 0.0, 0.0, 1.5]),
+                          np.array([0.0, 0.0, 2.0, 0.0]), np.array([1.0, 0.0]),
+                          2.0)
+        violations = check_flow(net, state)
+        assert len(violations) == 1 and "node 2 has |excess| 2" in violations[0]
 
     def test_max_flow_output_is_valid(self, rng):
         for _ in range(10):
             net = random_network(rng, int(rng.integers(1, 8)))
-            rep = check_flow(net, max_flow(net))
-            assert rep.is_valid_flow
+            assert check_flow(net, max_flow(net)) == []
 
 
 class TestInfiniteCapacities:
@@ -446,53 +453,3 @@ class TestCutGraphIntegration:
             assert state.value == pytest.approx(best + cut.cut_constant,
                                                 abs=1e-9)
 
-
-class TestDimacs:
-    def test_reader(self, tmp_path):
-        text = """c sample file
-p max 4 5
-n 1 s
-n 4 t
-a 1 2 3
-a 1 3 1
-a 2 3 2
-a 2 4 2
-a 3 4 2
-"""
-        path = tmp_path / "g.dimacs"
-        path.write_text(text)
-        net = read_dimacs(path)
-        assert net.n == 2
-        state = max_flow(net)
-        # brute force of the same small graph
-        value, _ = brute_min_cut(net)
-        assert state.value == pytest.approx(value) == pytest.approx(4.0)
-
-    @pytest.mark.parametrize("text", [
-        "p max 4 3\nn 1 s\nn 4 t\na 1 2 1\na 2 7 1\n",   # head past n
-        "p max 4 3\nn 1 s\nn 4 t\na 0 2 1\n",             # tail below 1
-        "p max 4 3\nn 5 s\nn 4 t\na 2 3 1\n",             # source past n
-        "p max 4 3\nn 1 s\nn 1 t\na 1 2 1\n",             # source == sink
-    ])
-    def test_reader_rejects_bad_nodes(self, tmp_path, text):
-        from graphprox import ParseError
-        path = tmp_path / "bad.dimacs"
-        path.write_text(text)
-        with pytest.raises(ParseError):
-            read_dimacs(path)
-
-    def test_reader_drops_terminal_loops(self, tmp_path):
-        # s -> s and t -> t cross no cut, so the reader drops them
-        path = tmp_path / "loops.dimacs"
-        path.write_text("p max 3 4\nn 1 s\nn 3 t\na 1 1 5\na 3 3 5\n"
-                        "a 1 2 2\na 2 3 1\n")
-        net = read_dimacs(path)
-        assert (net.n, len(net.arc_u)) == (1, 0)
-        assert max_flow(net).value == 1.0
-
-    def test_reader_rejects_garbage(self, tmp_path):
-        from graphprox import ParseError
-        path = tmp_path / "bad.dimacs"
-        path.write_text("p max x y\n")
-        with pytest.raises(ParseError):
-            read_dimacs(path)

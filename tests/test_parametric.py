@@ -5,10 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from graphprox import (AlphaOutOfBox, DimensionMismatch, Pseudoflow,
-                       QuadraticBinaryProblem, alpha_reduction, breakpoints,
-                       check_optimality, evaluate, level_sets, reductions,
-                       solve)
+from graphprox import (AlphaOutOfBox, DimensionMismatch,
+                       QuadraticBinaryProblem, check_optimality, evaluate,
+                       reductions, solve)
 from graphprox.oracle import brute_force_minimizers, min_norm_reference
 from conftest import random_submodular
 
@@ -88,6 +87,17 @@ class TestReductions:
         with pytest.raises(AlphaOutOfBox):
             reductions(PAIR, np.array([1.5]))
 
+    @pytest.mark.parametrize("alpha", [0.1, [0.1], [0.1] * 5],
+                             ids=["scalar", "length-1", "length-5"])
+    def test_misaligned_alpha_rejected(self, alpha):
+        # a scalar or length-1 alpha must not broadcast over the edges
+        prob = QuadraticBinaryProblem.from_parts(
+            [0.5, 2.0, 0.0, 1.0], {(0, 1): -1.0, (1, 2): -1.0, (2, 3): -0.5})
+        for call in (lambda: reductions(prob, alpha),
+                     lambda: check_optimality(prob, alpha)):
+            with pytest.raises(DimensionMismatch):
+                call()
+
     def test_matches_edge_fold(self, rng):
         # reference: the edge terms folded into the diagonal in edge order
         for _ in range(20):
@@ -101,28 +111,30 @@ class TestReductions:
 
 
 class TestAlphaReduction:
+    """The minimum-norm pseudoflow: ``solve(p).alpha``."""
+
     def test_pair_clips_to_box(self):
         # unconstrained equalizer alpha = -2 clips to the box edge -1
-        pf = alpha_reduction(PAIR)
-        assert pf.alpha == pytest.approx([-1.0])
-        assert reductions(PAIR, pf).r == pytest.approx([0.5, 1.5])
+        alpha = solve(PAIR).alpha
+        assert alpha == pytest.approx([-1.0])
+        assert reductions(PAIR, alpha).r == pytest.approx([0.5, 1.5])
 
     def test_pair_interior_equalizer(self):
         prob = QuadraticBinaryProblem.from_parts([1.0, 1.0], {(0, 1): -1.0})
-        pf = alpha_reduction(prob)
-        assert pf.alpha == pytest.approx([0.0])
-        assert reductions(prob, pf).r == pytest.approx([0.5, 0.5])
+        alpha = solve(prob).alpha
+        assert alpha == pytest.approx([0.0])
+        assert reductions(prob, alpha).r == pytest.approx([0.5, 0.5])
 
     def test_disconnected(self):
         prob = QuadraticBinaryProblem.from_parts([3.0, -1.0, 0.0], {})
-        pf = alpha_reduction(prob)
-        assert reductions(prob, pf).r == pytest.approx([3.0, -1.0, 0.0])
+        alpha = solve(prob).alpha
+        assert reductions(prob, alpha).r == pytest.approx([3.0, -1.0, 0.0])
 
     def test_min_norm_against_reference(self, rng):
         for _ in range(30):
             n = int(rng.integers(1, 10))
             prob = random_submodular(rng, n)
-            r = reductions(prob, alpha_reduction(prob)).r
+            r = reductions(prob, solve(prob).alpha).r
             ref = min_norm_reference(prob).r
             assert np.abs(r - ref).max() < 1e-7
 
@@ -130,7 +142,7 @@ class TestAlphaReduction:
         for _ in range(10):
             n = int(rng.integers(2, 9))
             prob = random_submodular(rng, n)
-            star = np.linalg.norm(reductions(prob, alpha_reduction(prob)).r)
+            star = np.linalg.norm(reductions(prob, solve(prob).alpha).r)
             cap = -prob.edge_q
             for _ in range(200):
                 alpha = rng.uniform(-1, 1, prob.n_edges) * cap
@@ -141,7 +153,7 @@ class TestAlphaReduction:
         for _ in range(10):
             n = int(rng.integers(1, 9))
             prob = random_submodular(rng, n)
-            r = reductions(prob, alpha_reduction(prob)).r
+            r = reductions(prob, solve(prob).alpha).r
             for k in range(n + 1):
                 for s in itertools.combinations(range(n), k):
                     assert r[list(s)].sum() <= evaluate(prob, s) + 1e-8
@@ -149,19 +161,21 @@ class TestAlphaReduction:
 
 
 class TestLevelSets:
+    """``sol.u1`` / ``sol.u2``; PAIR's minimum-norm point is (0.5, 1.5)."""
+
     def test_below_all_breakpoints(self):
-        u1, u2 = level_sets(np.array([0.5, 1.5]), np.ones(2), beta=-1.0)
-        assert u1 == u2 == set()
+        sol = solve(PAIR)
+        assert sol.u1(-1.0) == sol.u2(-1.0) == set()
 
     def test_pair_at_beta_one(self):
-        u1, u2 = level_sets(np.array([0.5, 1.5]), np.ones(2), beta=1.0)
-        assert u1 == u2 == {0}
+        sol = solve(PAIR)
+        assert sol.u1(1.0) == sol.u2(1.0) == {0}
 
     def test_exactly_at_breakpoint(self):
         # weak inequality admits the node, strict does not
-        u1, u2 = level_sets(np.array([0.5, 1.5]), np.ones(2), beta=0.5)
-        assert u1 == set()
-        assert u2 == {0}
+        sol = solve(PAIR)
+        assert sol.u1(0.5) == set()
+        assert sol.u2(0.5) == {0}
 
     def test_matches_bruteforce_everywhere(self, rng):
         for _ in range(40):
@@ -171,26 +185,28 @@ class TestLevelSets:
             r = reductions(prob, sol.alpha).r
             for beta in rng.uniform(r.min() - 1, r.max() + 1, 25):
                 mp = brute_force_minimizers(prob, float(beta))
-                u1, u2 = level_sets(r, np.ones(n), float(beta))
-                assert u1 == mp.s_min
-                assert u2 == mp.s_max
+                assert sol.u1(float(beta)) == mp.s_min
+                assert sol.u2(float(beta)) == mp.s_max
 
 
 class TestBreakpoints:
+    """``sol.breakpoints()``: sorted distinct finite flips r_i / w_i."""
+
     def test_pair(self):
-        assert breakpoints(np.array([0.5, 1.5]), np.ones(2)) == \
-            pytest.approx([0.5, 1.5])
+        assert solve(PAIR).breakpoints() == pytest.approx([0.5, 1.5])
 
     def test_constant_r(self):
-        assert breakpoints(np.array([2.0, 2.0, 2.0]), np.ones(3)) == \
-            pytest.approx([2.0])
+        prob = QuadraticBinaryProblem.from_parts([2.0, 2.0, 2.0], {})
+        assert solve(prob).breakpoints() == pytest.approx([2.0])
 
     def test_weighted_coincide(self):
-        assert breakpoints(np.array([1.0, 3.0]), np.array([1.0, 3.0])) == \
+        prob = QuadraticBinaryProblem.from_parts([1.0, 3.0], {})
+        assert solve(prob, weights=[1.0, 3.0]).breakpoints() == \
             pytest.approx([1.0])
 
     def test_zero_weights_excluded(self):
-        bp = breakpoints(np.array([1.0, 5.0]), np.array([1.0, 0.0]))
+        prob = QuadraticBinaryProblem.from_parts([1.0, 5.0], {})
+        bp = solve(prob, weights=[1.0, 0.0]).breakpoints()
         assert bp == pytest.approx([1.0])
 
 
@@ -198,7 +214,7 @@ class TestCheckOptimality:
     def test_solver_output_passes(self, rng):
         for _ in range(20):
             prob = random_submodular(rng, int(rng.integers(1, 9)))
-            assert check_optimality(prob, alpha_reduction(prob))
+            assert check_optimality(prob, solve(prob).alpha)
 
     def test_zero_alpha_fails_on_asymmetric_pair(self):
         assert not check_optimality(PAIR, np.zeros(1))
@@ -275,57 +291,10 @@ class TestStructure:
                     assert sol_s.u1(float(b)) == sol.u1(float(b + delta))
 
     def test_exact_breakpoint_membership(self, rng):
-        # at beta = r_i exactly, node i sits in U2 minus U1
+        # at beta = r_i exactly (node i's level), node i sits in U2 minus U1
         prob = random_submodular(rng, 6)
         sol = solve(prob)
-        r = reductions(prob, sol.alpha).r
         for i in range(6):
-            u1, u2 = level_sets(r, np.ones(6), float(r[i]))
+            u1, u2 = sol.u1(float(sol.levels[i])), sol.u2(float(sol.levels[i]))
             assert i in u2 and i not in u1
 
-
-class TestPseudoflowType:
-    def test_dict_roundtrip(self):
-        pf = Pseudoflow.from_dict(PAIR, {(0, 1): -0.5})
-        assert pf.as_dict() == {(0, 1): -0.5}
-        # reversed key flips sign
-        pf2 = Pseudoflow.from_dict(PAIR, {(1, 0): 0.5})
-        assert pf2.alpha == pytest.approx([-0.5])
-
-    def test_from_dict_matches_edge_loop(self, rng):
-        for _ in range(20):
-            prob = random_submodular(rng, int(rng.integers(2, 9)))
-            mapping = {}
-            for u, v, q in zip(prob.edge_u.tolist(), prob.edge_v.tolist(),
-                               prob.edge_q):
-                if rng.random() < 0.7:
-                    key = (u, v) if rng.random() < 0.5 else (v, u)
-                    mapping[key] = float(rng.uniform(-1, 1) * -q)
-            ref = np.zeros(prob.n_edges)
-            for k, (u, v) in enumerate(zip(prob.edge_u.tolist(),
-                                           prob.edge_v.tolist())):
-                if (u, v) in mapping:
-                    ref[k] = mapping[(u, v)]
-                elif (v, u) in mapping:
-                    ref[k] = -mapping[(v, u)]
-            assert np.array_equal(Pseudoflow.from_dict(prob, mapping).alpha,
-                                  ref)
-
-    def test_unsorted_edges(self):
-        # edges stored out of order still map each pair to its own slot
-        prob = QuadraticBinaryProblem(4, np.zeros(4), [2, 0, 1], [3, 1, 3],
-                                      [-1.0, -2.0, -3.0])
-        pf = Pseudoflow.from_dict(prob, {(3, 1): 0.5, (0, 1): -1.5,
-                                         (2, 3): 0.25})
-        assert pf.alpha.tolist() == [0.25, -1.5, -0.5]
-
-    @pytest.mark.parametrize("key", [(0, 2), (1, 1), (-1, 1), (0, 5)])
-    def test_missing_pair_rejected(self, key):
-        prob = QuadraticBinaryProblem.from_parts(np.zeros(3),
-                                                 {(0, 1): -1.0, (1, 2): -1.0})
-        with pytest.raises(DimensionMismatch):
-            Pseudoflow.from_dict(prob, {(0, 1): 0.5, key: 0.5})
-
-    def test_out_of_box_rejected(self):
-        with pytest.raises(AlphaOutOfBox):
-            Pseudoflow(PAIR, np.array([2.0]))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from graphprox import (DimensionMismatch, EnergyTable, NonSubmodularEnergy,
-                       QuadraticBinaryProblem, evaluate, from_energies,
-                       normalize_directed, solve, to_cut_graph)
+                       QuadraticBinaryProblem, evaluate, from_energies, solve,
+                       to_cut_graph)
 from graphprox.qbm import terminal_values
 from conftest import random_submodular
 
@@ -242,77 +242,3 @@ class TestObjectiveIdentities:
             diffs.add(round(e - q, 9))
         assert len(diffs) == 1
 
-
-class TestNormalizeDirected:
-    def brute_sets(self, n, arcs, src, snk):
-        best, sets = np.inf, []
-        for r in range(n + 1):
-            for sink_side in itertools.combinations(range(n), r):
-                sink = set(sink_side)
-                cost = sum(src[i] for i in sink)
-                cost += sum(snk[i] for i in range(n) if i not in sink)
-                for (i, j, c) in arcs:
-                    if i not in sink and j in sink:
-                        cost += c
-                if cost < best - 1e-12:
-                    best, sets = cost, [frozenset(sink)]
-                elif cost <= best + 1e-12:
-                    sets.append(frozenset(sink))
-        return best, set(sets)
-
-    def quad_sets(self, prob):
-        n = prob.n
-        best, sets = np.inf, []
-        for r in range(n + 1):
-            for s in itertools.combinations(range(n), r):
-                v = evaluate(prob, s)
-                if v < best - 1e-12:
-                    best, sets = v, [frozenset(s)]
-                elif v <= best + 1e-12:
-                    sets.append(frozenset(s))
-        return set(sets)
-
-    def test_empty_graph(self):
-        prob = normalize_directed([], np.zeros(3), np.zeros(3))
-        assert np.all(prob.diag == 0)
-        assert prob.n_edges == 0
-
-    def test_symmetric_graph_identity(self, rng):
-        for _ in range(8):
-            n = int(rng.integers(2, 7))
-            arcs = []
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rng.random() < 0.5:
-                        c = float(rng.uniform(0, 2))
-                        arcs += [(i, j, c), (j, i, c)]
-            src = rng.uniform(0, 2, n)
-            snk = rng.uniform(0, 2, n)
-            prob = normalize_directed(arcs, src, snk)
-            _, direct = self.brute_sets(n, arcs, src, snk)
-            assert self.quad_sets(prob) == direct
-
-    def test_single_directed_arc(self, rng):
-        for c in (0.5, 2.0):
-            arcs = [(0, 1, c)]
-            src = np.array([1.0, 0.3])
-            snk = np.array([0.2, 0.8])
-            prob = normalize_directed(arcs, src, snk)
-            # both directions now carry the averaged capacity
-            assert prob.offdiag() == pytest.approx({(0, 1): -c})
-            _, direct = self.brute_sets(2, arcs, src, snk)
-            assert self.quad_sets(prob) == direct
-
-    def test_random_directed(self, rng):
-        for _ in range(12):
-            n = int(rng.integers(2, 7))
-            arcs = []
-            for i in range(n):
-                for j in range(n):
-                    if i != j and rng.random() < 0.4:
-                        arcs.append((i, j, float(rng.uniform(0, 3))))
-            src = rng.uniform(0, 2, n)
-            snk = rng.uniform(0, 2, n)
-            prob = normalize_directed(arcs, src, snk)
-            _, direct = self.brute_sets(n, arcs, src, snk)
-            assert self.quad_sets(prob) == direct

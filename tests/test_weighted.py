@@ -4,127 +4,40 @@ import numpy as np
 import pytest
 
 from graphprox import (DimensionMismatch, QuadraticBinaryProblem,
-                       WeightNotPositiveInteger, WeightVector, alpha_reduction,
-                       augment_integer_weights, breakpoints, check_optimality,
-                       evaluate, find_weighted_reductions, level_sets,
-                       reductions, solve, solve_weighted, to_cut_graph,
-                       weighted_bisection_cut)
-from graphprox.oracle import brute_force_minimizers, min_norm_reference
+                       WeightNotPositiveInteger, check_optimality, evaluate,
+                       reductions, solve, solve_weighted, to_cut_graph)
+from graphprox.oracle import (augment_integer_weights, brute_force_minimizers,
+                              min_norm_reference)
 from conftest import random_submodular
 
 PAIR = QuadraticBinaryProblem.from_parts([0.5, 2.5], {(0, 1): -1.0})
 
 
 class TestWeightVector:
-    def test_positive_mask(self):
-        wv = WeightVector(np.array([0.0, 1.5, 0.0, 2.0]))
-        assert wv.positive_mask.tolist() == [False, True, False, True]
-        assert len(wv) == 4
-
-    def test_rejects_negative_and_nonfinite(self):
-        with pytest.raises(DimensionMismatch):
-            WeightVector(np.array([1.0, -0.1]))
-        with pytest.raises(DimensionMismatch):
-            WeightVector(np.array([1.0, np.inf]))
-
-    def test_accepted_by_solvers(self):
-        prob = QuadraticBinaryProblem.from_parts([0.5, 2.5], {(0, 1): -1.0})
-        wv = WeightVector(np.array([1.0, 2.0]))
-        r = reductions(prob, find_weighted_reductions(prob, wv)).r
-        ref = reductions(prob, find_weighted_reductions(prob, wv.w)).r
-        assert np.allclose(r, ref)
+    """Node weight vectors: one check in every function that takes them."""
 
     @pytest.mark.parametrize("w", [[1.0, -3.0], [np.nan, 1.0], [np.inf, 1.0],
                                    [1.0, 1.0, 1.0]])
     def test_invalid_weights_rejected_everywhere(self, w):
         # every function taking node weights runs the same check
-        r = np.array([0.0, 2.0])
         calls = [lambda: solve_weighted(PAIR, w),
-                 lambda: weighted_bisection_cut(PAIR, w, [0, 1]),
+                 lambda: solve(PAIR, weights=w),
                  lambda: check_optimality(PAIR, np.zeros(1), w),
-                 lambda: level_sets(r, w, 0.5),
-                 lambda: breakpoints(r, w),
                  lambda: evaluate(PAIR, {0}, 0.5, w),
                  lambda: to_cut_graph(PAIR, 0.5, w)]
         for call in calls:
             with pytest.raises(DimensionMismatch):
                 call()
 
-    def test_accepted_as_an_array(self):
-        wv = WeightVector(np.array([1.0, 2.0]))
-        sol = solve_weighted(PAIR, wv)
-        assert check_optimality(PAIR, sol.alpha, wv)
-        r = reductions(PAIR, sol.alpha)
-        assert level_sets(r, wv, 0.5) == level_sets(r, wv.w, 0.5)
-        assert weighted_bisection_cut(PAIR, wv, [0, 1]) == \
-            weighted_bisection_cut(PAIR, wv.w, [0, 1])
-
-    @pytest.mark.parametrize("args", [(), (np.float32,), (None, None),
-                                      (None, True)])
-    def test_array_protocol_without_copy(self, args):
-        # NumPy 1.x calls __array__() or __array__(dtype), never with copy
-        wv = WeightVector(np.array([1.0, 2.0]))
-        a = wv.__array__(*args)
-        assert a.tolist() == [1.0, 2.0]
-        assert (a is wv.w) == (args in [(), (None, None)])
-
-
-class TestWeightedBisectionCut:
-    def test_uniform_level_returns_empty(self):
-        prob = QuadraticBinaryProblem.from_parts([1.0, 1.0], {(0, 1): -1.0})
-        # r = (0.5, 0.5); pivot 0.5; all shifted terms vanish
-        assert weighted_bisection_cut(prob, np.ones(2), [0, 1]) == set()
-
-    def test_pair_splits_at_pivot(self):
-        # r = (0, 2), pivot 1, shifted unary (-1, 1): node 0 separates
-        cut = weighted_bisection_cut(PAIR, np.ones(2), [0, 1])
-        assert cut == {0}
-
-    def test_zero_weight_sign_split(self):
-        # all-zero weights: the cut minimizes f itself (beta = 0), splitting
-        # strictly negative from strictly positive reductions
-        prob = QuadraticBinaryProblem.from_parts([-1.0, 3.0], {(0, 1): -1.0})
-        cut = weighted_bisection_cut(prob, np.zeros(2), [0, 1])
-        # brute force on the sign-split objective: f({0}) = -1 is minimal
-        vals = {frozenset(): 0.0, frozenset({0}): -1.0, frozenset({1}): 3.0,
-                frozenset({0, 1}): 1.0}
-        best = min(vals.values())
-        assert vals[frozenset(cut)] == best
-
-    def test_subset_argument(self):
-        prob = QuadraticBinaryProblem.from_parts([0.5, 2.5, 9.0], {(0, 1): -1.0})
-        cut = weighted_bisection_cut(prob, np.ones(3), [0, 1])
-        assert cut == {0}
-
-    def test_random_against_brute_force(self, rng):
-        # T = all nodes, alpha = 0: the cut is the largest minimizer at the
-        # pivot sum(r) / sum(w), or at beta = 0 when the weights are all
-        # zero.  n >= 2, since a single node's shifted term vanishes and
-        # its cut is empty; the tolerance admits the empty/full tie that the
-        # pivot makes exact up to rounding
-        for trial in range(90):
-            n = int(rng.integers(2, 9))
-            prob = random_submodular(rng, n)
-            w = (rng.uniform(0.1, 3.0, n), np.zeros(n),
-                 rng.choice([0.0, 0.5, 1.0, 2.0], n))[trial % 3]
-            r = reductions(prob, np.zeros(prob.n_edges)).r
-            beta = float(r.sum()) / w.sum() if w.sum() > 0 else 0.0
-            ref = brute_force_minimizers(prob, beta, w, tol=1e-9)
-            assert weighted_bisection_cut(prob, w, range(n)) == ref.s_max
-
-    @pytest.mark.parametrize("T", [[-2, 1], [0, 2]])
-    def test_node_ids_out_of_range_rejected(self, T):
-        # -2 would otherwise index node 0 from the end and come back as -2
-        with pytest.raises(DimensionMismatch):
-            weighted_bisection_cut(PAIR, np.ones(2), T)
-
 
 class TestFindWeightedReductions:
+    """The weighted minimum-norm pseudoflow: ``solve_weighted(p, w).alpha``."""
+
     def test_unit_weights_match_unweighted(self, rng):
         for _ in range(15):
             prob = random_submodular(rng, int(rng.integers(1, 9)))
-            r_w = reductions(prob, find_weighted_reductions(prob, np.ones(prob.n))).r
-            r_u = reductions(prob, alpha_reduction(prob)).r
+            r_w = reductions(prob, solve_weighted(prob, np.ones(prob.n)).alpha).r
+            r_u = reductions(prob, solve(prob).alpha).r
             assert np.abs(r_w - r_u).max() < 1e-9
 
     def test_single_node(self):
@@ -170,7 +83,7 @@ class TestFindWeightedReductions:
             n = int(rng.integers(1, 8))
             prob = random_submodular(rng, n)
             w = rng.uniform(0.2, 4, n)
-            r = reductions(prob, find_weighted_reductions(prob, w)).r
+            r = reductions(prob, solve_weighted(prob, w).alpha).r
             ref = min_norm_reference(prob, w).r
             assert np.abs(r - ref).max() < 1e-7
             star = float(np.sum(r * r / w))
