@@ -2,7 +2,7 @@
 operators.
 
 The core pipeline: a submodular quadratic binary problem (qbm) maps to an
-s-t cut graph; one recursive parametric solve (``solve`` or
+s-t ``FlowNetwork``; one recursive parametric solve (``solve`` or
 ``solve_weighted``) computes the minimum-norm pseudoflow, and the
 ``ParametricSolution`` it returns reads the size-biased cut family for
 every bias at once off its level sets (``u1``, ``u2``,
@@ -20,7 +20,7 @@ from .maxflow import FlowNetwork, FlowState, check_flow, max_flow, min_cut
 from .parametric import ReductionVector, check_optimality, reductions, solve
 from .prox import (PiecewiseLinearPenalty, ProxProblem, build_prox_qbm,
                    certificate, prox, prox_solve, pwl_decompose)
-from .qbm import (CutGraph, EnergyTable, QuadraticBinaryProblem, evaluate,
+from .qbm import (EnergyTable, QuadraticBinaryProblem, evaluate,
                   from_energies, to_cut_graph)
 from .regression import (FitResult, RegressionProblem, fista_fit,
                          lipschitz_estimate, objective)
@@ -29,7 +29,7 @@ from .weighted import solve_weighted
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaOutOfBox", "CutGraph", "DimensionMismatch", "EnergyTable",
+    "AlphaOutOfBox", "DimensionMismatch", "EnergyTable",
     "FitResult", "FlowNetwork", "FlowState", "GraphProxError",
     "NonConvexPenalty", "NonSubmodularEnergy", "ParametricSolution",
     "ParseError", "PiecewiseLinearPenalty", "ProxProblem",

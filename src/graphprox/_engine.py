@@ -76,7 +76,6 @@ class ParametricSolution:
     """Full output of a parametric solve."""
 
     problem: QuadraticBinaryProblem
-    weights: np.ndarray
     alpha: np.ndarray
     levels: np.ndarray      # target reduction value per node
     flip_lo: np.ndarray     # i in U1(beta)  iff  beta >  flip_lo[i]
@@ -347,7 +346,6 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         # whose edges keep their flow
         nodes, bid, edges, ebid = regroup(nodes[keep_n], edges[keep_e])
 
-    sol = ParametricSolution(problem, w, alpha, levels, flip_lo, flip_hi,
-                             anchor_mask if anchor_mask.any() else None)
-    return sol
+    return ParametricSolution(problem, alpha, levels, flip_lo, flip_hi,
+                              anchor_mask if anchor_mask.any() else None)
 

@@ -1,4 +1,5 @@
-"""Maximum-flow / minimum-cut solver.
+"""Maximum-flow / minimum-cut solver on ``FlowNetwork``, the one s-t
+network format (``qbm.to_cut_graph`` builds it for a quadratic problem).
 
 Two backends share one interface and are cross-checked in the test suite.
 The float backend is Dinic's blocking-flow algorithm in pure Python on the
@@ -74,14 +75,6 @@ class FlowNetwork:
         if not all(np.all(c >= 0) for c in
                    (self.source_caps, self.sink_caps, self.arc_cap)):
             raise DimensionMismatch("capacities must be nonnegative, not NaN")
-
-    @classmethod
-    def from_cut_graph(cls, cut) -> "FlowNetwork":
-        """Expand a symmetric CutGraph into directed arcs."""
-        u = np.concatenate([cut.edge_u, cut.edge_v])
-        v = np.concatenate([cut.edge_v, cut.edge_u])
-        c = np.concatenate([cut.edge_cap, cut.edge_cap])
-        return cls(cut.n, np.maximum(cut.a, 0.0), np.maximum(-cut.a, 0.0), u, v, c)
 
     @property
     def max_cap(self) -> float:
@@ -342,12 +335,12 @@ def _scipy_flow(net: FlowNetwork) -> FlowState:
                      eff[:n], eff[n:2 * n], eff[2 * n:])
 
 
-def max_flow(graph, method: str = "auto") -> FlowState:
-    """Compute a maximum flow.
+def max_flow(net: FlowNetwork, method: str = "auto") -> FlowState:
+    """Compute a maximum flow of ``net``.
 
     Parameters
     ----------
-    graph : FlowNetwork or CutGraph
+    net : FlowNetwork
     method : {"auto", "float", "scipy"}
         "float" is the pure-Python Dinic on the float capacities, "scipy"
         scipy's C max-flow on capacities snapped to a power-of-two grid,
@@ -361,7 +354,6 @@ def max_flow(graph, method: str = "auto") -> FlowState:
         clamped to a finite bound above the flow value (``_clamped``), so
         every flow, infinite arcs' included, is finite.
     """
-    net = graph if isinstance(graph, FlowNetwork) else FlowNetwork.from_cut_graph(graph)
     if net.n == 0:
         return FlowState(np.zeros(0), np.zeros(0), np.zeros(0), 0.0)
     if method == "auto":
@@ -437,7 +429,7 @@ def _bfs_scipy(n, eu, ev, reached):
     return out
 
 
-def min_cut(graph, state: FlowState) -> tuple[set, set]:
+def min_cut(net: FlowNetwork, state: FlowState) -> tuple[set, set]:
     """Extract the extreme optimal (sink-side) sets from a maximum flow.
 
     Returns (S_min, S_max): the unique smallest and largest sink-side
@@ -446,9 +438,8 @@ def min_cut(graph, state: FlowState) -> tuple[set, set]:
     Raises
     ------
     StaleFlow
-        If ``state`` is not a valid maximum flow for ``graph``.
+        If ``state`` is not a valid maximum flow for ``net``.
     """
-    net = graph if isinstance(graph, FlowNetwork) else FlowNetwork.from_cut_graph(graph)
     violations = check_flow(net, state)
     if violations:
         raise StaleFlow("; ".join(violations))

@@ -304,24 +304,3 @@ def prox_reference(problem: ProxProblem, cert_target: float = 1e-8,
             if certificate(problem, u) <= cert_target or delta <= 1e-14 * scale:
                 return u
     return np.array(ul)
-
-
-def _scalar_prox_pwl(a: float, lam: float, pen) -> float:
-    """Exact 1-d prox of (u - a)^2 + lam * xi(u) for piecewise-linear xi."""
-    # minimizer of the piecewise quadratic: u = a - lam * theta / 2 on the
-    # segment where that lands, else at the breakpoint where the
-    # subdifferential spans zero
-    b = pen.breakpoints
-    th = pen.slopes
-    for seg in range(len(th)):
-        u = a - 0.5 * lam * th[seg]
-        lo = -np.inf if seg == 0 else b[seg - 1]
-        hi = np.inf if seg == len(b) else b[seg]
-        if lo <= u <= hi:
-            return float(u)
-    for k, bk in enumerate(b):
-        glo = 2.0 * (bk - a) + lam * th[k]
-        ghi = 2.0 * (bk - a) + lam * th[k + 1]
-        if glo <= 0 <= ghi:
-            return float(bk)
-    raise RuntimeError("piecewise-linear prox failed to localize")

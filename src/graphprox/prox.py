@@ -32,8 +32,9 @@ class PiecewiseLinearPenalty:
     """Convex piecewise-linear function given by breakpoints and slopes.
 
     breakpoints b_1 < ... < b_{m-1} split the line into m segments with
-    nondecreasing slopes theta_1 <= ... <= theta_m.  The value is
-    normalized to 0 at the first breakpoint (at 0 if there are none).
+    nondecreasing slopes theta_1 <= ... <= theta_m, all finite and given
+    as 1-D arrays.  The value is normalized to 0 at the first breakpoint
+    (at 0 if there are none).
     """
 
     breakpoints: np.ndarray
@@ -43,12 +44,14 @@ class PiecewiseLinearPenalty:
         self.breakpoints = np.atleast_1d(np.asarray(self.breakpoints,
                                                     dtype=np.float64))
         self.slopes = np.atleast_1d(np.asarray(self.slopes, dtype=np.float64))
+        if self.breakpoints.ndim != 1 or self.slopes.ndim != 1:
+            raise NonConvexPenalty("breakpoints and slopes must be 1-D")
         if len(self.slopes) != len(self.breakpoints) + 1:
             raise NonConvexPenalty(
                 f"need {len(self.breakpoints) + 1} slopes for "
                 f"{len(self.breakpoints)} breakpoints, got {len(self.slopes)}")
-        if np.isnan(self.breakpoints).any() or np.isnan(self.slopes).any():
-            raise NonConvexPenalty("breakpoints and slopes must not be NaN")
+        if not (np.isfinite(self.breakpoints).all() and np.isfinite(self.slopes).all()):
+            raise NonConvexPenalty("breakpoints and slopes must be finite")
         if len(self.breakpoints) and np.any(np.diff(self.breakpoints) <= 0):
             raise NonConvexPenalty("breakpoints must be strictly increasing")
         if np.any(np.diff(self.slopes) < 0):
@@ -113,8 +116,9 @@ class ProxProblem:
     """Data of the graph-fused proximal problem.
 
     a is the prox center; edges carry nonnegative fusion weights w_ij;
-    ``penalties`` maps node index -> PiecewiseLinearPenalty (sparse).  a,
-    the weights and lam must be finite.
+    ``penalties`` maps node index -> PiecewiseLinearPenalty (sparse).  a
+    must be 1-D, the three edge arrays of equal length, and a, the weights
+    and lam finite.
     """
 
     a: np.ndarray
@@ -130,6 +134,10 @@ class ProxProblem:
         self.edge_v = np.asarray(self.edge_v, dtype=np.int64)
         self.edge_w = np.asarray(self.edge_w, dtype=np.float64)
         n = len(self.a)
+        if self.a.ndim != 1:
+            raise DimensionMismatch("prox center must be 1-D")
+        if not len(self.edge_u) == len(self.edge_v) == len(self.edge_w):
+            raise DimensionMismatch("edge arrays must have equal length")
         if not np.all(np.isfinite(self.a)):
             raise DimensionMismatch("prox center must be finite")
         if len(self.edge_u) and (self.edge_u.min() < 0 or

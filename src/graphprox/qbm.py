@@ -1,14 +1,14 @@
-"""Quadratic binary problems and their cut-graph form.
+"""Quadratic binary problems and their s-t network form.
 
 The canonical object is :class:`QuadraticBinaryProblem`: a set function
 
     f(S) = sum_{i<j in S} q_ij + sum_{i in S} (q_ii - beta * w_i)
 
 with all off-diagonal couplings q_ij <= 0, which makes f submodular.  The
-same problem can be written as an energy table over binary labels or as an
-s-t cut graph; the converters here move between the three forms while
-tracking the constant objective offsets, so tests can compare values and
-not just argmins.
+same problem can be written as an energy table over binary labels or as
+the s-t :class:`~graphprox.maxflow.FlowNetwork` of ``to_cut_graph``; the
+converters here move between the three forms while tracking the constant
+objective offsets, so tests can compare values and not just argmins.
 
 Conventions
 -----------
@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonSubmodularEnergy
+from .maxflow import FlowNetwork
 
 REL_TOL = 1e-9
 
@@ -197,13 +198,6 @@ class QuadraticBinaryProblem:
         return {(int(i), int(j)): float(q)
                 for i, j, q in zip(self.edge_u, self.edge_v, self.edge_q)}
 
-    def degree_half_sums(self) -> np.ndarray:
-        """Per-node value (1/2) * sum of incident finite couplings."""
-        finite = ~self.ties
-        q = 0.5 * self.edge_q[finite]
-        return np.bincount(np.concatenate([self.edge_u[finite], self.edge_v[finite]]),
-                           np.concatenate([q, q]), self.n)
-
 
 def _pair_coupling(i: int, j: int, tbl: np.ndarray) -> float:
     """The coupling q_ij of pairwise table ``tbl``: its gap
@@ -257,56 +251,24 @@ def from_energies(energies: EnergyTable) -> QuadraticBinaryProblem:
     return QuadraticBinaryProblem.from_parts(diag, edges, offset)
 
 
-@dataclass
-class CutGraph:
-    """s-t cut graph equivalent to a quadratic binary problem.
+def to_cut_graph(problem: QuadraticBinaryProblem, beta: float = 0.0,
+                 weights=None) -> FlowNetwork:
+    """The s-t network whose sink-side minimum cuts minimize f(S) - beta * w(S).
 
-    Terminal arcs are stored as one signed number per node: a_i > 0 is a
-    source arc of capacity a_i, a_i < 0 a sink arc of capacity -a_i.  The
-    cut cost of sink-side set S equals f(S) + const, with
-    const = sum_i [a_i]^-.  Interior capacities are -q_ij / 2 >= 0;
-    infinite capacities mark nodes that must share a side.
-    """
-
-    n: int
-    a: np.ndarray
-    edge_u: np.ndarray
-    edge_v: np.ndarray
-    edge_cap: np.ndarray
-
-    @property
-    def source_caps(self) -> np.ndarray:
-        return np.maximum(self.a, 0.0)
-
-    @property
-    def sink_caps(self) -> np.ndarray:
-        return np.maximum(-self.a, 0.0)
-
-    @property
-    def cut_constant(self) -> float:
-        """Additive constant between cut cost and f(sink side)."""
-        return float(self.sink_caps[np.isfinite(self.a)].sum())
-
-
-def terminal_values(problem: QuadraticBinaryProblem, beta: float,
-                    weights) -> np.ndarray:
-    """Signed terminal capacities a_i = (1/2)*sum_j q_ij + q_ii - beta*w_i.
-
-    Hard ties contribute nothing here: the diagonal is finite, and a tie
-    is only the infinite arc between its endpoints (``to_cut_graph``),
-    which the flow solver handles structurally.
+    Node i has source arc max(a_i, 0) and sink arc max(-a_i, 0), where
+    a_i = q_ii + (1/2) sum_j q_ij - beta * w_i and ties add nothing.  Edge k
+    is arc k (u -> v) and arc n_edges + k (v -> u), both of capacity -q_k/2,
+    or inf for a tie.  A cut's capacity is f(S) - beta * w(S) plus
+    ``sink_caps.sum()``.
     """
     w = _check_weights(weights, problem.n)
-    return problem.degree_half_sums() + problem.diag - beta * w
-
-
-def to_cut_graph(problem: QuadraticBinaryProblem, beta: float = 0.0,
-                 weights=None) -> CutGraph:
-    """Build the cut graph whose sink-side minimum cuts minimize
-    f(S) - beta * w(S)."""
-    a = terminal_values(problem, beta, weights)
-    cap = np.where(problem.ties, np.inf, -0.5 * problem.edge_q)
-    return CutGraph(problem.n, a, problem.edge_u.copy(), problem.edge_v.copy(), cap)
+    u, v, q, tie = problem.edge_u, problem.edge_v, problem.edge_q, problem.ties
+    half = 0.5 * q[~tie]
+    a = np.bincount(np.r_[u[~tie], v[~tie]], np.r_[half, half], problem.n)
+    a = a + problem.diag - beta * w
+    cap = np.where(tie, np.inf, -0.5 * q)
+    return FlowNetwork(problem.n, np.maximum(a, 0.0), np.maximum(-a, 0.0),
+                       np.r_[u, v], np.r_[v, u], np.r_[cap, cap])
 
 
 def evaluate(problem: QuadraticBinaryProblem, S, beta: float = 0.0,

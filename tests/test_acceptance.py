@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from graphprox import (CutGraph, PiecewiseLinearPenalty, ProxProblem,
+from graphprox import (FlowNetwork, PiecewiseLinearPenalty, ProxProblem,
                        QuadraticBinaryProblem, RegressionProblem, certificate,
                        fista_fit, max_flow, prox, reductions, solve,
                        solve_weighted)
@@ -47,7 +47,8 @@ class TestAcceptance:
             eu, ev = eu[keep], ev[keep]
             cap = rng.integers(0, 21, len(eu)).astype(float)
             a = rng.integers(-20, 21, n).astype(float)
-            cut = CutGraph(n, a, eu, ev, cap)
+            cut = FlowNetwork(n, np.maximum(a, 0.0), np.maximum(-a, 0.0),
+                              np.r_[eu, ev], np.r_[ev, eu], np.r_[cap, cap])
             state = max_flow(cut)
             # brute force over all 2^n sink-side sets, vectorized
             memb = memb12[: 1 << n, :n]

@@ -1,8 +1,11 @@
 """The package surface.  ``import graphprox`` loads no scipy module: scipy
 is imported inside the functions that call it, so a process that only
-imports the package starts fast and small.  Every public name resolves."""
+imports the package starts fast and small.  Every public name resolves,
+and so does every name the README's module map lists."""
 
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +29,15 @@ def test_public_names_resolve_once():
     names = graphprox.__all__
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(graphprox, n)] == []
+
+
+def test_readme_module_map_names_resolve():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(graphprox\.\w+)` \| (.*) \|$", readme, re.M)
+    assert len(rows) >= 9
+    missing = []
+    for name, contents in rows:
+        module = importlib.import_module(name)
+        missing += [f"{name}.{ident}" for ident in re.findall(r"`([^`]*)`", contents)
+                    if ident.isidentifier() and not hasattr(module, ident)]
+    assert missing == []

@@ -450,6 +450,6 @@ class TestCutGraphIntegration:
             best = min(evaluate(prob, s, beta, np.ones(n))
                        for r in range(n + 1)
                        for s in itertools.combinations(range(n), r))
-            assert state.value == pytest.approx(best + cut.cut_constant,
+            assert state.value == pytest.approx(best + cut.sink_caps.sum(),
                                                 abs=1e-9)
 

@@ -61,7 +61,11 @@ class TestPwlDecompose:
 
     @pytest.mark.parametrize("b,th", [([np.nan], [-1.0, 1.0]),
                                       ([0.0], [np.nan, 1.0]),
-                                      ([], [np.nan])])
+                                      ([], [np.nan]),
+                                      ([0.0], [-np.inf, np.inf]),
+                                      ([0.0], [0.0, np.inf]),
+                                      ([np.inf], [-1.0, 1.0]),
+                                      ([[0.0]], [-1.0, 1.0])])
     def test_nan_rejected(self, b, th):
         with pytest.raises(NonConvexPenalty):
             PiecewiseLinearPenalty(b, th)
@@ -116,6 +120,14 @@ class TestProxProblemInput:
     def test_non_finite_lambda_rejected(self, lam):
         with pytest.raises(DimensionMismatch):
             ProxProblem.from_edges([0.0, 1.0], {(0, 1): 1.0}, lam=lam)
+
+    @pytest.mark.parametrize("args,match", [
+        (([1.0, 2.0, 3.0], [0, 1], [1], [1.0, 1.0]), "equal length"),
+        (([1.0, 2.0, 3.0], [0, 1], [1, 2], [1.0]), "equal length"),
+        (([[1.0, 2.0], [3.0, 4.0]],), "1-D")])
+    def test_shapes_checked_at_construction(self, args, match):
+        with pytest.raises(DimensionMismatch, match=match):
+            ProxProblem(*args)
 
 
 class TestBuildProxQbm:

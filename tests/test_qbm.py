@@ -8,7 +8,6 @@ import pytest
 from graphprox import (DimensionMismatch, EnergyTable, NonSubmodularEnergy,
                        QuadraticBinaryProblem, evaluate, from_energies, solve,
                        to_cut_graph)
-from graphprox.qbm import terminal_values
 from conftest import random_submodular
 
 
@@ -155,8 +154,9 @@ class TestToCutGraph:
         # a_0 = 0.5 - 0.5 = 0, a_1 = 2.5 - 0.5 = 2 by the terminal formula
         prob = QuadraticBinaryProblem.from_parts([0.5, 2.5], {(0, 1): -1.0})
         cut = to_cut_graph(prob, beta=0.0, weights=[1.0, 1.0])
-        assert cut.a == pytest.approx([0.0, 2.0])
-        assert cut.edge_cap == pytest.approx([0.5])
+        assert cut.source_caps == pytest.approx([0.0, 2.0])
+        assert cut.sink_caps == pytest.approx([0.0, 0.0])
+        assert cut.arc_cap == pytest.approx([0.5, 0.5])
 
     def test_cut_value_equals_min_f_plus_constant(self, rng):
         # oracle: brute force f over all subsets; cut cost over all splits
@@ -178,15 +178,15 @@ class TestToCutGraph:
                     for k in range(prob.n_edges):
                         iu, iv = prob.edge_u[k], prob.edge_v[k]
                         if (iu in sink) != (iv in sink):
-                            cost += cut.edge_cap[k]
+                            cost += cut.arc_cap[k]
                     best_cut = min(best_cut, cost)
-            assert best_cut == pytest.approx(best_f + cut.cut_constant, abs=1e-9)
+            assert best_cut == pytest.approx(best_f + cut.sink_caps.sum(), abs=1e-9)
 
     def test_weights_length_checked(self):
         prob = QuadraticBinaryProblem.from_parts([1.0, 1.0], {})
         from graphprox import DimensionMismatch
         with pytest.raises(DimensionMismatch):
-            terminal_values(prob, 0.0, [1.0])
+            to_cut_graph(prob, 0.0, [1.0])
 
 
 class TestEvaluate:
