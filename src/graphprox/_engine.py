@@ -22,12 +22,16 @@ pivots, termination tests, finalization and splits are array operations
 over those ids.  Blocks never share an edge, so the blocks of one depth
 are cut together as the disjoint union of their networks, whose extreme
 cuts restricted to a block are that block's own: all blocks of at most
-``_SCIPY_NODE_THRESHOLD`` nodes share one max-flow call per depth, and
-larger blocks get one call each (a union of large blocks makes every
-phase of scipy's max-flow sweep the whole union, which is slower than
-solving them apart).  Anchors sitting exactly at their block's pivot need
-a second solve, batched the same way, in which each block's anchors are
-one free node.
+``_SCIPY_NODE_THRESHOLD`` nodes share one network per depth, and larger
+blocks get one network each (a union of large blocks makes every phase of
+scipy's max-flow sweep the whole union, which is slower than solving them
+apart).  Anchors sitting exactly at their block's pivot need a second
+solve, batched the same way, in which each block's anchors are one free
+node.  Before the max-flow, ``maxflow.fix_sides`` fixes every node whose
+unary outweighs all its arcs, since every minimum cut holds it on the
+side its unary picks; only the nodes left go to ``max_flow`` and
+``min_cut``, and none at all when every node is fixed (on a chain-fused
+prox that is nearly every node).
 
 Each depth cuts its blocks on the residual network of the pseudoflow
 alpha that the depths above it left, as parametric max-flow reuses flow
@@ -64,7 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maxflow import _SCIPY_NODE_THRESHOLD, FlowNetwork, max_flow, min_cut
+from .maxflow import (_SCIPY_NODE_THRESHOLD, FlowNetwork, FlowState,
+                      fix_sides, max_flow, min_cut)
 from .qbm import QuadraticBinaryProblem, _check_weights
 
 TERM_TOL = 1e-9  # relative tolerance for "block is one level set"
@@ -134,12 +139,17 @@ def _block_cut(problem: QuadraticBinaryProblem, cap, nodes, edges, g, unary,
                    np.maximum(-unary, 0.0))
     net = FlowNetwork(m, src, snk, np.concatenate([lu, lv]),
                       np.concatenate([lv, lu]), np.concatenate([fwd, bwd]))
-    state = max_flow(net, method=method)
-    cuts = np.zeros((2, m), dtype=bool)
-    for mask, ids in zip(cuts, min_cut(net, state)):
-        mask[np.fromiter(ids, dtype=np.int64, count=len(ids))] = True
+    side, sub, lift = fix_sides(net)
+    cuts = np.repeat(side[None] < 0, 2, axis=0)
+    state = FlowState(np.zeros(0), np.zeros(0), np.zeros(0), 0.0)
+    if sub.n:
+        state = max_flow(sub, method=method)
+        free = np.flatnonzero(side == 0)
+        for mask, ids in zip(cuts, min_cut(sub, state)):
+            mask[free[np.fromiter(ids, dtype=np.int64, count=len(ids))]] = True
+    z = lift(state)
     k = len(edges)
-    return cuts[0][local], cuts[1][local], state.z_arc[:k] - state.z_arc[k:]
+    return cuts[0][local], cuts[1][local], z[:k] - z[k:]
 
 
 def solve_parametric(problem: QuadraticBinaryProblem, weights=None,

@@ -27,6 +27,10 @@ optimal set T satisfies S_min <= T <= S_max.
 ``check_flow`` lists a flow's capacity and conservation violations.
 ``min_cut`` runs it on every flow it is given and raises ``StaleFlow``
 with those messages, or when an augmenting path is left.
+
+``fix_sides`` finds, in one O(m) pass, the nodes that lie on the same side
+of every minimum cut, returns the network on the nodes left, and lifts a
+maximum flow of that network back to one of the whole network.
 """
 
 from __future__ import annotations
@@ -66,8 +70,9 @@ class FlowNetwork:
         self.arc_cap = np.asarray(self.arc_cap, dtype=np.float64)
         if self.source_caps.shape != (self.n,) or self.sink_caps.shape != (self.n,):
             raise DimensionMismatch("terminal capacity arrays must have length n")
-        if not len(self.arc_u) == len(self.arc_v) == len(self.arc_cap):
-            raise DimensionMismatch("arc arrays must have equal length")
+        arcs = (self.arc_u, self.arc_v, self.arc_cap)
+        if any(a.ndim != 1 for a in arcs) or len({len(a) for a in arcs}) > 1:
+            raise DimensionMismatch("arc arrays must be 1-D of equal length")
         if len(self.arc_u) and (min(self.arc_u.min(), self.arc_v.min()) < 0 or
                                 max(self.arc_u.max(), self.arc_v.max()) >= self.n):
             raise DimensionMismatch("arc endpoint out of range")
@@ -78,16 +83,26 @@ class FlowNetwork:
 
     @property
     def max_cap(self) -> float:
-        caps = [self.source_caps, self.sink_caps, self.arc_cap]
-        m = 0.0
-        for c in caps:
-            finite = c[np.isfinite(c)]
-            if finite.size:
-                m = max(m, float(finite.max()))
-        return m
+        """Largest finite capacity (0.0 for none)."""
+        top = 0.0
+        for c in (self.source_caps, self.sink_caps, self.arc_cap):
+            m = c.max(initial=0.0)
+            if m == np.inf:
+                m = c.max(where=np.isfinite(c), initial=0.0)
+            top = max(top, float(m))
+        return top
 
     def tol(self) -> float:
         return SAT_TOL * max(1.0, self.max_cap)
+
+
+def _prechecked(n, source_caps, sink_caps, arc_u, arc_v, arc_cap):
+    """A FlowNetwork of arrays derived from a checked one, built without
+    running the checks again."""
+    net = object.__new__(FlowNetwork)
+    net.n, net.source_caps, net.sink_caps = n, source_caps, sink_caps
+    net.arc_u, net.arc_v, net.arc_cap = arc_u, arc_v, arc_cap
+    return net
 
 
 @dataclass
@@ -184,7 +199,7 @@ def _clamped(net: FlowNetwork) -> tuple[FlowNetwork, float]:
         bound = min(np.inf if inf_s.any() else float(net.source_caps.sum()),
                     np.inf if inf_t.any() else float(net.sink_caps.sum()))
     clamp = bound * (1.0 + 1e-9) + 1.0
-    cnet = FlowNetwork(net.n, np.minimum(net.source_caps, clamp),
+    cnet = _prechecked(net.n, np.minimum(net.source_caps, clamp),
                        np.minimum(net.sink_caps, clamp), net.arc_u, net.arc_v,
                        np.minimum(net.arc_cap, clamp))
     return cnet, clamp
@@ -365,6 +380,69 @@ def max_flow(net: FlowNetwork, method: str = "auto") -> FlowState:
     # tolerance from the caller's network: a clamp-sized max_cap would
     # inflate it
     return _dinic(_clamped(net)[0], net.tol())
+
+
+def fix_sides(net: FlowNetwork):
+    """``(side, free_net, lift)``: the nodes whose side every minimum cut
+    of ``net`` agrees on, the network on the other nodes, and a lift of
+    its flows.
+
+    side[i] is +1 (-1) for a node on the source (sink) side of every
+    minimum cut, else 0.  A node whose source arc exceeds its sink arc by
+    more than its out-arcs carry plus ``net.tol()`` lowers any cut that
+    holds it on the sink side when moved across, so no minimum cut does;
+    the sink side is the mirror image (Hammer, Hansen and Simeone, 1984).
+    One pass, no fixpoint; a node pinned to both terminals stays free.
+
+    ``free_net`` holds the free nodes in order (it is ``net`` when none is
+    fixed).  An arc from a source-fixed node adds to its head's source
+    arc, one into a sink-fixed node to its tail's sink arc, and every
+    other arc touching a fixed node drops out.
+
+    ``lift(state)`` gives the arc flows of a maximum flow of ``net`` from
+    a maximum flow of ``free_net``: arcs from source- to sink-fixed nodes
+    are saturated; the arcs into a free node v from source-fixed nodes
+    share, by capacity, what v's source arc carried beyond
+    ``source_caps[v]``, and its arcs into sink-fixed nodes its sink
+    excess; other arcs touching a fixed node carry 0.  The margin that
+    fixed a node leaves its terminal arcs room to balance it.
+    """
+    n, u, v, cap = net.n, net.arc_u, net.arc_v, net.arc_cap
+    tol = net.tol()
+    with np.errstate(invalid="ignore"):
+        lead = net.source_caps - net.sink_caps
+    side = (lead > np.bincount(u, cap, n) + tol).astype(np.int8)
+    side[-lead > np.bincount(v, cap, n) + tol] = -1
+    if not side.any():
+        return side, net, lambda state: state.z_arc
+    free = side == 0
+    m = int(np.count_nonzero(free))
+    # each arc end as a free node, or -1 (source-fixed) or -2 (sink-fixed)
+    code = np.cumsum(free) - 1
+    code[side > 0] = -1
+    code[side < 0] = -2
+    cu, cv = code.take(u), code.take(v)
+    free_u, free_v, from_s, to_t = cu >= 0, cv >= 0, cu == -1, cv == -2
+    inner, cross = np.flatnonzero(free_u & free_v), np.flatnonzero(from_s & to_t)
+    into, out = np.flatnonzero(from_s & free_v), np.flatnonzero(free_u & to_t)
+    ends = ((into, cv[into]), (out, cu[out]))
+    extra = [np.bincount(e, cap[k], m) for k, e in ends]
+    own = net.source_caps[free], net.sink_caps[free]
+    free_net = _prechecked(m, own[0] + extra[0], own[1] + extra[1],
+                           cu[inner], cv[inner], cap[inner])
+
+    def lift(state: FlowState) -> np.ndarray:
+        z = np.zeros(len(cap))
+        z[inner] = state.z_arc
+        z[cross] = cap[cross]
+        for (k, e), add, z_free, c in zip(
+                ends, extra, (state.z_source, state.z_sink), own):
+            share = np.divide(z_free - c, add, out=np.zeros(m),
+                              where=(add > 0) & (z_free > c))
+            z[k] = cap[k] * share[e]
+        return z
+
+    return side, free_net, lift
 
 
 def _residual_reach(net: FlowNetwork, state: FlowState):

@@ -117,8 +117,8 @@ class ProxProblem:
 
     a is the prox center; edges carry nonnegative fusion weights w_ij;
     ``penalties`` maps node index -> PiecewiseLinearPenalty (sparse).  a
-    must be 1-D, the three edge arrays of equal length, and a, the weights
-    and lam finite.
+    must be 1-D, the three edge arrays of equal length, a, the weights and
+    lam finite, and every penalty key a node index.
     """
 
     a: np.ndarray
@@ -150,6 +150,13 @@ class ProxProblem:
             raise DimensionMismatch("edge weights must be finite and nonnegative")
         if not 0 <= self.lam < np.inf:
             raise DimensionMismatch("lambda must be finite and nonnegative")
+        for i, pen in self.penalties.items():
+            if not isinstance(i, (int, np.integer)) or not 0 <= i < n:
+                raise DimensionMismatch(f"penalty key {i!r} is not a node in [0, {n})")
+            if not isinstance(pen, PiecewiseLinearPenalty):
+                raise NonConvexPenalty(f"penalty of node {i} is a "
+                                       f"{type(pen).__name__}, not a "
+                                       "PiecewiseLinearPenalty")
         # normalize to u < v
         flip = self.edge_u > self.edge_v
         if np.any(flip):

@@ -74,6 +74,14 @@ def _check_weights(weights, n: int) -> np.ndarray:
     return w
 
 
+def _check_beta(beta) -> float:
+    """beta as a float; raises DimensionMismatch unless it is finite."""
+    beta = float(beta)
+    if not np.isfinite(beta):
+        raise DimensionMismatch(f"beta must be finite, not {beta}")
+    return beta
+
+
 @dataclass
 class EnergyTable:
     """Unary/pairwise energy tables over binary labels.
@@ -150,8 +158,9 @@ class QuadraticBinaryProblem:
         self.edge_u = np.asarray(self.edge_u, dtype=np.int64)
         self.edge_v = np.asarray(self.edge_v, dtype=np.int64)
         self.edge_q = np.asarray(self.edge_q, dtype=np.float64)
-        if not (len(self.edge_u) == len(self.edge_v) == len(self.edge_q)):
-            raise DimensionMismatch("edge arrays must have equal length")
+        edges = (self.edge_u, self.edge_v, self.edge_q)
+        if any(e.ndim != 1 for e in edges) or len({len(e) for e in edges}) > 1:
+            raise DimensionMismatch("edge arrays must be 1-D of equal length")
         if np.any(self.edge_u >= self.edge_v):
             raise DimensionMismatch("edges must be stored with u < v")
         if len(self.edge_u) and (self.edge_u.min() < 0 or self.edge_v.max() >= self.n):
@@ -262,6 +271,7 @@ def to_cut_graph(problem: QuadraticBinaryProblem, beta: float = 0.0,
     ``sink_caps.sum()``.
     """
     w = _check_weights(weights, problem.n)
+    beta = _check_beta(beta)
     u, v, q, tie = problem.edge_u, problem.edge_v, problem.edge_q, problem.ties
     half = 0.5 * q[~tie]
     a = np.bincount(np.r_[u[~tie], v[~tie]], np.r_[half, half], problem.n)
@@ -275,6 +285,7 @@ def evaluate(problem: QuadraticBinaryProblem, S, beta: float = 0.0,
              weights=None) -> float:
     """f(S) - beta * w(S).  Returns +inf if S splits a hard tie."""
     w = _check_weights(weights, problem.n)
+    beta = _check_beta(beta)
     mask = np.zeros(problem.n, dtype=bool)
     idx = np.fromiter(S, dtype=np.int64) if not isinstance(S, np.ndarray) else S
     if len(idx):

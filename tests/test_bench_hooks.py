@@ -21,6 +21,7 @@ from graphprox import _engine, maxflow
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 def grid_problem(side=24, lam=0.5, seed=0):
@@ -64,6 +65,19 @@ def test_fista_records_regression_prox(tracer):
                                    eu, eu + 1, np.ones(5), 1.0)
     gp.fista_fit(problem, tol=0.0, max_iter=1)
     assert any(s[2] == "regression.prox" for s in tracer.spans)
+
+
+def test_fista500_records_every_required_span(tracer):
+    # most fista500 block nodes are fixed before the max-flow, and many
+    # blocks need no flow at all; the traced fit must still reach every
+    # span the benchmark requires (solve_metrics raises where one is
+    # missing)
+    inst = workloads.generate("fista500", 7)
+    obj = workloads.build("fista500", inst)
+    with tracer.span("solve") as root:
+        out = workloads.solve("fista500", inst, obj, tracer.span)
+    metrics = tracing.solve_metrics("fista500", tracer, root, out)
+    assert 0 < metrics["engine.flow_calls"]
 
 
 def test_uninstall_restores_the_library():

@@ -28,6 +28,21 @@ def flow_calls(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def block_sizes(monkeypatch):
+    """Node counts of every block network the engine builds, before the
+    nodes whose side every minimum cut agrees on are fixed."""
+    sizes = []
+    inner = engine.fix_sides
+
+    def counted(net):
+        sizes.append(net.n)
+        return inner(net)
+
+    monkeypatch.setattr(engine, "fix_sides", counted)
+    return sizes
+
+
 def chain_prox(n=500, segments=10, seed=5):
     rng = np.random.default_rng(seed)
     cuts = np.sort(rng.choice(np.arange(1, n), segments - 1, replace=False))
@@ -69,6 +84,16 @@ class TestBatching:
         problem = chain_prox()
         assert certificate(problem, prox(problem)) <= 1e-7
 
+    def test_weak_chain_fixes_most_nodes(self, block_sizes, flow_calls):
+        # with a small lambda nearly every node's unary outweighs its
+        # arcs, so its side is fixed before the max-flow
+        p = chain_prox()
+        problem = ProxProblem(p.a, p.edge_u, p.edge_v, p.edge_w, 0.01)
+        u = prox(problem)
+        assert sum(flow_calls) <= 0.05 * sum(block_sizes)
+        assert max(flow_calls) <= 25
+        assert certificate(problem, u) <= 1e-7
+
     def test_mixed_block_sizes(self, flow_calls):
         # a strongly fused 350-node chain at level ~3 among 150 weakly
         # coupled pairs on both sides: depths mix one block over the
@@ -96,7 +121,7 @@ class TestBatching:
         assert np.ptp(auto.levels[:big]) == 0.0  # the chain stays fused
         assert certificate(problem, auto.levels[:problem.n]) <= 1e-7
 
-    def test_interleaved_large_blocks(self, flow_calls):
+    def test_interleaved_large_blocks(self, block_sizes, flow_calls):
         # two 350-node chains, one on the even and one on the odd nodes:
         # their edges interleave in problem order, and each chain is over
         # the 300-node threshold, so it is cut alone from its own slice
@@ -108,7 +133,10 @@ class TestBatching:
                               0.4)
         b = build_prox_qbm(problem)
         auto = engine.solve_parametric(b.qbm)
-        assert flow_calls[:2] == [350, 350]
+        assert block_sizes[:2] == [350, 350]
+        # most chain nodes are fixed, so each chain's free network goes
+        # to the float backend
+        assert flow_calls[:2] == [67, 71]
         ref = engine.solve_parametric(b.qbm, method="float")
         np.testing.assert_allclose(auto.levels, ref.levels, rtol=1e-9,
                                    atol=1e-9)
@@ -147,7 +175,7 @@ class TestWeightsAtOneDepth:
 
 
 class TestAnchorsAtPivot:
-    def test_batched_second_solve(self, flow_calls):
+    def test_batched_second_solve(self, block_sizes, flow_calls):
         # node 0: |u| anchor at 0 with a = -1; node 1: |u - 2| anchor at 2
         # with a = 1.5.  The root splits at the anchor mean 1; each half
         # then pivots exactly at its own anchor, cuts trivially, and needs
@@ -160,7 +188,9 @@ class TestAnchorsAtPivot:
                                          penalties=pens)
         u = prox(problem)
         assert u == pytest.approx([-0.9, 1.6], abs=1e-12)
-        assert len(flow_calls) == 2
+        assert len(block_sizes) == 2
+        # every node of both networks is fixed: no flow is needed
+        assert flow_calls == []
 
 
 class TestAnchoredHarvest:

@@ -7,6 +7,7 @@ import pytest
 
 from graphprox import (DimensionMismatch, FlowNetwork, FlowState, StaleFlow,
                        check_flow, max_flow, min_cut, to_cut_graph)
+from graphprox.maxflow import fix_sides
 from conftest import random_submodular
 
 
@@ -82,6 +83,8 @@ class TestMaxFlow:
         ([-1], [1], [1.0]),            # tail out of range
         ([0, 1], [1], [1.0]),          # arc arrays of unequal length
         ([0], [1], [1.0, 2.0]),
+        ([[0]], [[1]], [[1.0]]),       # 2-D arc arrays of equal length
+        ([0], [1], [[1.0]]),
         ([0], [1], [np.nan]),          # NaN arc capacity
         ([0], [1], [-1.0]),
     ])
@@ -435,6 +438,134 @@ class TestInfiniteCapacities:
             assert s_min == frozenset.intersection(*sets)
             assert s_max == frozenset.union(*sets)
         assert finite >= 40
+
+
+def quarter_network(rng, n):
+    """Quarter-integer capacities, so that exact ties occur, with zero and
+    parallel arcs, infinite arcs, and nodes pinned to one terminal; a
+    share of the nodes gets terminal arcs large enough to be fixed."""
+    m = int(rng.integers(0, 2 * n + 1))
+    au, av = rng.integers(0, n, m), rng.integers(0, n, m)
+    au, av = au[au != av], av[au != av]
+    dup = rng.random(len(au)) < 0.3                      # parallel arcs
+    au, av = np.concatenate([au, au[dup]]), np.concatenate([av, av[dup]])
+    cap = rng.integers(0, 9, len(au)) / 4.0
+    cap[rng.random(len(au)) < 0.1] = np.inf
+    src = rng.integers(0, 25, n) / 4.0 * (rng.random(n) < 0.7)
+    snk = rng.integers(0, 25, n) / 4.0 * (rng.random(n) < 0.7)
+    pin = rng.random(n)
+    src[pin < 0.1] = np.inf
+    snk[pin > 0.9] = np.inf
+    return FlowNetwork(n, src, snk, au, av, cap)
+
+
+def all_cuts(net):
+    """(capacity, sink-side mask) of each of the 2^n cuts."""
+    n = net.n
+    sink = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    value = (np.where(sink, net.source_caps, 0.0).sum(1)
+             + np.where(sink, 0.0, net.sink_caps).sum(1)
+             + np.where(~sink[:, net.arc_u] & sink[:, net.arc_v],
+                        net.arc_cap, 0.0).sum(1))
+    return value, sink
+
+
+def with_terminal_flows(net, z_arc):
+    """The flow of ``net`` that carries ``z_arc`` and sends as much as its
+    terminal arcs allow straight from s through each node to t: a maximum
+    flow whenever some terminal flows make ``z_arc`` one."""
+    x = np.bincount(net.arc_u, z_arc, net.n) - np.bincount(net.arc_v, z_arc, net.n)
+    z_src = np.minimum(net.source_caps, net.sink_caps + x)
+    return FlowState(z_src, z_src - x, z_arc, float(z_src.sum()))
+
+
+def reduced_cut(net, method="float"):
+    """(side, lifted arc flows, extreme cuts) of ``net`` solved as
+    ``_engine._block_cut`` solves it: max-flow and cut on the free nodes,
+    the fixed ones on their side."""
+    side, sub, lift = fix_sides(net)
+    fixed_low = set(np.flatnonzero(side < 0).tolist())
+    if not sub.n:
+        return side, lift(FlowState(np.zeros(0), np.zeros(0), np.zeros(0), 0.0)), \
+            (fixed_low, fixed_low)
+    state = max_flow(sub, method)
+    free = np.flatnonzero(side == 0)
+    cuts = tuple(fixed_low | set(free[sorted(c)].tolist())
+                 for c in min_cut(sub, state))
+    return side, lift(state), cuts
+
+
+class TestFixedSides:
+    def test_fixed_nodes_lie_on_their_side_of_every_minimum_cut(self, rng):
+        fixed = free = 0
+        for _ in range(300):
+            net = quarter_network(rng, int(rng.integers(1, 11)))
+            try:
+                whole = min_cut(net, max_flow(net, "float"))
+            except DimensionMismatch:   # no finite cut, or a double pin
+                continue
+            side, z_arc, cuts = reduced_cut(net)
+            value, sink = all_cuts(net)
+            near = sink[value <= value.min() + 1e-9]
+            assert not near[:, side > 0].any()
+            assert near[:, side < 0].all()
+            # a node with an infinite out-arc is never fixed to the source
+            assert not np.any(side[net.arc_u[np.isinf(net.arc_cap)]] > 0)
+            lifted = with_terminal_flows(net, z_arc)
+            assert check_flow(net, lifted) == []
+            assert min_cut(net, lifted) == whole
+            assert cuts == whole
+            fixed += int(np.count_nonzero(side))
+            free += int(np.count_nonzero(side == 0))
+        assert fixed > 300 and free > 300
+
+    def test_nothing_fixed_returns_the_network(self):
+        net = FlowNetwork(2, [1.0, 0.0], [0.0, 1.0], [0, 1], [1, 0], [2.0, 2.0])
+        side, sub, lift = fix_sides(net)
+        assert sub is net and not side.any()
+
+    def test_exact_tie_stays_free(self):
+        # moving either node across a minimum cut keeps its capacity
+        net = FlowNetwork(2, [2, 0], [0, 2], [0], [1], [2.0])
+        side, _, cuts = reduced_cut(net)
+        assert side.tolist() == [0, 0]
+        assert cuts == (set(), {0, 1})
+
+    def test_rounding_tie_stays_free(self):
+        # 0.1 + 0.2 exceeds the out-arc 0.3 by one rounding error, which
+        # is within the saturation tolerance
+        net = FlowNetwork(2, [0.1 + 0.2, 0.0], [0.0, 0.3], [0], [1], [0.3])
+        side, _, cuts = reduced_cut(net)
+        assert side.tolist() == [0, 0]
+        assert cuts == (set(), {0, 1})
+
+    def test_excess_split_by_capacity(self):
+        # nodes 0 and 1 are fixed to the source side; the free node 2
+        # passes 3 of their 1 + 3 on to the sink, a quarter on arc 0, and
+        # its sink arc is the cheaper cut
+        net = FlowNetwork(3, [10.0, 10.0, 0.0], [0.0, 0.0, 3.0], [0, 1], [2, 2],
+                          [1.0, 3.0])
+        side, z_arc, cuts = reduced_cut(net)
+        assert side.tolist() == [1, 1, 0]
+        assert z_arc.tolist() == [0.75, 2.25]
+        assert cuts == (set(), set())
+        assert check_flow(net, with_terminal_flows(net, z_arc)) == []
+
+    def test_source_to_sink_arc_saturated(self):
+        net = FlowNetwork(2, [5.0, 0.0], [0.0, 5.0], [0, 1], [1, 0], [2.0, 1.0])
+        side, z_arc, cuts = reduced_cut(net)
+        assert side.tolist() == [1, -1]
+        assert z_arc.tolist() == [2.0, 0.0]
+        assert cuts == ({1}, {1})
+        assert check_flow(net, with_terminal_flows(net, z_arc)) == []
+
+    def test_double_pin_stays_free(self):
+        inf = np.inf
+        net = FlowNetwork(2, [inf, 3.0], [inf, 0.0], [1], [0], [1.0])
+        side, sub, _ = fix_sides(net)
+        assert side.tolist() == [0, 1]
+        with pytest.raises(DimensionMismatch):
+            max_flow(sub)
 
 
 class TestCutGraphIntegration:

@@ -129,6 +129,23 @@ class TestProxProblemInput:
         with pytest.raises(DimensionMismatch, match=match):
             ProxProblem(*args)
 
+    @pytest.mark.parametrize("key", [5, 2, -1, 1.0, "0"])
+    def test_penalty_key_must_be_a_node(self, key):
+        # 5 used to raise a bare IndexError in the build, -1 a numpy
+        # ValueError
+        with pytest.raises(DimensionMismatch, match="penalty key"):
+            ProxProblem([1.0, 2.0], penalties={key: ABS})
+
+    @pytest.mark.parametrize("pen", [3, None, (-1.0, 1.0)])
+    def test_penalty_must_be_piecewise_linear(self, pen):
+        # 3 used to raise an AttributeError in the build
+        with pytest.raises(NonConvexPenalty, match="PiecewiseLinearPenalty"):
+            ProxProblem([1.0, 2.0], penalties={0: pen})
+
+    def test_numpy_integer_penalty_key_accepted(self):
+        problem = ProxProblem([1.0, 2.0], penalties={np.int64(1): ABS})
+        assert prox(problem) == pytest.approx([1.0, 1.5])
+
 
 class TestBuildProxQbm:
     def test_lambda_zero_decouples(self):

@@ -127,6 +127,14 @@ class TestFromEnergies:
         with pytest.raises(DimensionMismatch):
             QuadraticBinaryProblem.from_parts(diag, {(0, 1): q})
 
+    @pytest.mark.parametrize("edges", [([[0]], [[1]], [[-1.0]]),
+                                       ([0], [1], [[-1.0]]),
+                                       ([[0]], [1], [-1.0])])
+    def test_constructor_rejects_edge_arrays_not_1d(self, edges):
+        # 2-D edge arrays used to pass and fail later inside numpy
+        with pytest.raises(DimensionMismatch, match="1-D"):
+            QuadraticBinaryProblem(2, [1.0, 2.0], *edges)
+
     def test_constructor_rejects_positive_coupling(self):
         with pytest.raises(NonSubmodularEnergy):
             QuadraticBinaryProblem.from_parts([0.0, 0.0], {(0, 1): 0.5})
@@ -187,6 +195,17 @@ class TestToCutGraph:
         from graphprox import DimensionMismatch
         with pytest.raises(DimensionMismatch):
             to_cut_graph(prob, 0.0, [1.0])
+
+
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+def test_non_finite_beta_rejected(beta):
+    # NaN used to be blamed on the capacities by to_cut_graph, and
+    # evaluate returned nan, or -inf for beta = inf
+    prob = QuadraticBinaryProblem.from_parts([1.0, -1.0], {(0, 1): -1.0})
+    with pytest.raises(DimensionMismatch, match="beta"):
+        to_cut_graph(prob, beta)
+    with pytest.raises(DimensionMismatch, match="beta"):
+        evaluate(prob, {0}, beta)
 
 
 class TestEvaluate:
