@@ -27,11 +27,9 @@ blocks get one network each (a union of large blocks makes every phase of
 scipy's max-flow sweep the whole union, which is slower than solving them
 apart).  Anchors sitting exactly at their block's pivot need a second
 solve, batched the same way, in which each block's anchors are one free
-node.  Before the max-flow, ``maxflow.fix_sides`` fixes every node whose
-unary outweighs all its arcs, since every minimum cut holds it on the
-side its unary picks; only the nodes left go to ``max_flow`` and
-``min_cut``, and none at all when every node is fixed (on a chain-fused
-prox that is nearly every node).
+node.  ``maxflow.fix_sides`` first fixes every node whose unary outweighs
+all its arcs, so only the nodes left go to ``max_flow`` and ``min_cut``
+(on a chain-fused prox, nearly none).
 
 Each depth cuts its blocks on the residual network of the pseudoflow
 alpha that the depths above it left, as parametric max-flow reuses flow
@@ -137,9 +135,11 @@ def _block_cut(problem: QuadraticBinaryProblem, cap, nodes, edges, g, unary,
                    np.maximum(unary, 0.0))
     snk = np.where(np.bincount(local, inf_snk, m) > 0, np.inf,
                    np.maximum(-unary, 0.0))
-    net = FlowNetwork(m, src, snk, np.concatenate([lu, lv]),
-                      np.concatenate([lv, lu]), np.concatenate([fwd, bwd]))
-    side, sub, lift = fix_sides(net)
+    side, sub, lift = fix_sides(FlowNetwork(
+        m, src, snk, np.concatenate([lu, lv]), np.concatenate([lv, lu]),
+        np.concatenate([fwd, bwd])))
+    # the solve needs only sub and lift: free the block network's parts
+    del loc, lu, lv, half, inner, fwd, bwd, unary, src, snk
     cuts = np.repeat(side[None] < 0, 2, axis=0)
     state = FlowState(np.zeros(0), np.zeros(0), np.zeros(0), 0.0)
     if sub.n:

@@ -28,9 +28,8 @@ optimal set T satisfies S_min <= T <= S_max.
 ``min_cut`` runs it on every flow it is given and raises ``StaleFlow``
 with those messages, or when an augmenting path is left.
 
-``fix_sides`` finds, in one O(m) pass, the nodes that lie on the same side
-of every minimum cut, returns the network on the nodes left, and lifts a
-maximum flow of that network back to one of the whole network.
+``fix_sides`` fixes, in one O(m) pass, the nodes every minimum cut agrees
+on, and lifts a maximum flow of the network left to the whole network.
 """
 
 from __future__ import annotations
@@ -97,8 +96,7 @@ class FlowNetwork:
 
 
 def _prechecked(n, source_caps, sink_caps, arc_u, arc_v, arc_cap):
-    """A FlowNetwork of arrays derived from a checked one, built without
-    running the checks again."""
+    """A FlowNetwork of arrays derived from checked ones, unchecked."""
     net = object.__new__(FlowNetwork)
     net.n, net.source_caps, net.sink_caps = n, source_caps, sink_caps
     net.arc_u, net.arc_v, net.arc_cap = arc_u, arc_v, arc_cap
@@ -384,28 +382,25 @@ def max_flow(net: FlowNetwork, method: str = "auto") -> FlowState:
 
 def fix_sides(net: FlowNetwork):
     """``(side, free_net, lift)``: the nodes whose side every minimum cut
-    of ``net`` agrees on, the network on the other nodes, and a lift of
-    its flows.
+    of ``net`` agrees on, the network on the others, and a lift of flows.
 
     side[i] is +1 (-1) for a node on the source (sink) side of every
     minimum cut, else 0.  A node whose source arc exceeds its sink arc by
     more than its out-arcs carry plus ``net.tol()`` lowers any cut that
-    holds it on the sink side when moved across, so no minimum cut does;
-    the sink side is the mirror image (Hammer, Hansen and Simeone, 1984).
-    One pass, no fixpoint; a node pinned to both terminals stays free.
+    holds it on the sink side when moved across; the sink side mirrors
+    this (Hammer, Hansen and Simeone, 1984).  One pass, no fixpoint; a
+    node pinned to both terminals stays free.
 
-    ``free_net`` holds the free nodes in order (it is ``net`` when none is
-    fixed).  An arc from a source-fixed node adds to its head's source
-    arc, one into a sink-fixed node to its tail's sink arc, and every
-    other arc touching a fixed node drops out.
-
-    ``lift(state)`` gives the arc flows of a maximum flow of ``net`` from
-    a maximum flow of ``free_net``: arcs from source- to sink-fixed nodes
-    are saturated; the arcs into a free node v from source-fixed nodes
-    share, by capacity, what v's source arc carried beyond
-    ``source_caps[v]``, and its arcs into sink-fixed nodes its sink
-    excess; other arcs touching a fixed node carry 0.  The margin that
-    fixed a node leaves its terminal arcs room to balance it.
+    ``free_net`` holds the free nodes in order (``net`` when none is
+    fixed): an arc from a source-fixed node adds to its head's source arc,
+    one into a sink-fixed node to its tail's sink arc, and every other arc
+    touching a fixed node drops out.  ``lift(state)`` turns a maximum flow
+    of ``free_net`` into the arc flows of one of ``net``: arcs from source-
+    to sink-fixed nodes are saturated, the arcs that fed a free node's
+    terminal arc share what it carried beyond the node's own capacity in
+    proportion to their capacity, and other arcs touching a fixed node
+    carry 0.  The margin that fixed a node leaves its terminal arcs room
+    to balance it.
     """
     n, u, v, cap = net.n, net.arc_u, net.arc_v, net.arc_cap
     tol = net.tol()
@@ -423,23 +418,29 @@ def fix_sides(net: FlowNetwork):
     code[side < 0] = -2
     cu, cv = code.take(u), code.take(v)
     free_u, free_v, from_s, to_t = cu >= 0, cv >= 0, cu == -1, cv == -2
-    inner, cross = np.flatnonzero(free_u & free_v), np.flatnonzero(from_s & to_t)
+    both, cross = free_u & free_v, np.flatnonzero(from_s & to_t)
     into, out = np.flatnonzero(from_s & free_v), np.flatnonzero(free_u & to_t)
-    ends = ((into, cv[into]), (out, cu[out]))
-    extra = [np.bincount(e, cap[k], m) for k, e in ends]
-    own = net.source_caps[free], net.sink_caps[free]
-    free_net = _prechecked(m, own[0] + extra[0], own[1] + extra[1],
-                           cu[inner], cv[inner], cap[inner])
+    terms, shares = [], []
+    for k, e, caps in ((into, cv[into], net.source_caps),
+                       (out, cu[out], net.sink_caps)):
+        own, add = caps[free], np.bincount(e, cap[k], m)
+        terms.append(own + add)
+        # each arc's share of its free end's terminal excess
+        ratio = np.divide(cap[k], add[e], out=np.zeros(len(k)),
+                          where=add[e] > 0)
+        shares.append((k, e, ratio, own[e]))
+    inner = np.flatnonzero(both)
+    free_net = _prechecked(m, *terms, cu[inner], cv[inner], cap[inner])
+    # the lift keeps no array of the size of net: the solve runs meanwhile
+    n_arcs, cross_cap = len(cap), cap[cross]
 
     def lift(state: FlowState) -> np.ndarray:
-        z = np.zeros(len(cap))
-        z[inner] = state.z_arc
-        z[cross] = cap[cross]
-        for (k, e), add, z_free, c in zip(
-                ends, extra, (state.z_source, state.z_sink), own):
-            share = np.divide(z_free - c, add, out=np.zeros(m),
-                              where=(add > 0) & (z_free > c))
-            z[k] = cap[k] * share[e]
+        z = np.zeros(n_arcs)
+        z[both] = state.z_arc
+        z[cross] = cross_cap
+        for (k, e, ratio, own_e), z_free in zip(
+                shares, (state.z_source, state.z_sink)):
+            z[k] = ratio * np.maximum(z_free[e] - own_e, 0.0)
         return z
 
     return side, free_net, lift

@@ -150,6 +150,7 @@ class ProxProblem:
             raise DimensionMismatch("edge weights must be finite and nonnegative")
         if not 0 <= self.lam < np.inf:
             raise DimensionMismatch("lambda must be finite and nonnegative")
+        self.penalties = dict(self.penalties or {})
         for i, pen in self.penalties.items():
             if not isinstance(i, (int, np.integer)) or not 0 <= i < n:
                 raise DimensionMismatch(f"penalty key {i!r} is not a node in [0, {n})")
@@ -184,6 +185,7 @@ class ProxProblem:
         """sum_i xi_i(u_i) + sum_ij w_ij |u_i - u_j| (no lambda factor)."""
         u = np.asarray(u, dtype=np.float64)
         val = float(np.sum(self.edge_w * np.abs(u[self.edge_u] - u[self.edge_v])))
+        self.penalties = dict(self.penalties or {})
         for i, pen in self.penalties.items():
             val += pen.value(float(u[i]))
         return val

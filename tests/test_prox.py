@@ -146,6 +146,12 @@ class TestProxProblemInput:
         problem = ProxProblem([1.0, 2.0], penalties={np.int64(1): ABS})
         assert prox(problem) == pytest.approx([1.0, 1.5])
 
+    def test_no_penalties_given_as_none(self):
+        # as from_edges takes it; None used to fail inside prox
+        problem = ProxProblem([1.0, 2.0], penalties=None)
+        assert problem.penalties == {}
+        assert prox(problem) == pytest.approx([1.0, 2.0])
+
 
 class TestBuildProxQbm:
     def test_lambda_zero_decouples(self):
