@@ -388,8 +388,9 @@ def fix_sides(net: FlowNetwork):
     minimum cut, else 0.  A node whose source arc exceeds its sink arc by
     more than its out-arcs carry plus ``net.tol()`` lowers any cut that
     holds it on the sink side when moved across; the sink side mirrors
-    this (Hammer, Hansen and Simeone, 1984).  One pass, no fixpoint; a
-    node pinned to both terminals stays free.
+    this (Hammer, Hansen and Simeone, 1984).  One pass, no fixpoint.  A
+    node pinned to both terminals stays free, and one with an infinite
+    out-arc (in-arc) is never fixed to the source (sink) side.
 
     ``free_net`` holds the free nodes in order (``net`` when none is
     fixed): an arc from a source-fixed node adds to its head's source arc,
@@ -403,11 +404,9 @@ def fix_sides(net: FlowNetwork):
     to balance it.
     """
     n, u, v, cap = net.n, net.arc_u, net.arc_v, net.arc_cap
-    tol = net.tol()
-    with np.errstate(invalid="ignore"):
-        lead = net.source_caps - net.sink_caps
-    side = (lead > np.bincount(u, cap, n) + tol).astype(np.int8)
-    side[-lead > np.bincount(v, cap, n) + tol] = -1
+    src, snk, tol = net.source_caps, net.sink_caps, net.tol()
+    side = (src > snk + np.bincount(u, cap, n) + tol).astype(np.int8)
+    side[snk > src + np.bincount(v, cap, n) + tol] = -1
     if not side.any():
         return side, net, lambda state: state.z_arc
     free = side == 0
@@ -421,13 +420,12 @@ def fix_sides(net: FlowNetwork):
     both, cross = free_u & free_v, np.flatnonzero(from_s & to_t)
     into, out = np.flatnonzero(from_s & free_v), np.flatnonzero(free_u & to_t)
     terms, shares = [], []
-    for k, e, caps in ((into, cv[into], net.source_caps),
-                       (out, cu[out], net.sink_caps)):
-        own, add = caps[free], np.bincount(e, cap[k], m)
+    for k, e, caps in ((into, cv[into], src), (out, cu[out], snk)):
+        own, cap_k = caps[free], cap[k]
+        add = np.bincount(e, cap_k, m)
         terms.append(own + add)
         # each arc's share of its free end's terminal excess
-        ratio = np.divide(cap[k], add[e], out=np.zeros(len(k)),
-                          where=add[e] > 0)
+        ratio = np.divide(cap_k, add[e], out=np.zeros(len(k)), where=cap_k > 0)
         shares.append((k, e, ratio, own[e]))
     inner = np.flatnonzero(both)
     free_net = _prechecked(m, *terms, cu[inner], cv[inner], cap[inner])

@@ -185,7 +185,6 @@ class ProxProblem:
         """sum_i xi_i(u_i) + sum_ij w_ij |u_i - u_j| (no lambda factor)."""
         u = np.asarray(u, dtype=np.float64)
         val = float(np.sum(self.edge_w * np.abs(u[self.edge_u] - u[self.edge_v])))
-        self.penalties = dict(self.penalties or {})
         for i, pen in self.penalties.items():
             val += pen.value(float(u[i]))
         return val
