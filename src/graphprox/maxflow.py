@@ -429,7 +429,7 @@ def fix_sides(net: FlowNetwork):
         shares.append((k, e, ratio, own[e]))
     inner = np.flatnonzero(both)
     free_net = _prechecked(m, *terms, cu[inner], cv[inner], cap[inner])
-    # the lift keeps no array of the size of net: the solve runs meanwhile
+    # the solve runs while lift lives: it keeps no arc-sized array but a mask
     n_arcs, cross_cap = len(cap), cap[cross]
 
     def lift(state: FlowState) -> np.ndarray:
