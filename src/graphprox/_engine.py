@@ -104,6 +104,34 @@ class ParametricSolution:
         return np.unique(f[np.isfinite(f)])
 
 
+def _components(L: int, lu, lv) -> np.ndarray:
+    """Connected-component label of each of the nodes 0..L-1 joined by the
+    edges ``lu[k] -- lv[k]``, numbered 0..C-1 by each component's smallest
+    node, as scipy's ``connected_components`` numbers them.
+
+    Min-label hooking with pointer jumping (Shiloach and Vishkin, J.
+    Algorithms 1982): every label points at a node no larger than itself.
+    Each round hooks the larger root of every edge whose ends still differ
+    onto the smaller one, then jumps pointers until each label is a root;
+    edges whose ends share a root are dropped for good.  When no edge is
+    left, each component's root is its smallest node.
+    """
+    label = np.arange(L)
+    while True:
+        a, b = label[lu], label[lv]
+        live = a != b
+        if not live.any():
+            break
+        lu, lv, a, b = lu[live], lv[live], a[live], b[live]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+    return (np.cumsum(label == np.arange(L)) - 1)[label]
+
+
 def _block_cut(problem: QuadraticBinaryProblem, cap, nodes, edges, g, unary,
                inf_src, inf_snk, local, method: str = "auto"):
     """Extreme sink-side minimum cuts of the blocks made of ``nodes``
@@ -166,9 +194,6 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         exactly there regardless of flow (infinite-weight limit).
     method : flow solver backend passed through to max_flow.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     n = problem.n
     w = _check_weights(weights, n)
     if anchor_mask is None:
@@ -205,9 +230,7 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         L = len(nodes)
         loc[nodes] = np.arange(L)
         lu = loc[eu[edges]]
-        graph = coo_matrix((np.ones(len(edges)), (lu, loc[ev[edges]])),
-                           shape=(L, L))
-        label = connected_components(graph, directed=False)[1]
+        label = _components(L, lu, loc[ev[edges]])
         elabel = label[lu]
         order = np.argsort(label, kind="stable")
         eorder = np.argsort(elabel, kind="stable")

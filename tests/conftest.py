@@ -44,6 +44,18 @@ def random_prox_problem(rng, n, with_penalties=False, density=None):
                                   penalties=pens)
 
 
+def chain_prox(n=500, segments=10, seed=5, lam=0.3):
+    """A noisy piecewise-constant signal on a chain: the prox of a
+    chain-fused regression step."""
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.choice(np.arange(1, n), segments - 1, replace=False))
+    truth = np.repeat(rng.normal(0, 2, segments),
+                      np.diff(np.concatenate([[0], cuts, [n]])))
+    eu = np.arange(n - 1)
+    return ProxProblem(truth + rng.normal(0, 0.5, n), eu, eu + 1,
+                       np.ones(n - 1), lam)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

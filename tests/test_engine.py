@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import graphprox._engine as engine
-from conftest import random_prox_problem, random_submodular
+from conftest import chain_prox, random_prox_problem, random_submodular
 from graphprox import (PiecewiseLinearPenalty, ProxProblem,
                        QuadraticBinaryProblem, build_prox_qbm, certificate,
                        evaluate, prox, reductions, solve_weighted)
@@ -43,16 +43,6 @@ def block_sizes(monkeypatch):
     return sizes
 
 
-def chain_prox(n=500, segments=10, seed=5):
-    rng = np.random.default_rng(seed)
-    cuts = np.sort(rng.choice(np.arange(1, n), segments - 1, replace=False))
-    truth = np.repeat(rng.normal(0, 2, segments),
-                      np.diff(np.concatenate([[0], cuts, [n]])))
-    eu = np.arange(n - 1)
-    return ProxProblem(truth + rng.normal(0, 0.5, n), eu, eu + 1,
-                       np.ones(n - 1), 0.3)
-
-
 class TestBatching:
     def test_chain_flow_calls_per_depth(self, flow_calls):
         # ~500 blocks, but only a few recursion depths
@@ -87,8 +77,7 @@ class TestBatching:
     def test_weak_chain_fixes_most_nodes(self, block_sizes, flow_calls):
         # with a small lambda nearly every node's unary outweighs its
         # arcs, so its side is fixed before the max-flow
-        p = chain_prox()
-        problem = ProxProblem(p.a, p.edge_u, p.edge_v, p.edge_w, 0.01)
+        problem = chain_prox(lam=0.01)
         u = prox(problem)
         assert sum(flow_calls) <= 0.05 * sum(block_sizes)
         assert max(flow_calls) <= 25
@@ -342,6 +331,67 @@ class TestComponents:
             for S, want in ((sol.u1(beta), memb[opt].all(axis=0)),
                             (sol.u2(beta), memb[opt].any(axis=0))):
                 assert S == set(np.flatnonzero(want).tolist())
+
+
+def scipy_labels(L, lu, lv):
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    graph = coo_matrix((np.ones(len(lu)), (lu, lv)), shape=(L, L))
+    return connected_components(graph, directed=False)[1]
+
+
+def permuted_grid(rng, side):
+    idx = rng.permutation(side * side).reshape(side, side)
+    return (np.concatenate([idx[:, :-1].ravel(), idx[:-1].ravel()]),
+            np.concatenate([idx[:, 1:].ravel(), idx[1:].ravel()]))
+
+
+class TestComponentLabels:
+    """``_engine._components`` numbers blocks exactly as scipy's
+    ``connected_components`` does, by each component's smallest node."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_multigraphs(self, seed):
+        # sparse enough to leave isolated nodes and many components; the
+        # first pairs come again, some reversed
+        rng = np.random.default_rng(seed)
+        L = int(rng.integers(2, 80))
+        m = int(rng.integers(1, L + 1))
+        lu, lv = rng.integers(0, L, m), rng.integers(0, L, m)
+        keep = lu != lv
+        lu, lv = lu[keep], lv[keep]
+        k = len(lu) // 3
+        lu, lv = (np.concatenate([lu, lu[:k], lv[k:2 * k]]),
+                  np.concatenate([lv, lv[:k], lu[k:2 * k]]))
+        labels = engine._components(L, lu, lv)
+        assert np.array_equal(labels, scipy_labels(L, lu, lv))
+
+    @pytest.mark.parametrize("L", [0, 1, 7])
+    def test_no_edges(self, L):
+        none = np.zeros(0, dtype=np.int64)
+        assert np.array_equal(engine._components(L, none, none), np.arange(L))
+
+    def test_numbered_by_smallest_node(self):
+        # components {0, 4}, {1}, {2, 3, 5} and {6, 7}: the root 6 of the
+        # last is numbered 3
+        lu, lv = np.array([4, 5, 3, 7]), np.array([0, 2, 5, 6])
+        assert engine._components(8, lu, lv).tolist() == [0, 1, 2, 2, 0, 2,
+                                                          3, 3]
+
+    def test_adversarial_orders(self):
+        # a permuted path, a permuted grid, and a star whose centre is the
+        # largest id: orders that make naive label propagation slow
+        rng = np.random.default_rng(5)
+        n = 100_000
+        p = rng.permutation(n)
+        star = 1000
+        cases = [(n, p[:-1], p[1:]),
+                 (300 * 300, *permuted_grid(rng, 300)),
+                 (star, np.full(star - 1, star - 1), np.arange(star - 1))]
+        for L, lu, lv in cases:
+            labels = engine._components(L, lu, lv)
+            assert np.array_equal(labels, scipy_labels(L, lu, lv))
 
 
 def grid_prox(rng, side, penalties=None):

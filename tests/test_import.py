@@ -10,12 +10,31 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = ("import sys, graphprox; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.3])
+def test_float_backend_solve_loads_no_scipy(lam):
+    # the chain's blocks stay small enough for the float backend, and the
+    # engine labels its blocks with numpy
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests")]))
+    code = ("import sys; from conftest import chain_prox; "
+            "from graphprox import prox; "
+            f"u = prox(chain_prox(lam={lam})); "
+            "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
