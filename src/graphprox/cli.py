@@ -78,12 +78,8 @@ def cmd_denoise(args) -> int:
     img, maxval = gio.read_pgm(args.image)
     a = img.astype(np.float64) / maxval
     h, w = a.shape
-    if args.lam > 0 and (h * w) > 1:
-        eu, ev, ew = GridSpec(h, w, args.weight).edges()
-        problem = ProxProblem(a.ravel(), eu, ev, ew, args.lam)
-        u = prox_op(problem).reshape(h, w)
-    else:
-        u = a.copy()
+    eu, ev, ew = GridSpec(h, w, args.weight).edges()
+    u = prox_op(ProxProblem(a.ravel(), eu, ev, ew, args.lam)).reshape(h, w)
     if args.float_map:
         gio.write_float_map(args.output, u)
     else:

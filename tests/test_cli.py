@@ -138,6 +138,27 @@ class TestDenoiseCommand:
         back, mv = gio.read_pgm(out)
         assert mv == 255 and back.shape == img.shape
 
+    @pytest.mark.parametrize("argv", [("--lam", "-1"), ("--lam", "nan"),
+                                      ("--lam", "inf"),
+                                      ("--lam", "0", "--weight", "-1")])
+    def test_bad_lambda_or_weight_exit_3(self, capsys, tmp_path, argv):
+        # checked like prox and fit, also where no edge would be fused
+        src = tmp_path / "in.pgm"
+        out = tmp_path / "out.pgm"
+        gio.write_pgm(src, np.array([[0, 1, 2], [3, 2, 1]]), 3, binary=False)
+        rc, _, err = run(capsys, "denoise", str(src), *argv, "-o", str(out))
+        assert rc == 3 and "error:" in err
+        assert not out.exists()
+
+    def test_single_pixel(self, capsys, tmp_path):
+        src = tmp_path / "in.pgm"
+        out = tmp_path / "out.fm"
+        gio.write_pgm(src, np.array([[3]]), 7)
+        rc, _, _ = run(capsys, "denoise", str(src), "--lam", "2",
+                       "-o", str(out), "--float-map")
+        assert rc == 0
+        assert np.array_equal(gio.read_float_map(out), [[3 / 7]])
+
     def test_malformed_pgm_exit_2(self, capsys, tmp_path):
         src = tmp_path / "in.pgm"
         src.write_bytes(b"P5\n2 2\n255\nab")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from graphprox import (ProxProblem, RegressionProblem, fista_fit,
-                       lipschitz_estimate, objective, prox)
+                       lipschitz_estimate, objective, prox, regression)
+from graphprox.errors import DimensionMismatch
 
 
 def fused_pair_problem(lam=1.0):
@@ -29,6 +30,31 @@ class TestLipschitz:
             exact = 2.0 * np.linalg.eigvalsh(A.T @ A).max()
             assert L >= exact * (1 - 1e-3)
             assert L / 1.1 == pytest.approx(exact, rel=0.01)
+
+
+    @pytest.mark.parametrize("run_to_cap", [False, True])
+    def test_covers_spectral_norm_at_the_cap(self, monkeypatch, run_to_cap):
+        # tall, wide and rank-1 designs; the 80 x 120 one stops at
+        # POWER_ITERS with the default tolerance, and with no tolerance
+        # every design does.  L_SAFETY covers what the iteration falls short
+        if run_to_cap:
+            monkeypatch.setattr(regression, "POWER_RTOL", 0.0)
+        rng = np.random.default_rng(2)
+        designs = [rng.normal(0, 1, shape) for shape in
+                   ((300, 500), (500, 300), (60, 40), (40, 60))]
+        designs += [np.random.default_rng(2).normal(0, 1, (80, 120)),
+                    np.outer(rng.normal(0, 1, 50), rng.normal(0, 1, 30)),
+                    np.outer(rng.normal(0, 1, 20), rng.normal(0, 1, 90))]
+        for A in designs:
+            assert lipschitz_estimate(A) >= 2 * np.linalg.norm(A, 2) ** 2
+
+
+class TestProblem:
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_lambda(self, lam):
+        with pytest.raises(DimensionMismatch,
+                           match="lambda must be finite and nonnegative"):
+            RegressionProblem(np.eye(2), np.zeros(2), lam=lam)
 
 
 class TestObjective:
