@@ -31,6 +31,11 @@ node.  ``maxflow.fix_sides`` first fixes every node whose unary outweighs
 all its arcs, so only the nodes left go to ``max_flow`` and ``min_cut``
 (on a chain-fused prox, nearly none).
 
+After each depth ``_components`` labels the blocks again, in a few
+whole-array passes of min-label hooking and pointer jumping, and numbers
+them by their smallest live node, as scipy's ``connected_components``
+does.
+
 Each depth cuts its blocks on the residual network of the pseudoflow
 alpha that the depths above it left, as parametric max-flow reuses flow
 across parameter values (Gallo, Grigoriadis and Tarjan, 1989).  An edge
@@ -225,8 +230,10 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
 
     def regroup(nodes, edges):
         """Live nodes and edges sorted by block, with their block ids: the
-        blocks are the connected components of the live edges, numbered
-        0..B-1, so block b owns one contiguous slice of each array."""
+        blocks are the connected components of the live edges, labelled by
+        ``_components`` and numbered 0..B-1 in the order of their smallest
+        live position, so block b owns one contiguous slice of each
+        array."""
         L = len(nodes)
         loc[nodes] = np.arange(L)
         lu = loc[eu[edges]]

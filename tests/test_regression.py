@@ -31,7 +31,6 @@ class TestLipschitz:
             assert L >= exact * (1 - 1e-3)
             assert L / 1.1 == pytest.approx(exact, rel=0.01)
 
-
     @pytest.mark.parametrize("run_to_cap", [False, True])
     def test_covers_spectral_norm_at_the_cap(self, monkeypatch, run_to_cap):
         # tall, wide and rank-1 designs; the 80 x 120 one stops at
