@@ -21,15 +21,17 @@ node carries its block id, every live edge its endpoints' block id, and
 pivots, termination tests, finalization and splits are array operations
 over those ids.  Blocks never share an edge, so the blocks of one depth
 are cut together as the disjoint union of their networks, whose extreme
-cuts restricted to a block are that block's own: all blocks of at most
-``_SCIPY_NODE_THRESHOLD`` nodes share one network per depth, and larger
-blocks get one network each (a union of large blocks makes every phase of
-scipy's max-flow sweep the whole union, which is slower than solving them
-apart).  Anchors sitting exactly at their block's pivot need a second
-solve, batched the same way, in which each block's anchors are one free
-node.  ``maxflow.fix_sides`` first fixes every node whose unary outweighs
-all its arcs, so only the nodes left go to ``max_flow`` and ``min_cut``
-(on a chain-fused prox, nearly none).
+cuts restricted to a block are that block's own.  All blocks of at most
+``_SCIPY_NODE_THRESHOLD`` nodes share one network per depth, which goes to
+the float backend (the C push-relabel) whatever its total size: its pushes
+and relabels stay inside each block, while every phase of scipy's
+max-flow would sweep the whole union.  Larger blocks get one network each
+and ``method``'s choice, which under ``"auto"`` is scipy for a free
+network above the threshold.  Anchors sitting exactly at their block's
+pivot need a second solve, batched the same way, in which each block's
+anchors are one free node.  ``maxflow.fix_sides`` first fixes every node
+whose unary outweighs all its arcs, so only the nodes left go to
+``max_flow`` and ``min_cut`` (on a chain-fused prox, nearly none).
 
 After each depth ``_components`` labels the blocks again, in a few
 whole-array passes of min-label hooking and pointer jumping, and numbers
@@ -197,7 +199,8 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
     anchor_mask, anchor_values : optional anchored-node specification.
         Anchored nodes are pinned at their value: their membership flips
         exactly there regardless of flow (infinite-weight limit).
-    method : flow solver backend passed through to max_flow.
+    method : flow solver backend passed through to max_flow; under
+        "auto" the union of small blocks takes "float".
     """
     n = problem.n
     w = _check_weights(weights, n)
@@ -249,21 +252,23 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
     def cut(blocks, unary, src_pin, snk_pin, flow, merge=None):
         """Extreme sink-side cuts of the current depth's ``blocks``, as
         masks over live nodes: blocks of at most _SCIPY_NODE_THRESHOLD
-        nodes in one union network, larger ones alone.  The live nodes
-        flagged by ``merge`` form one network node per block.  ``flow``
-        receives the forward-minus-backward flow of each edge inside
-        them, on top of the carried ``g``."""
+        nodes in one union network for the float backend, larger ones
+        alone with ``method``.  The live nodes flagged by ``merge`` form
+        one network node per block.  ``flow`` receives the
+        forward-minus-backward flow of each edge inside them, on top of
+        the carried ``g``."""
         s_min = np.zeros(len(nodes), dtype=bool)
         s_max = np.zeros(len(nodes), dtype=bool)
         small = blocks & (size <= _SCIPY_NODE_THRESHOLD)
         starts = np.concatenate([[0], np.cumsum(size)])
         estarts = np.concatenate(
             [[0], np.cumsum(np.bincount(ebid, minlength=len(size)))])
-        groups = [(small[bid], small[ebid])] if small.any() else []
+        union = "float" if method == "auto" else method
+        groups = [(small[bid], small[ebid], union)] if small.any() else []
         groups += [(slice(starts[b], starts[b + 1]),
-                    slice(estarts[b], estarts[b + 1]))
+                    slice(estarts[b], estarts[b + 1]), method)
                    for b in np.nonzero(blocks & ~small)[0]]
-        for gn, ge in groups:
+        for gn, ge, how in groups:
             g_nodes = nodes[gn]
             local = np.arange(len(g_nodes))
             if merge is not None:
@@ -271,7 +276,7 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
                 local = np.unique(key, return_inverse=True)[1]
             s_min[gn], s_max[gn], flow[ge] = _block_cut(
                 problem, cap, g_nodes, edges[ge], g[ge], unary[gn],
-                src_pin[gn], snk_pin[gn], local, method)
+                src_pin[gn], snk_pin[gn], local, how)
         return s_min, s_max
 
     def splits(mask):

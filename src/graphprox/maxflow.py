@@ -2,11 +2,20 @@
 network format (``qbm.to_cut_graph`` builds it for a quadratic problem).
 
 Two backends share one interface and are cross-checked in the test suite.
-The float backend is Dinic's blocking-flow algorithm in pure Python on the
-float capacities; it serves small networks.  For large ones, scipy's C
+The float backend is a FIFO push-relabel in C (``_flow.c``) on the float
+capacities; ``"auto"`` gives it the networks of at most
+``_SCIPY_NODE_THRESHOLD`` nodes, and the engine gives it every union of
+small blocks whatever its size.  For larger networks, scipy's C
 ``maximum_flow`` solves the network with its capacities snapped down to a
 power-of-two grid (``_scipy_flow``), so its cuts are those of the snapped
 network, whose capacities the flow carries as ``eff_*``.
+
+The C file is compiled on the first kernel call with plain ``cc -O2
+-shared -fPIC`` into ``~/.cache/graphprox/`` (a private directory in the
+system temp directory when that is not writable), named by the SHA-256 of
+its source, and loaded with ``ctypes``.  If it cannot be built or loaded,
+``kernel_error`` says why, every network goes to ``_scipy_flow``, and
+scipy's BFS does the residual search.
 
 Callers mark infinite capacities with ``np.inf``.  An infinite terminal
 arc forces its node onto one side of every finite cut; an infinite arc
@@ -25,8 +34,10 @@ graph, S_max the set of nodes unreachable from s.  Every minimum cut's
 optimal set T satisfies S_min <= T <= S_max.
 
 ``check_flow`` lists a flow's capacity and conservation violations.
-``min_cut`` runs it on every flow it is given and raises ``StaleFlow``
-with those messages, or when an augmenting path is left.
+``min_cut`` runs it on every flow it is given, then searches that flow's
+residual network (in C, ``gp_reach``), never a solver's labels, so it
+checks every backend independently.  It raises ``StaleFlow`` with
+``check_flow``'s messages, or when an augmenting path is left.
 
 ``fix_sides`` fixes, in one O(m) pass, the nodes every minimum cut agrees
 on, and lifts a maximum flow of the network left to the whole network.
@@ -34,7 +45,9 @@ on, and lifts a maximum flow of the network left to the whole network.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -188,8 +201,11 @@ def _clamped(net: FlowNetwork) -> tuple[FlowNetwork, float]:
         raise DimensionMismatch("node pinned to both terminals")
     if inf_s.any() and inf_t.any():
         ties = np.isinf(net.arc_cap)
-        if np.any(_bfs_scipy(net.n, net.arc_u[ties], net.arc_v[ties], inf_s)
-                  & inf_t):
+        k, zero = int(np.count_nonzero(ties)), np.zeros(net.n)
+        from_s, to_t = _reach(net.n, net.arc_u[ties], net.arc_v[ties],
+                              (inf_s * 1.0, inf_t * 1.0, np.ones(k)),
+                              (zero, zero, np.zeros(k)), 0.0)
+        if np.any(from_s & to_t):
             raise DimensionMismatch("infinite path links source to sink")
         caps = (net.source_caps, net.sink_caps, net.arc_cap)
         bound = float(sum(c[np.isfinite(c)].sum() for c in caps))
@@ -204,80 +220,127 @@ def _clamped(net: FlowNetwork) -> tuple[FlowNetwork, float]:
 
 
 # ---------------------------------------------------------------------------
-# Dinic core (pure python, float capacities)
+# C kernel (_flow.c): push-relabel on float capacities, residual search
 # ---------------------------------------------------------------------------
 
-def _dinic(net: FlowNetwork, tol: float) -> FlowState:
-    """Dinic's blocking-flow algorithm on float capacities; a residual arc
-    with at most ``tol`` left counts as saturated.  Residual arc 2k is the
-    k-th arc of positive capacity (terminal arcs first) and 2k + 1 its
-    reverse, whose residual is the arc's flow.  Each phase levels nodes by
-    BFS from s and saturates level-increasing paths with an iterative DFS
-    (no recursion: paths can be longer than the recursion limit); a dead
-    end drops out of the phase at level -1."""
-    n = net.n
-    s, t = n, n + 1
-    tail = np.concatenate([np.full(n, s), np.arange(n), net.arc_u])
-    head = np.concatenate([np.arange(n), np.full(n, t), net.arc_v])
-    cap = np.concatenate([net.source_caps, net.sink_caps, net.arc_cap])
-    keep = np.flatnonzero(cap > 0)
-    ends = np.column_stack([tail[keep], head[keep]])
-    order = np.argsort(ends.ravel(), kind="stable")
-    first = np.searchsorted(ends.ravel()[order], np.arange(n + 3)).tolist()
-    adj = order.tolist()
-    to = ends[:, ::-1].ravel().tolist()
-    res = np.column_stack([cap[keep], np.zeros(len(keep))]).ravel().tolist()
-    while True:
-        level = [-1] * (n + 2)
-        level[s] = depth = 0
-        frontier = [s]
-        while frontier and level[t] < 0:
-            depth += 1
-            nxt = []
-            for x in frontier:
-                for a in adj[first[x]:first[x + 1]]:
-                    y = to[a]
-                    if level[y] < 0 and res[a] > tol:
-                        level[y] = depth
-                        nxt.append(y)
-            frontier = nxt
-        if level[t] < 0:
-            break
-        ptr = first[:]
-        path = []
-        x = s
-        while True:
-            if x == t:
-                d = min([res[a] for a in path])
-                for a in path:
-                    res[a] -= d
-                    res[a ^ 1] += d
-                # retreat to the tail of the first saturated arc
-                k = next(j for j, a in enumerate(path) if res[a] <= tol)
-                x = to[path[k] ^ 1]
-                del path[k:]
-                continue
-            # move x's current arc to its next arc into the next level
-            i, end, up = ptr[x], first[x + 1], level[x] + 1
-            while i < end:
-                a = adj[i]
-                if res[a] > tol and level[to[a]] == up:
-                    break
-                i += 1
-            ptr[x] = i
-            if i < end:
-                path.append(a)
-                x = to[a]
-            elif x == s:
-                break
-            else:
-                level[x] = -1
-                x = to[path.pop() ^ 1]
-                ptr[x] += 1
-    z = np.zeros(len(cap))
-    z[keep] = res[1::2]
-    z_snk = z[n:2 * n]
-    return FlowState(z[:n], z_snk, z[2 * n:], float(z_snk.sum()))
+_SOURCE = Path(__file__).with_name("_flow.c")
+_lib = None          # the loaded kernel
+kernel_error = None  # why the kernel is not in use, once its build or load failed
+
+
+def _cache_dir() -> Path:
+    """``~/.cache/graphprox``, else a private directory in the system temp
+    directory: only this user may write where the kernel is loaded from."""
+    import tempfile
+
+    for d in (Path("~/.cache/graphprox").expanduser(),
+              Path(tempfile.gettempdir()) / f"graphprox-{os.getuid()}"):
+        try:
+            d.mkdir(mode=0o700, parents=True, exist_ok=True)
+            st = d.stat()
+        except OSError:
+            continue
+        if (st.st_uid == os.getuid() and not st.st_mode & 0o022
+                and os.access(d, os.W_OK)):
+            return d
+    raise OSError("no private writable directory for the compiled kernel")
+
+
+def _build(source: bytes, directory: Path) -> Path:
+    """The shared library of ``source`` in ``directory``, named by its
+    SHA-256 and compiled once with plain ``cc`` into a temporary file that
+    is then moved into place, so no process loads half a file."""
+    import hashlib
+    import shutil
+    import subprocess
+    import tempfile
+
+    path = directory / f"_flow-{hashlib.sha256(source).hexdigest()}.so"
+    if path.exists():
+        return path
+    cc = shutil.which("cc")
+    if cc is None:
+        raise OSError("no C compiler (cc) on PATH")
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
+    os.close(fd)
+    try:
+        done = subprocess.run([cc, "-O2", "-shared", "-fPIC", "-x", "c", "-",
+                               "-o", tmp], input=source, capture_output=True)
+        if done.returncode:
+            err = done.stderr.decode(errors="replace")[-500:]
+            raise OSError(f"cc failed: {err}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path
+
+
+def _bind(path: Path):
+    """The library at ``path``, with the kernel's argument types set."""
+    import ctypes
+
+    lib = ctypes.CDLL(str(path))
+    f64, i64, out = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+                     for t in (np.float64, np.int64, np.bool_))
+    size, tol = ctypes.c_int64, ctypes.c_double
+    lib.gp_max_flow.argtypes = [size, size, f64, f64, i64, i64, f64, tol,
+                                f64, f64, f64]
+    lib.gp_reach.argtypes = [size, size, i64, i64, f64, f64, f64, f64, f64,
+                             f64, tol, out, out]
+    lib.gp_max_flow.restype = lib.gp_reach.restype = ctypes.c_int
+    return lib
+
+
+def _kernel():
+    """The compiled kernel, built and loaded at the first call; None when
+    that failed (``kernel_error`` says why)."""
+    global _lib, kernel_error
+    if _lib is None and kernel_error is None:
+        try:
+            _lib = _bind(_build(_SOURCE.read_bytes(), _cache_dir()))
+        except OSError as exc:
+            kernel_error = str(exc)
+    return _lib
+
+
+def _pr_flow(lib, net: FlowNetwork) -> FlowState:
+    """Maximum flow of ``net`` by the kernel's push-relabel on the clamped
+    network (``_clamped``), saturation tested against ``net.tol()``: a
+    clamp-sized max_cap would inflate it."""
+    cnet = _clamped(net)[0]
+    n, m = net.n, len(net.arc_u)
+    z_src, z_snk, z_arc = np.empty(n), np.empty(n), np.empty(m)
+    if lib.gp_max_flow(n, m, cnet.source_caps, cnet.sink_caps,
+                       np.ascontiguousarray(net.arc_u),
+                       np.ascontiguousarray(net.arc_v), cnet.arc_cap,
+                       net.tol(), z_src, z_snk, z_arc):
+        raise MemoryError(f"max-flow kernel failed on {n} nodes, {m} arcs")
+    return FlowState(z_src, z_snk, z_arc, float(z_snk.sum()))
+
+
+def _reach(n, eu, ev, caps, flows, tol):
+    """``(from_s, to_t)``: the nodes s reaches, and those that reach t, in
+    the residual network of the flows ``(z_source, z_sink, z_arc)`` on the
+    arcs ``eu -> ev`` with capacities ``(source, sink, arc)``, where a
+    residual arc needs more than ``tol`` left."""
+    lib = _kernel()
+    if lib is not None:
+        m = len(eu)
+        args = [np.ascontiguousarray(a, np.int64) for a in (eu, ev)] + \
+            [np.ascontiguousarray(a, np.float64) for a in (*caps, *flows)]
+        if [len(a) for a in args] != [m, m, n, n, m, n, n, m]:
+            raise DimensionMismatch("flow arrays do not match the network")
+        from_s, to_t = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        if lib.gp_reach(n, m, *args, tol, from_s, to_t):
+            raise MemoryError(f"residual search failed on {n} nodes, {m} arcs")
+        return from_s, to_t
+    (c_src, c_snk, c_arc), (z_src, z_snk, z_arc) = caps, flows
+    fwd, rev = c_arc - z_arc > tol, z_arc > tol
+    fu = np.concatenate([eu[fwd], ev[rev]])
+    fv = np.concatenate([ev[fwd], eu[rev]])
+    return (_bfs_scipy(n, fu, fv, c_src - z_src > tol),
+            _bfs_scipy(n, fv, fu, c_snk - z_snk > tol))
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +418,11 @@ def max_flow(net: FlowNetwork, method: str = "auto") -> FlowState:
     ----------
     net : FlowNetwork
     method : {"auto", "float", "scipy"}
-        "float" is the pure-Python Dinic on the float capacities, "scipy"
+        "float" is the C push-relabel on the float capacities, "scipy"
         scipy's C max-flow on capacities snapped to a power-of-two grid,
-        and "auto" uses "float" up to a size threshold and "scipy" beyond
-        it.
+        and "auto" uses "float" up to ``_SCIPY_NODE_THRESHOLD`` nodes and
+        "scipy" beyond.  Where the kernel cannot be built or loaded,
+        "float" falls back to "scipy".
 
     Returns
     -------
@@ -367,17 +431,14 @@ def max_flow(net: FlowNetwork, method: str = "auto") -> FlowState:
         clamped to a finite bound above the flow value (``_clamped``), so
         every flow, infinite arcs' included, is finite.
     """
-    if net.n == 0:
-        return FlowState(np.zeros(0), np.zeros(0), np.zeros(0), 0.0)
     if method == "auto":
         method = "scipy" if net.n > _SCIPY_NODE_THRESHOLD else "float"
-    if method == "scipy":
-        return _scipy_flow(net)
-    if method != "float":
+    if method not in ("float", "scipy"):
         raise ValueError(f"unknown method {method!r}")
-    # tolerance from the caller's network: a clamp-sized max_cap would
-    # inflate it
-    return _dinic(_clamped(net)[0], net.tol())
+    if net.n == 0:
+        return FlowState(np.zeros(0), np.zeros(0), np.zeros(0), 0.0)
+    lib = _kernel() if method == "float" else None
+    return _scipy_flow(net) if lib is None else _pr_flow(lib, net)
 
 
 def fix_sides(net: FlowNetwork):
@@ -444,50 +505,6 @@ def fix_sides(net: FlowNetwork):
     return side, free_net, lift
 
 
-def _residual_reach(net: FlowNetwork, state: FlowState):
-    """Forward reachability from s and reverse reachability from t."""
-    tol = net.tol()
-    n = net.n
-    c_src, c_snk, c_arc = state.caps(net)
-    # forward residual arcs: unsaturated arcs plus reversals of flow
-    fwd = c_arc - state.z_arc > tol
-    rev = state.z_arc > tol
-    fu = np.concatenate([net.arc_u[fwd], net.arc_v[rev]])
-    fv = np.concatenate([net.arc_v[fwd], net.arc_u[rev]])
-
-    from_s = np.zeros(n, dtype=bool)
-    from_s[c_src - state.z_source > tol] = True
-    to_t = np.zeros(n, dtype=bool)
-    to_t[c_snk - state.z_sink > tol] = True
-
-    if len(fu):
-        if n > 512:
-            from_s = _bfs_scipy(n, fu, fv, from_s)
-            to_t = _bfs_scipy(n, fv, fu, to_t)
-        else:
-            from_s = _bfs_python(n, fu, fv, from_s)
-            to_t = _bfs_python(n, fv, fu, to_t)
-    return from_s, to_t
-
-
-def _bfs_python(n, eu, ev, reached):
-    order = np.argsort(eu, kind="stable")
-    su, sv = eu[order], ev[order]
-    starts = np.searchsorted(su, np.arange(n))
-    ends = np.searchsorted(su, np.arange(n) + 1)
-    frontier = np.nonzero(reached)[0]
-    while len(frontier):
-        nxt = []
-        for x in frontier:
-            for k in range(starts[x], ends[x]):
-                y = sv[k]
-                if not reached[y]:
-                    reached[y] = True
-                    nxt.append(y)
-        frontier = np.array(nxt, dtype=np.int64)
-    return reached
-
-
 def _bfs_scipy(n, eu, ev, reached):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order
@@ -520,7 +537,9 @@ def min_cut(net: FlowNetwork, state: FlowState) -> tuple[set, set]:
     violations = check_flow(net, state)
     if violations:
         raise StaleFlow("; ".join(violations))
-    from_s, to_t = _residual_reach(net, state)
+    from_s, to_t = _reach(net.n, net.arc_u, net.arc_v, state.caps(net),
+                          (state.z_source, state.z_sink, state.z_arc),
+                          net.tol())
     if np.any(from_s & to_t):
         raise StaleFlow("augmenting path exists; flow is not maximum")
     s_min = set(np.flatnonzero(to_t).tolist())

@@ -42,6 +42,32 @@ def test_float_backend_solve_loads_no_scipy(lam):
     assert done.stdout.strip() == "[]"
 
 
+def test_union_of_small_blocks_loads_no_scipy():
+    # 40 disjoint 10-node components: 400 nodes in all, above the 300-node
+    # threshold, but each block is small, so their union goes to the C
+    # kernel, and the residual searches run in C too
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, numpy as np; "
+            "from graphprox import QuadraticBinaryProblem, solve_weighted; "
+            "rng = np.random.default_rng(3); k, c = 10, 40; "
+            "base = np.repeat(np.arange(c) * k, 2 * k); "
+            "u = base + np.tile(np.r_[np.arange(k - 1), "
+            "rng.integers(0, k, k + 1)], c); "
+            "v = base + np.tile(np.r_[np.arange(1, k), "
+            "rng.integers(0, k, k + 1)], c); "
+            "keep = u != v; "
+            "p = QuadraticBinaryProblem.from_parts(rng.normal(0, 0.5, k * c), "
+            "zip(u[keep], v[keep], -rng.uniform(1, 2, keep.sum()))); "
+            "sol = solve_weighted(p, rng.uniform(0.5, 3, k * c)); "
+            "assert len(sol.breakpoints()) > 100; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"
+
+
 def test_public_names_resolve_once():
     import graphprox
 

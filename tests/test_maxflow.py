@@ -1,14 +1,23 @@
-"""Max-flow solver: duality against brute force, extreme cuts, flow checks."""
+"""Max-flow solver: duality against brute force, extreme cuts, flow checks,
+and the C kernel against the pure-Python Dinic and its scipy fallback."""
 
 import itertools
+import shutil
 
 import numpy as np
 import pytest
 
+import graphprox._engine as engine
 from graphprox import (DimensionMismatch, FlowNetwork, FlowState, StaleFlow,
-                       check_flow, max_flow, min_cut, to_cut_graph)
-from graphprox.maxflow import fix_sides
+                       check_flow, max_flow, min_cut, solve_weighted,
+                       to_cut_graph)
+from graphprox import maxflow
+from graphprox.maxflow import _clamped, _reach, fix_sides
+from graphprox.oracle import _dinic, brute_force_minimizers
 from conftest import random_submodular
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler on PATH")
 
 
 def brute_min_cut(net):
@@ -584,3 +593,191 @@ class TestCutGraphIntegration:
             assert state.value == pytest.approx(best + cut.sink_caps.sum(),
                                                 abs=1e-9)
 
+
+
+def python_reach(n, eu, ev, caps, flows, tol):
+    """``maxflow._reach`` as a plain Python BFS over adjacency lists."""
+    (c_src, c_snk, c_arc), (z_src, z_snk, z_arc) = caps, flows
+    out, into = [[] for _ in range(n)], [[] for _ in range(n)]
+    for u, v, c, z in zip(eu.tolist(), ev.tolist(), c_arc, z_arc):
+        for x, y in ([(u, v)] if c - z > tol else []) + \
+                ([(v, u)] if z > tol else []):
+            out[x].append(y)
+            into[y].append(x)
+
+    def bfs(seeds, adj):
+        mask = np.zeros(n, dtype=bool)
+        todo = list(seeds)
+        mask[todo] = True
+        while todo:
+            for y in adj[todo.pop()]:
+                if not mask[y]:
+                    mask[y] = True
+                    todo.append(y)
+        return mask
+
+    return (bfs(np.flatnonzero(c_src - z_src > tol), out),
+            bfs(np.flatnonzero(c_snk - z_snk > tol), into))
+
+
+@needs_cc
+class TestKernel:
+    """The C push-relabel and residual search (``_flow.c``)."""
+
+    def test_kernel_loads(self):
+        assert maxflow._kernel() is not None, maxflow.kernel_error
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dinic(self, seed):
+        # hard ties, infinite arcs, pins, zero and parallel arcs, up to
+        # about 2k nodes: same value as the pure-Python Dinic, a valid
+        # flow, and the same extreme cuts
+        rng = np.random.default_rng(seed)
+        solved = 0
+        for n in list(rng.integers(1, 40, 40)) + list(rng.integers(200, 2200, 4)):
+            net = quarter_network(rng, int(n))
+            try:
+                cnet = _clamped(net)[0]
+            except DimensionMismatch:
+                continue
+            state = max_flow(net, "float")
+            ref = _dinic(cnet, net.tol())
+            assert state.eff_source is None
+            assert check_flow(net, state) == []
+            assert state.value == pytest.approx(ref.value, rel=1e-12, abs=1e-9)
+            assert min_cut(net, state) == min_cut(net, ref)
+            solved += 1
+        assert solved >= 25
+
+    def test_matches_brute_force(self, rng):
+        for _ in range(150):
+            net = quarter_network(rng, int(rng.integers(1, 11)))
+            value, sink = all_cuts(net)
+            if not np.isfinite(value.min()):
+                with pytest.raises(DimensionMismatch):
+                    max_flow(net, "float")
+                continue
+            state = max_flow(net, "float")
+            assert state.value == pytest.approx(value.min(), abs=1e-9)
+            opt = sink[value <= value.min() + 1e-9]
+            s_min, s_max = min_cut(net, state)
+            assert s_min == set(np.flatnonzero(opt.all(0)).tolist())
+            assert s_max == set(np.flatnonzero(opt.any(0)).tolist())
+
+    def test_qbm_cuts_match_brute_force_minimizers(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 10))
+            prob = random_submodular(rng, n)
+            beta = float(rng.normal())
+            cut = to_cut_graph(prob, beta, np.ones(n))
+            s_min, s_max = min_cut(cut, max_flow(cut, "float"))
+            ref = brute_force_minimizers(prob, beta, tol=1e-12)
+            assert (s_min, s_max) == (ref.s_min, ref.s_max)
+
+    def test_excess_returns_to_source(self):
+        # node 0 takes 5 from s but passes on only 1: the 4 left go back
+        net = FlowNetwork(2, [5.0, 0.0], [0.0, 1.0], [0], [1], [1.0])
+        state = max_flow(net, "float")
+        assert state.z_source.tolist() == [1.0, 0.0]
+        assert check_flow(net, state) == []
+
+    def test_mutant_without_return_to_source_fails(self, tmp_path):
+        # with no way back to s, excess that cannot reach t stays on its
+        # node, and the result is a preflow that check_flow rejects
+        source = maxflow._SOURCE.read_text()
+        line = "    return z_src[u] > tol;"
+        assert source.count(line) == 1
+        mutant = maxflow._bind(maxflow._build(
+            source.replace(line, "    return 0;").encode(), tmp_path))
+        rng = np.random.default_rng(5)
+        failed = 0
+        for _ in range(20):
+            net = quarter_network(rng, 30)
+            try:
+                _clamped(net)
+            except DimensionMismatch:
+                continue
+            assert check_flow(net, max_flow(net, "float")) == []
+            failed += check_flow(net, maxflow._pr_flow(mutant, net)) != []
+        assert failed >= 10
+        net = FlowNetwork(2, [5.0, 0.0], [0.0, 1.0], [0], [1], [1.0])
+        assert check_flow(net, maxflow._pr_flow(mutant, net)) != []
+
+    def test_flow_arrays_must_match_network(self):
+        # a length-1 z_source broadcasts through check_flow; the search
+        # must not read past its end
+        net = FlowNetwork(3, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0, 1], [1, 2],
+                          [1.0, 1.0])
+        short = FlowState(np.zeros(1), np.zeros(3), np.zeros(2), 0.0)
+        assert check_flow(net, short) == []
+        with pytest.raises(DimensionMismatch):
+            min_cut(net, short)
+
+    def test_search_matches_python_bfs(self, rng):
+        # arbitrary capacities and flows, not only valid ones: the search
+        # reads nothing but the residual of each arc
+        for _ in range(60):
+            n = int(rng.integers(1, 300))
+            m = int(rng.integers(0, 4 * n + 1))
+            eu, ev = rng.integers(0, n, m), rng.integers(0, n, m)
+            caps = tuple(rng.integers(0, 3, k) * 0.5 for k in (n, n, m))
+            flows = tuple(np.minimum(c, rng.integers(0, 3, len(c)) * 0.5)
+                          for c in caps)
+            got = _reach(n, eu, ev, caps, flows, 0.25)
+            want = python_reach(n, eu, ev, caps, flows, 0.25)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+
+class TestScipyFallback:
+    """With the kernel unable to load, every network goes to scipy."""
+
+    @pytest.fixture
+    def no_kernel(self, monkeypatch):
+        def fail(source, directory):
+            raise OSError("build patched to fail")
+
+        monkeypatch.setattr(maxflow, "_lib", None)
+        monkeypatch.setattr(maxflow, "kernel_error", None)
+        monkeypatch.setattr(maxflow, "_build", fail)
+
+    def test_networks_fall_back(self, no_kernel):
+        rng = np.random.default_rng(2)
+        nets = [quarter_network(rng, int(n)) for n in rng.integers(1, 12, 60)]
+        for net in nets:
+            try:
+                state = max_flow(net, "float")
+            except DimensionMismatch:
+                continue
+            assert state.eff_source is not None
+            assert maxflow.kernel_error == "build patched to fail"
+            # quarter-integer capacities lie on scipy's grid: the cuts are
+            # the float ones
+            value, sink = all_cuts(net)
+            opt = sink[value <= value.min() + 1e-9]
+            assert min_cut(net, state) == (
+                set(np.flatnonzero(opt.all(0)).tolist()),
+                set(np.flatnonzero(opt.any(0)).tolist()))
+
+    def test_solve_falls_back(self, no_kernel, monkeypatch):
+        rng = np.random.default_rng(3)
+        prob = random_submodular(rng, 14, density=0.3)
+        w = rng.uniform(0.5, 2.0, 14)
+        backends = []
+        inner = engine.max_flow
+
+        def spy(net, *args, **kwargs):
+            state = inner(net, *args, **kwargs)
+            backends.append(state.eff_source is not None)
+            return state
+
+        monkeypatch.setattr(engine, "max_flow", spy)
+        fallback = solve_weighted(prob, w)
+        assert backends and all(backends)
+        monkeypatch.undo()
+        sol = solve_weighted(prob, w)
+        np.testing.assert_allclose(fallback.levels, sol.levels, atol=1e-5)
+        bps = sol.breakpoints()
+        for beta in np.r_[bps[0] - 1, (bps[1:] + bps[:-1]) / 2, bps[-1] + 1]:
+            assert fallback.u1(beta) == sol.u1(beta)
+            assert fallback.u2(beta) == sol.u2(beta)
