@@ -25,7 +25,9 @@ cuts restricted to a block are that block's own.  All blocks of at most
 ``_SCIPY_NODE_THRESHOLD`` nodes share one network per depth, which goes to
 the float backend (the C push-relabel) whatever its total size: its pushes
 and relabels stay inside each block, while every phase of scipy's
-max-flow would sweep the whole union.  Larger blocks get one network each
+max-flow would sweep the whole union.  Where the kernel cannot be built,
+the union takes ``method``'s choice like any other network, as the float
+backend is then a pure-Python Dinic.  Larger blocks get one network each
 and ``method``'s choice, which under ``"auto"`` is scipy for a free
 network above the threshold.  Anchors sitting exactly at their block's
 pivot need a second solve, batched the same way, in which each block's
@@ -74,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maxflow import (_SCIPY_NODE_THRESHOLD, FlowNetwork, FlowState,
-                      fix_sides, max_flow, min_cut)
+                      _kernel, fix_sides, max_flow, min_cut)
 from .qbm import QuadraticBinaryProblem, _check_weights
 
 TERM_TOL = 1e-9  # relative tolerance for "block is one level set"
@@ -200,7 +202,8 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         Anchored nodes are pinned at their value: their membership flips
         exactly there regardless of flow (infinite-weight limit).
     method : flow solver backend passed through to max_flow; under
-        "auto" the union of small blocks takes "float".
+        "auto" the union of small blocks takes "float" where the C kernel
+        is loaded.
     """
     n = problem.n
     w = _check_weights(weights, n)
@@ -263,7 +266,8 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         starts = np.concatenate([[0], np.cumsum(size)])
         estarts = np.concatenate(
             [[0], np.cumsum(np.bincount(ebid, minlength=len(size)))])
-        union = "float" if method == "auto" else method
+        union = ("float" if method == "auto" and _kernel() is not None
+                 else method)
         groups = [(small[bid], small[ebid], union)] if small.any() else []
         groups += [(slice(starts[b], starts[b + 1]),
                     slice(estarts[b], estarts[b + 1]), method)

@@ -14,8 +14,11 @@ The C file is compiled on the first kernel call with plain ``cc -O2
 -shared -fPIC`` into ``~/.cache/graphprox/`` (a private directory in the
 system temp directory when that is not writable), named by the SHA-256 of
 its source, and loaded with ``ctypes``.  If it cannot be built or loaded,
-``kernel_error`` says why, every network goes to ``_scipy_flow``, and
-scipy's BFS does the residual search.
+``kernel_error`` says why and the float backend is Dinic's blocking-flow
+algorithm in pure Python (``_dinic``), exact on the float capacities like
+the kernel; the engine then sends a union of small blocks above the
+threshold to scipy, and the residual search runs in Python up to 512
+nodes and in scipy beyond.
 
 Callers mark infinite capacities with ``np.inf``.  An infinite terminal
 arc forces its node onto one side of every finite cut; an infinite arc
@@ -35,7 +38,7 @@ optimal set T satisfies S_min <= T <= S_max.
 
 ``check_flow`` lists a flow's capacity and conservation violations.
 ``min_cut`` runs it on every flow it is given, then searches that flow's
-residual network (in C, ``gp_reach``), never a solver's labels, so it
+residual network (``_reach``), never a solver's labels, so it
 checks every backend independently.  It raises ``StaleFlow`` with
 ``check_flow``'s messages, or when an augmenting path is left.
 
@@ -220,6 +223,84 @@ def _clamped(net: FlowNetwork) -> tuple[FlowNetwork, float]:
 
 
 # ---------------------------------------------------------------------------
+# Dinic core (pure python, float capacities): the float backend where the
+# C kernel cannot be built or loaded, and its cross-check in the tests
+# ---------------------------------------------------------------------------
+
+def _dinic(net: FlowNetwork, tol: float) -> FlowState:
+    """Dinic's blocking-flow algorithm on float capacities; a residual arc
+    with at most ``tol`` left counts as saturated.  Residual arc 2k is the
+    k-th arc of positive capacity (terminal arcs first) and 2k + 1 its
+    reverse, whose residual is the arc's flow.  Each phase levels nodes by
+    BFS from s and saturates level-increasing paths with an iterative DFS
+    (no recursion: paths can be longer than the recursion limit); a dead
+    end drops out of the phase at level -1."""
+    n = net.n
+    s, t = n, n + 1
+    tail = np.concatenate([np.full(n, s), np.arange(n), net.arc_u])
+    head = np.concatenate([np.arange(n), np.full(n, t), net.arc_v])
+    cap = np.concatenate([net.source_caps, net.sink_caps, net.arc_cap])
+    keep = np.flatnonzero(cap > 0)
+    ends = np.column_stack([tail[keep], head[keep]])
+    order = np.argsort(ends.ravel(), kind="stable")
+    first = np.searchsorted(ends.ravel()[order], np.arange(n + 3)).tolist()
+    adj = order.tolist()
+    to = ends[:, ::-1].ravel().tolist()
+    res = np.column_stack([cap[keep], np.zeros(len(keep))]).ravel().tolist()
+    while True:
+        level = [-1] * (n + 2)
+        level[s] = depth = 0
+        frontier = [s]
+        while frontier and level[t] < 0:
+            depth += 1
+            nxt = []
+            for x in frontier:
+                for a in adj[first[x]:first[x + 1]]:
+                    y = to[a]
+                    if level[y] < 0 and res[a] > tol:
+                        level[y] = depth
+                        nxt.append(y)
+            frontier = nxt
+        if level[t] < 0:
+            break
+        ptr = first[:]
+        path = []
+        x = s
+        while True:
+            if x == t:
+                d = min([res[a] for a in path])
+                for a in path:
+                    res[a] -= d
+                    res[a ^ 1] += d
+                # retreat to the tail of the first saturated arc
+                k = next(j for j, a in enumerate(path) if res[a] <= tol)
+                x = to[path[k] ^ 1]
+                del path[k:]
+                continue
+            # move x's current arc to its next arc into the next level
+            i, end, up = ptr[x], first[x + 1], level[x] + 1
+            while i < end:
+                a = adj[i]
+                if res[a] > tol and level[to[a]] == up:
+                    break
+                i += 1
+            ptr[x] = i
+            if i < end:
+                path.append(a)
+                x = to[a]
+            elif x == s:
+                break
+            else:
+                level[x] = -1
+                x = to[path.pop() ^ 1]
+                ptr[x] += 1
+    z = np.zeros(len(cap))
+    z[keep] = res[1::2]
+    z_snk = z[n:2 * n]
+    return FlowState(z[:n], z_snk, z[2 * n:], float(z_snk.sum()))
+
+
+# ---------------------------------------------------------------------------
 # C kernel (_flow.c): push-relabel on float capacities, residual search
 # ---------------------------------------------------------------------------
 
@@ -230,18 +311,23 @@ kernel_error = None  # why the kernel is not in use, once its build or load fail
 
 def _cache_dir() -> Path:
     """``~/.cache/graphprox``, else a private directory in the system temp
-    directory: only this user may write where the kernel is loaded from."""
+    directory: only this user may write where the kernel is loaded from.
+    Where the platform has no user ids (no ``os.getuid``), only the first
+    is tried, and neither its owner nor its mode is checked."""
     import tempfile
 
-    for d in (Path("~/.cache/graphprox").expanduser(),
-              Path(tempfile.gettempdir()) / f"graphprox-{os.getuid()}"):
+    uid = getattr(os, "getuid", lambda: None)()
+    dirs = [Path("~/.cache/graphprox").expanduser()]
+    if uid is not None:
+        dirs.append(Path(tempfile.gettempdir()) / f"graphprox-{uid}")
+    for d in dirs:
         try:
             d.mkdir(mode=0o700, parents=True, exist_ok=True)
             st = d.stat()
         except OSError:
             continue
-        if (st.st_uid == os.getuid() and not st.st_mode & 0o022
-                and os.access(d, os.W_OK)):
+        private = uid is None or (st.st_uid == uid and not st.st_mode & 0o022)
+        if private and os.access(d, os.W_OK):
             return d
     raise OSError("no private writable directory for the compiled kernel")
 
@@ -323,24 +409,26 @@ def _reach(n, eu, ev, caps, flows, tol):
     """``(from_s, to_t)``: the nodes s reaches, and those that reach t, in
     the residual network of the flows ``(z_source, z_sink, z_arc)`` on the
     arcs ``eu -> ev`` with capacities ``(source, sink, arc)``, where a
-    residual arc needs more than ``tol`` left."""
+    residual arc needs more than ``tol`` left.  Without the kernel, the
+    search runs in Python up to 512 nodes and in scipy beyond."""
+    m = len(eu)
+    args = [np.ascontiguousarray(a, np.int64) for a in (eu, ev)] + \
+        [np.ascontiguousarray(a, np.float64) for a in (*caps, *flows)]
+    if [len(a) for a in args] != [m, m, n, n, m, n, n, m]:
+        raise DimensionMismatch("flow arrays do not match the network")
     lib = _kernel()
     if lib is not None:
-        m = len(eu)
-        args = [np.ascontiguousarray(a, np.int64) for a in (eu, ev)] + \
-            [np.ascontiguousarray(a, np.float64) for a in (*caps, *flows)]
-        if [len(a) for a in args] != [m, m, n, n, m, n, n, m]:
-            raise DimensionMismatch("flow arrays do not match the network")
         from_s, to_t = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
         if lib.gp_reach(n, m, *args, tol, from_s, to_t):
             raise MemoryError(f"residual search failed on {n} nodes, {m} arcs")
         return from_s, to_t
-    (c_src, c_snk, c_arc), (z_src, z_snk, z_arc) = caps, flows
+    eu, ev, c_src, c_snk, c_arc, z_src, z_snk, z_arc = args
     fwd, rev = c_arc - z_arc > tol, z_arc > tol
     fu = np.concatenate([eu[fwd], ev[rev]])
     fv = np.concatenate([ev[fwd], eu[rev]])
-    return (_bfs_scipy(n, fu, fv, c_src - z_src > tol),
-            _bfs_scipy(n, fv, fu, c_snk - z_snk > tol))
+    bfs = _bfs_scipy if n > 512 else _bfs_python
+    return (bfs(n, fu, fv, c_src - z_src > tol),
+            bfs(n, fv, fu, c_snk - z_snk > tol))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +510,7 @@ def max_flow(net: FlowNetwork, method: str = "auto") -> FlowState:
         scipy's C max-flow on capacities snapped to a power-of-two grid,
         and "auto" uses "float" up to ``_SCIPY_NODE_THRESHOLD`` nodes and
         "scipy" beyond.  Where the kernel cannot be built or loaded,
-        "float" falls back to "scipy".
+        "float" is the pure-Python Dinic (``_dinic``).
 
     Returns
     -------
@@ -437,8 +525,14 @@ def max_flow(net: FlowNetwork, method: str = "auto") -> FlowState:
         raise ValueError(f"unknown method {method!r}")
     if net.n == 0:
         return FlowState(np.zeros(0), np.zeros(0), np.zeros(0), 0.0)
-    lib = _kernel() if method == "float" else None
-    return _scipy_flow(net) if lib is None else _pr_flow(lib, net)
+    if method == "scipy":
+        return _scipy_flow(net)
+    lib = _kernel()
+    if lib is not None:
+        return _pr_flow(lib, net)
+    # tolerance from the caller's network: a clamp-sized max_cap would
+    # inflate it
+    return _dinic(_clamped(net)[0], net.tol())
 
 
 def fix_sides(net: FlowNetwork):
@@ -503,6 +597,24 @@ def fix_sides(net: FlowNetwork):
         return z
 
     return side, free_net, lift
+
+
+def _bfs_python(n, eu, ev, reached):
+    order = np.argsort(eu, kind="stable")
+    su, sv = eu[order], ev[order]
+    starts = np.searchsorted(su, np.arange(n))
+    ends = np.searchsorted(su, np.arange(n) + 1)
+    frontier = np.nonzero(reached)[0]
+    while len(frontier):
+        nxt = []
+        for x in frontier:
+            for k in range(starts[x], ends[x]):
+                y = sv[k]
+                if not reached[y]:
+                    reached[y] = True
+                    nxt.append(y)
+        frontier = np.array(nxt, dtype=np.int64)
+    return reached
 
 
 def _bfs_scipy(n, eu, ev, reached):

@@ -5,7 +5,6 @@ main path: exhaustive enumeration for cut problems, accelerated projected
 gradient over the capacity box for minimum-norm points, and smoothed
 cyclic coordinate minimization for the prox objective.  They are slow and
 exact; the test suite compares them against the flow-based solvers.
-``_dinic`` is a pure-Python max-flow, the cross-check of the C kernel.
 
 Positive integer weights admit an independent check of the weighted
 solver (``augment_integer_weights``): augment the problem with w_i - 1
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, TooLarge, WeightNotPositiveInteger
-from .maxflow import FlowNetwork, FlowState
 from .parametric import ReductionVector
 from .prox import ProxProblem
 from .qbm import QuadraticBinaryProblem, _canonical_edges
@@ -81,81 +79,6 @@ def brute_force_minimizers(problem: QuadraticBinaryProblem, beta: float = 0.0,
     s_min = set(int(i) for i in np.nonzero(rows.all(axis=0))[0])
     s_max = set(int(i) for i in np.nonzero(rows.any(axis=0))[0])
     return MinimizerPair(s_min, s_max, float(best))
-
-
-def _dinic(net: FlowNetwork, tol: float) -> FlowState:
-    """A maximum flow of ``net`` by Dinic's blocking-flow algorithm in pure
-    Python, the cross-check of the C push-relabel kernel: ``net`` has
-    finite capacities (``maxflow._clamped``), and a residual arc with at
-    most ``tol`` left counts as saturated.  Residual arc 2k is the
-    k-th arc of positive capacity (terminal arcs first) and 2k + 1 its
-    reverse, whose residual is the arc's flow.  Each phase levels nodes by
-    BFS from s and saturates level-increasing paths with an iterative DFS
-    (no recursion: paths can be longer than the recursion limit); a dead
-    end drops out of the phase at level -1."""
-    n = net.n
-    s, t = n, n + 1
-    tail = np.concatenate([np.full(n, s), np.arange(n), net.arc_u])
-    head = np.concatenate([np.arange(n), np.full(n, t), net.arc_v])
-    cap = np.concatenate([net.source_caps, net.sink_caps, net.arc_cap])
-    keep = np.flatnonzero(cap > 0)
-    ends = np.column_stack([tail[keep], head[keep]])
-    order = np.argsort(ends.ravel(), kind="stable")
-    first = np.searchsorted(ends.ravel()[order], np.arange(n + 3)).tolist()
-    adj = order.tolist()
-    to = ends[:, ::-1].ravel().tolist()
-    res = np.column_stack([cap[keep], np.zeros(len(keep))]).ravel().tolist()
-    while True:
-        level = [-1] * (n + 2)
-        level[s] = depth = 0
-        frontier = [s]
-        while frontier and level[t] < 0:
-            depth += 1
-            nxt = []
-            for x in frontier:
-                for a in adj[first[x]:first[x + 1]]:
-                    y = to[a]
-                    if level[y] < 0 and res[a] > tol:
-                        level[y] = depth
-                        nxt.append(y)
-            frontier = nxt
-        if level[t] < 0:
-            break
-        ptr = first[:]
-        path = []
-        x = s
-        while True:
-            if x == t:
-                d = min([res[a] for a in path])
-                for a in path:
-                    res[a] -= d
-                    res[a ^ 1] += d
-                # retreat to the tail of the first saturated arc
-                k = next(j for j, a in enumerate(path) if res[a] <= tol)
-                x = to[path[k] ^ 1]
-                del path[k:]
-                continue
-            # move x's current arc to its next arc into the next level
-            i, end, up = ptr[x], first[x + 1], level[x] + 1
-            while i < end:
-                a = adj[i]
-                if res[a] > tol and level[to[a]] == up:
-                    break
-                i += 1
-            ptr[x] = i
-            if i < end:
-                path.append(a)
-                x = to[a]
-            elif x == s:
-                break
-            else:
-                level[x] = -1
-                x = to[path.pop() ^ 1]
-                ptr[x] += 1
-    z = np.zeros(len(cap))
-    z[keep] = res[1::2]
-    z_snk = z[n:2 * n]
-    return FlowState(z[:n], z_snk, z[2 * n:], float(z_snk.sum()))
 
 
 def augment_integer_weights(problem: QuadraticBinaryProblem, int_weights):

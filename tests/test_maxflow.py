@@ -1,19 +1,21 @@
 """Max-flow solver: duality against brute force, extreme cuts, flow checks,
-and the C kernel against the pure-Python Dinic and its scipy fallback."""
+and the C kernel against the pure-Python Dinic that replaces it where it
+cannot be built."""
 
 import itertools
+import os
 import shutil
 
 import numpy as np
 import pytest
 
 import graphprox._engine as engine
-from graphprox import (DimensionMismatch, FlowNetwork, FlowState, StaleFlow,
-                       check_flow, max_flow, min_cut, solve_weighted,
-                       to_cut_graph)
+from graphprox import (DimensionMismatch, FlowNetwork, FlowState,
+                       QuadraticBinaryProblem, StaleFlow, check_flow,
+                       max_flow, min_cut, solve_weighted, to_cut_graph)
 from graphprox import maxflow
-from graphprox.maxflow import _clamped, _reach, fix_sides
-from graphprox.oracle import _dinic, brute_force_minimizers
+from graphprox.maxflow import _clamped, _dinic, _reach, fix_sides
+from graphprox.oracle import brute_force_minimizers
 from conftest import random_submodular
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
@@ -683,16 +685,6 @@ class TestKernel:
         assert max_flow(net, "float").z_source.tolist() == [1.0, 0.0]
         assert check_flow(net, maxflow._pr_flow(mutant, net)) != []
 
-    def test_flow_arrays_must_match_network(self):
-        # a length-1 z_source broadcasts through check_flow; the search
-        # must not read past its end
-        net = FlowNetwork(3, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0, 1], [1, 2],
-                          [1.0, 1.0])
-        short = FlowState(np.zeros(1), np.zeros(3), np.zeros(2), 0.0)
-        assert check_flow(net, short) == []
-        with pytest.raises(DimensionMismatch):
-            min_cut(net, short)
-
     def test_search_matches_python_bfs(self, rng):
         # arbitrary capacities and flows, not only valid ones: the search
         # reads nothing but the residual of each arc
@@ -709,17 +701,47 @@ class TestKernel:
             np.testing.assert_array_equal(got[1], want[1])
 
 
-class TestScipyFallback:
-    """With the kernel unable to load, every network goes to scipy."""
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """The kernel's build patched to fail, as where no C compiler runs."""
+    def fail(source, directory):
+        raise OSError("build patched to fail")
 
-    @pytest.fixture
-    def no_kernel(self, monkeypatch):
-        def fail(source, directory):
-            raise OSError("build patched to fail")
+    monkeypatch.setattr(maxflow, "_lib", None)
+    monkeypatch.setattr(maxflow, "kernel_error", None)
+    monkeypatch.setattr(maxflow, "_build", fail)
 
-        monkeypatch.setattr(maxflow, "_lib", None)
-        monkeypatch.setattr(maxflow, "kernel_error", None)
-        monkeypatch.setattr(maxflow, "_build", fail)
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("kernel", marks=needs_cc), "fallback"])
+def test_flow_arrays_must_match_network(backend, request):
+    # a length-1 z_source broadcasts through check_flow; the search must
+    # not read past its end, nor broadcast it
+    if backend == "fallback":
+        request.getfixturevalue("no_kernel")
+    net = FlowNetwork(3, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0, 1], [1, 2],
+                      [1.0, 1.0])
+    short = FlowState(np.zeros(1), np.zeros(3), np.zeros(2), 0.0)
+    assert check_flow(net, short) == []
+    with pytest.raises(DimensionMismatch):
+        min_cut(net, short)
+
+
+def test_kernel_builds_without_user_ids(no_kernel, monkeypatch, tmp_path):
+    # a platform without os.getuid has no owner to check: the cache in the
+    # home directory is used as it is, and the build's own failure is the
+    # one recorded, not an AttributeError raised from every solve
+    monkeypatch.delattr(os, "getuid")
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert maxflow._cache_dir() == tmp_path / ".cache" / "graphprox"
+    net = FlowNetwork(2, [5.0, 0.0], [0.0, 1.0], [0], [1], [1.0])
+    assert max_flow(net, "float").value == 1.0
+    assert maxflow.kernel_error == "build patched to fail"
+
+
+class TestFallback:
+    """With the kernel unable to load, the float backend is the pure-Python
+    Dinic and the residual search runs in Python or scipy."""
 
     def test_networks_fall_back(self, no_kernel):
         rng = np.random.default_rng(2)
@@ -729,34 +751,66 @@ class TestScipyFallback:
                 state = max_flow(net, "float")
             except DimensionMismatch:
                 continue
-            assert state.eff_source is not None
+            assert state.eff_source is None
+            assert maxflow._lib is None
             assert maxflow.kernel_error == "build patched to fail"
-            # quarter-integer capacities lie on scipy's grid: the cuts are
-            # the float ones
             value, sink = all_cuts(net)
             opt = sink[value <= value.min() + 1e-9]
             assert min_cut(net, state) == (
                 set(np.flatnonzero(opt.all(0)).tolist()),
                 set(np.flatnonzero(opt.any(0)).tolist()))
 
-    def test_solve_falls_back(self, no_kernel, monkeypatch):
-        rng = np.random.default_rng(3)
-        prob = random_submodular(rng, 14, density=0.3)
-        w = rng.uniform(0.5, 2.0, 14)
-        backends = []
+    def test_search_matches_python_bfs(self, no_kernel, rng):
+        # both sides of the 512-node switch between Python and scipy
+        for n in list(rng.integers(1, 300, 20)) + [513, 900]:
+            n = int(n)
+            m = int(rng.integers(0, 4 * n + 1))
+            eu, ev = rng.integers(0, n, m), rng.integers(0, n, m)
+            caps = tuple(rng.integers(0, 3, k) * 0.5 for k in (n, n, m))
+            flows = tuple(np.minimum(c, rng.integers(0, 3, len(c)) * 0.5)
+                          for c in caps)
+            got = _reach(n, eu, ev, caps, flows, 0.25)
+            want = python_reach(n, eu, ev, caps, flows, 0.25)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        assert maxflow._lib is None
+
+    @pytest.mark.parametrize("backend", [
+        pytest.param("kernel", marks=needs_cc), "fallback"])
+    def test_union_routing(self, backend, request, monkeypatch):
+        # 40 disjoint 10-node components: their union (400 nodes) goes to
+        # the kernel when it is loaded, else to "auto" and so to scipy, as
+        # a network above the threshold would
+        if backend == "fallback":
+            request.getfixturevalue("no_kernel")
+        rng = np.random.default_rng(4)
+        k, c = 10, 40
+        u = np.concatenate([i * k + np.arange(k - 1) for i in range(c)])
+        prob = QuadraticBinaryProblem.from_parts(
+            rng.normal(0, 0.5, k * c), zip(u, u + 1, -rng.uniform(1, 2, len(u))))
+        sizes = []
         inner = engine.max_flow
 
         def spy(net, *args, **kwargs):
             state = inner(net, *args, **kwargs)
-            backends.append(state.eff_source is not None)
+            sizes.append((net.n, state.eff_source is not None))
             return state
 
         monkeypatch.setattr(engine, "max_flow", spy)
+        solve_weighted(prob, rng.uniform(0.5, 3, k * c))
+        big = [on_scipy for n, on_scipy in sizes
+               if n > maxflow._SCIPY_NODE_THRESHOLD]
+        assert big and big == [backend == "fallback"] * len(big)
+
+    def test_solve_falls_back(self, no_kernel, monkeypatch):
+        rng = np.random.default_rng(3)
+        prob = random_submodular(rng, 14, density=0.3)
+        w = rng.uniform(0.5, 2.0, 14)
         fallback = solve_weighted(prob, w)
-        assert backends and all(backends)
+        assert maxflow._lib is None
         monkeypatch.undo()
         sol = solve_weighted(prob, w)
-        np.testing.assert_allclose(fallback.levels, sol.levels, atol=1e-5)
+        np.testing.assert_allclose(fallback.levels, sol.levels, atol=1e-9)
         bps = sol.breakpoints()
         for beta in np.r_[bps[0] - 1, (bps[1:] + bps[:-1]) / 2, bps[-1] + 1]:
             assert fallback.u1(beta) == sol.u1(beta)
