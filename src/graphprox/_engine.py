@@ -75,8 +75,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maxflow import (_SCIPY_NODE_THRESHOLD, FlowNetwork, FlowState,
-                      _kernel, fix_sides, max_flow, min_cut)
+from .maxflow import (_SCIPY_NODE_THRESHOLD, _kernel, _prechecked,
+                      fix_sides, max_flow, min_cut)
 from .qbm import QuadraticBinaryProblem, _check_weights
 
 TERM_TOL = 1e-9  # relative tolerance for "block is one level set"
@@ -141,52 +141,65 @@ def _components(L: int, lu, lv) -> np.ndarray:
     return (np.cumsum(label == np.arange(L)) - 1)[label]
 
 
-def _block_cut(problem: QuadraticBinaryProblem, cap, nodes, edges, g, unary,
-               inf_src, inf_snk, local, method: str = "auto"):
-    """Extreme sink-side minimum cuts of the blocks made of ``nodes``
-    (global ids) and ``edges`` (the problem edges inside them), solved on
-    the residual network of the flow ``g`` those edges already carry.
+def _block_cut(lu, lv, cap, g, unary, inf_src=None, inf_snk=None,
+               local=None, method: str = "auto"):
+    """Extreme sink-side minimum cuts of the blocks made of the nodes of
+    ``unary`` and the edges ``lu[k] -- lv[k]`` (indices into ``unary``)
+    inside them, solved on the residual network of the flow ``g`` those
+    edges already carry.
 
-    ``g`` is each edge's u -> v flow in network units (half of alpha), and
-    ``unary`` the nodes' reductions under it, shifted by their pivot.
-    ``unary``, ``inf_src``, ``inf_snk`` and ``local``, the network node of
-    each, align with ``nodes``.  Nodes sharing a network node merge: their
-    unaries add up and the edges between them get no capacity.  ``cap`` is
-    the per-edge capacity of the whole problem; edge u -> v gets the arcs
-    u -> v of cap/2 - g and v -> u of cap/2 + g, clipped at 0, what the box
-    leaves each direction.  Routing ``g`` moved both unaries and arcs by the
-    same flow, so every cut's capacity shifts by one constant and the
-    minimum cuts are those of the zero-flow network.  Returns ``(s_min,
-    s_max, h)``: boolean masks aligned with ``nodes`` and the
-    forward-minus-backward max-flow of each edge, which adds to ``g``.
+    ``g`` is each edge's lu -> lv flow in network units (half of alpha),
+    and ``unary`` the nodes' reductions under it, shifted by their pivot.
+    ``inf_src`` and ``inf_snk`` flag the nodes pinned to a terminal (None:
+    none is), and ``local`` gives the network node of each node (None: its
+    own).  Nodes sharing a network node merge: their unaries add up and the
+    edges between them get no capacity.  ``cap`` is each edge's capacity;
+    it gets the arcs lu -> lv of cap/2 - g and lv -> lu of cap/2 + g,
+    clipped at 0, what the box leaves each direction.  Routing ``g`` moved
+    both unaries and arcs by the same flow, so every cut's capacity shifts
+    by one constant and the minimum cuts are those of the zero-flow
+    network.  Returns ``(s_min, s_max, h)``: boolean masks aligned with
+    ``unary`` and the forward-minus-backward max-flow of each edge, which
+    adds to ``g``.
     """
-    m = int(local.max(initial=-1)) + 1
-    loc = np.empty(problem.n, dtype=np.int64)
-    loc[nodes] = local
-    lu, lv = loc[problem.edge_u[edges]], loc[problem.edge_v[edges]]
-    half, inner = 0.5 * cap[edges], lu == lv
-    fwd = np.where(inner, 0.0, np.maximum(half - g, 0.0))
-    bwd = np.where(inner, 0.0, np.maximum(half + g, 0.0))
-    unary = np.bincount(local, unary, m)
-    src = np.where(np.bincount(local, inf_src, m) > 0, np.inf,
-                   np.maximum(unary, 0.0))
-    snk = np.where(np.bincount(local, inf_snk, m) > 0, np.inf,
-                   np.maximum(-unary, 0.0))
-    side, sub, lift = fix_sides(FlowNetwork(
+    half = 0.5 * cap
+    if local is None:
+        m = len(unary)
+        fwd, bwd = np.maximum(half - g, 0.0), np.maximum(half + g, 0.0)
+    else:
+        m = int(local.max(initial=-1)) + 1
+        lu, lv = local[lu], local[lv]
+        inner = lu == lv
+        fwd = np.where(inner, 0.0, np.maximum(half - g, 0.0))
+        bwd = np.where(inner, 0.0, np.maximum(half + g, 0.0))
+        unary = np.bincount(local, unary, m)
+        if inf_src is not None:
+            inf_src = np.bincount(local, inf_src, m) > 0
+            inf_snk = np.bincount(local, inf_snk, m) > 0
+    src, snk = np.maximum(unary, 0.0), np.maximum(-unary, 0.0)
+    if inf_src is not None:
+        src[inf_src] = np.inf
+        snk[inf_snk] = np.inf
+    # the arrays come from a checked problem and every capacity is clipped
+    # at 0, so the network needs no checks
+    side, sub, lift = fix_sides(_prechecked(
         m, src, snk, np.concatenate([lu, lv]), np.concatenate([lv, lu]),
         np.concatenate([fwd, bwd])))
     # the solve needs only sub and lift: free the block network's parts
-    del loc, lu, lv, half, inner, fwd, bwd, unary, src, snk
-    cuts = np.repeat(side[None] < 0, 2, axis=0)
-    state = FlowState(np.zeros(0), np.zeros(0), np.zeros(0), 0.0)
+    del lu, lv, half, fwd, bwd, unary, src, snk
+    s_min = side < 0
+    s_max = s_min.copy()
+    state = None
     if sub.n:
         state = max_flow(sub, method=method)
         free = np.flatnonzero(side == 0)
-        for mask, ids in zip(cuts, min_cut(sub, state)):
+        for mask, ids in zip((s_min, s_max), min_cut(sub, state)):
             mask[free[np.fromiter(ids, dtype=np.int64, count=len(ids))]] = True
     z = lift(state)
-    k = len(edges)
-    return cuts[0][local], cuts[1][local], z[:k] - z[k:]
+    k = len(g)
+    if local is not None:
+        s_min, s_max = s_min[local], s_max[local]
+    return s_min, s_max, z[:k] - z[k:]
 
 
 def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
@@ -256,80 +269,104 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         """Extreme sink-side cuts of the current depth's ``blocks``, as
         masks over live nodes: blocks of at most _SCIPY_NODE_THRESHOLD
         nodes in one union network for the float backend, larger ones
-        alone with ``method``.  The live nodes flagged by ``merge`` form
-        one network node per block.  ``flow`` receives the
-        forward-minus-backward flow of each edge inside them, on top of
-        the carried ``g``."""
-        s_min = np.zeros(len(nodes), dtype=bool)
-        s_max = np.zeros(len(nodes), dtype=bool)
+        alone with ``method``.  ``src_pin`` and ``snk_pin`` flag the live
+        nodes pinned to a terminal (None: none is), and the live nodes
+        flagged by ``merge`` form one network node per block.  ``flow``
+        receives the forward-minus-backward flow of each edge inside them,
+        on top of the carried ``g``."""
+        s_min = np.zeros(L, dtype=bool)
+        s_max = np.zeros(L, dtype=bool)
         small = blocks & (size <= _SCIPY_NODE_THRESHOLD)
-        starts = np.concatenate([[0], np.cumsum(size)])
-        estarts = np.concatenate(
-            [[0], np.cumsum(np.bincount(ebid, minlength=len(size)))])
         union = ("float" if method == "auto" and _kernel() is not None
                  else method)
-        groups = [(small[bid], small[ebid], union)] if small.any() else []
-        groups += [(slice(starts[b], starts[b + 1]),
-                    slice(estarts[b], estarts[b + 1]), method)
-                   for b in np.nonzero(blocks & ~small)[0]]
-        for gn, ge, how in groups:
-            g_nodes = nodes[gn]
-            local = np.arange(len(g_nodes))
+        groups = []
+        if small.any():
+            gn, ge = small[bid], small[ebid]
+            at = np.cumsum(gn) - 1  # live position -> position in the union
+            groups.append((gn, ge, at[lu[ge]], at[lv[ge]], union))
+        for b in np.flatnonzero(blocks & ~small):
+            gn, ge = slice(starts[b], starts[b + 1]), slice(estarts[b], estarts[b + 1])
+            groups.append((gn, ge, lu[ge] - starts[b], lv[ge] - starts[b], method))
+        for gn, ge, g_lu, g_lv, how in groups:
+            local = None
             if merge is not None:
-                key = np.where(merge[gn], -1 - bid[gn], local)
+                joined = merge[gn]
+                key = np.where(joined, -1 - bid[gn], np.arange(len(joined)))
                 local = np.unique(key, return_inverse=True)[1]
+            pins = (None, None) if src_pin is None else (src_pin[gn], snk_pin[gn])
             s_min[gn], s_max[gn], flow[ge] = _block_cut(
-                problem, cap, g_nodes, edges[ge], g[ge], unary[gn],
-                src_pin[gn], snk_pin[gn], local, how)
+                g_lu, g_lv, cap_e[ge], g[ge], unary[gn], *pins, local, how)
         return s_min, s_max
 
     def splits(mask):
         """Blocks that ``mask`` (over live nodes) cuts nontrivially."""
-        cnt = np.bincount(bid, mask, len(size))
+        cnt = np.bincount(bid, mask, B)
         return (cnt > 0) & (cnt < size)
 
     while len(nodes):
         L, B = len(nodes), int(bid[-1]) + 1
         size = np.bincount(bid, minlength=B)
+        # block b owns nodes starts[b]:starts[b + 1] and edges
+        # estarts[b]:estarts[b + 1]
+        starts = np.concatenate([[0], np.cumsum(size)])
+        estarts = np.concatenate([[0], np.cumsum(np.bincount(ebid, minlength=B))])
         anch = anchor_mask[nodes]
-        a_val = anchor_values[nodes]
+        anchored = anch.any()
 
         # reductions of live nodes under the current diagonal and the flow
-        # g (u -> v, half of alpha) that the edges inside blocks carry
+        # g (u -> v, half of alpha) that the edges inside blocks carry;
+        # lu, lv are the live positions of each live edge's ends
         loc[nodes] = np.arange(L)
+        lu, lv = loc[eu[edges]], loc[ev[edges]]
         g = 0.5 * alpha[edges]
+        cap_e = cap[edges]
         half = 0.5 * static_q[edges]
-        r = diag[nodes] + np.bincount(loc[eu[edges]], half - g, L) \
-            + np.bincount(loc[ev[edges]], half + g, L)
+        r = diag[nodes] + np.bincount(lu, half - g, L) \
+            + np.bincount(lv, half + g, L)
         del half
 
         # pivots: mean anchor value, else sum(r) / sum(w), else (all-zero
         # weights) mean r
         w_nd = w[nodes]
-        n_anch = np.bincount(bid, anch, B)
         sw = np.bincount(bid, w_nd, B)
-        zero = (n_anch == 0) & (sw <= ZERO_W_TOL)
-        num = np.where(n_anch > 0, np.bincount(bid, np.where(anch, a_val, 0.0), B),
-                       np.bincount(bid, r, B))
-        mu = num / np.where(n_anch > 0, n_anch, np.where(zero, size, sw))
-        w_eff = np.where(zero[bid], 1.0, w_nd)
-        unary = np.where(anch, 0.0, r - mu[bid] * w_eff)
+        num = np.bincount(bid, r, B)
+        if anchored:
+            a_val = anchor_values[nodes]
+            n_anch = np.bincount(bid, anch, B)
+            pinned = n_anch > 0
+            zero = ~pinned & (sw <= ZERO_W_TOL)
+            num = np.where(pinned, np.bincount(bid, np.where(anch, a_val, 0.0), B),
+                           num)
+            mu = num / np.where(pinned, n_anch, np.where(zero, size, sw))
+        else:
+            zero = sw <= ZERO_W_TOL
+            mu = num / np.where(zero, size, sw)
+        any_zero = zero.any()
+        w_eff = np.where(zero[bid], 1.0, w_nd) if any_zero else w_nd
+        unary = r - mu[bid] * w_eff
         del r, w_nd
         tol = TERM_TOL * np.maximum(np.abs(mu), scale)
         spread = np.zeros(B)
         np.maximum.at(spread, bid, np.abs(unary))
-        done = (size == 1) | ((n_anch == 0) & (spread <= tol))
+        flat = spread <= tol
+        if anchored:
+            unary[anch] = 0.0
+            flat &= ~pinned
+        done = (size == 1) | flat
         active = ~done
         split = np.zeros(B, dtype=bool)
         flow = np.zeros(len(edges))
 
         if active.any():
-            # anchors at or below the pivot are pinned to the sink (low) side
-            tie_tol = (TERM_TOL * np.maximum(1.0, np.abs(mu)))[bid]
-            at_pivot = anch & (np.abs(a_val - mu[bid]) <= tie_tol)
-            inf_snk = anch & (a_val <= mu[bid] + tie_tol)
-            inf_src = anch & ~inf_snk
-            del tie_tol
+            inf_src = inf_snk = None
+            if anchored:
+                # anchors at or below the pivot are pinned to the sink
+                # (low) side
+                tie_tol = (TERM_TOL * np.maximum(1.0, np.abs(mu)))[bid]
+                at_pivot = anch & (np.abs(a_val - mu[bid]) <= tie_tol)
+                inf_snk = anch & (a_val <= mu[bid] + tie_tol)
+                inf_src = anch & ~inf_snk
+                del tie_tol
             s_min, s_max = cut(active, unary, inf_src, inf_snk, flow)
             by_max, by_min = splits(s_max), splits(s_min)
             # anchors exactly at the pivot sit in U2 but not U1; the strict
@@ -339,16 +376,16 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
             # split of anchors pinned high, and where nothing splits, a flow
             # that routes every node's excess, into them if need be: the
             # block's equalizing flow, which the first cut's need not be
-            again = active & ~by_max & ~by_min & \
-                (np.bincount(bid, at_pivot, B) > 0)
-            if again.any():
-                share = -np.bincount(bid, unary, B) / np.maximum(n_anch, 1)
-                free = np.zeros(L, dtype=bool)
-                s_min2, _ = cut(again, np.where(anch, share[bid], unary),
-                                free, free, flow, merge=anch)
-                redo = again[bid]
-                s_min[redo] = s_min2[redo]
-                by_min |= again & splits(s_min2)
+            if anchored:
+                again = active & ~by_max & ~by_min & \
+                    (np.bincount(bid, at_pivot, B) > 0)
+                if again.any():
+                    share = -np.bincount(bid, unary, B) / np.maximum(n_anch, 1)
+                    s_min2, _ = cut(again, np.where(anch, share[bid], unary),
+                                    None, None, flow, merge=anch)
+                    redo = again[bid]
+                    s_min[redo] = s_min2[redo]
+                    by_min |= again & splits(s_min2)
             split = by_max | by_min
             low = np.where(by_max[bid], s_max, s_min)
             done |= active & ~split
@@ -366,13 +403,18 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         # weakly below always when it is zero)
         fin = done[bid]
         f, b = nodes[fin], bid[fin]
-        a_f, av = anch[fin], a_val[fin]
-        levels[f] = np.where(a_f, av, mu[b] * w_eff[fin])
-        lo = np.where(a_f, av, mu[b])
-        hi = lo.copy()
-        zb = zero[b]
-        lo[zb] = np.where(mu[b[zb]] < -tol[b[zb]], -np.inf, np.inf)
-        hi[zb] = np.where(mu[b[zb]] > tol[b[zb]], np.inf, -np.inf)
+        lo = mu[b]
+        levels[f] = lo * w_eff[fin]
+        if anchored:
+            a_f, av = anch[fin], a_val[fin]
+            levels[f] = np.where(a_f, av, levels[f])
+            lo[a_f] = av[a_f]
+        hi = lo
+        if any_zero:
+            hi = lo.copy()
+            zb = zero[b]
+            lo[zb] = np.where(mu[b[zb]] < -tol[b[zb]], -np.inf, np.inf)
+            hi[zb] = np.where(mu[b[zb]] > tol[b[zb]], np.inf, -np.inf)
         flip_lo[f] = lo
         flip_hi[f] = hi
         if not split.any():
@@ -382,7 +424,7 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         # alpha at -cap, flow v -> u; low-v means alpha at +cap, flow u -> v)
         # and let the high endpoint absorb the static coupling
         keep_n, keep_e = split[bid], split[ebid]
-        u_low, v_low = low[loc[eu[edges]]], low[loc[ev[edges]]]
+        u_low, v_low = low[lu], low[lv]
         cross = keep_e & (u_low != v_low)
         cu, cv = edges[cross & u_low], edges[cross & v_low]
         alpha[cu] = -cap[cu]

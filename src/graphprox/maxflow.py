@@ -76,6 +76,7 @@ class FlowNetwork:
     arc_u: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     arc_v: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     arc_cap: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float64))
+    _tol: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.source_caps = np.asarray(self.source_caps, dtype=np.float64)
@@ -108,7 +109,11 @@ class FlowNetwork:
         return top
 
     def tol(self) -> float:
-        return SAT_TOL * max(1.0, self.max_cap)
+        """``SAT_TOL`` scaled by ``max(1, max_cap)``, computed at the first
+        call and kept: a network's arrays do not change once it is built."""
+        if self._tol is None:
+            self._tol = SAT_TOL * max(1.0, self.max_cap)
+        return self._tol
 
 
 def _prechecked(n, source_caps, sink_caps, arc_u, arc_v, arc_cap):
@@ -116,6 +121,7 @@ def _prechecked(n, source_caps, sink_caps, arc_u, arc_v, arc_cap):
     net = object.__new__(FlowNetwork)
     net.n, net.source_caps, net.sink_caps = n, source_caps, sink_caps
     net.arc_u, net.arc_v, net.arc_cap = arc_u, arc_v, arc_cap
+    net._tol = None
     return net
 
 
@@ -363,17 +369,15 @@ def _build(source: bytes, directory: Path) -> Path:
 
 
 def _bind(path: Path):
-    """The library at ``path``, with the kernel's argument types set."""
+    """The library at ``path``, with the kernel's argument types set.  The
+    arrays go in as bare addresses (``_c_arrays`` vets them), since
+    ``ndpointer`` types cost more per call than a small network's solve."""
     import ctypes
 
     lib = ctypes.CDLL(str(path))
-    f64, i64, out = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
-                     for t in (np.float64, np.int64, np.bool_))
-    size, tol = ctypes.c_int64, ctypes.c_double
-    lib.gp_max_flow.argtypes = [size, size, f64, f64, i64, i64, f64, tol,
-                                f64, f64, f64]
-    lib.gp_reach.argtypes = [size, size, i64, i64, f64, f64, f64, f64, f64,
-                             f64, tol, out, out]
+    ptr, size, tol = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    lib.gp_max_flow.argtypes = [size, size] + [ptr] * 5 + [tol] + [ptr] * 3
+    lib.gp_reach.argtypes = [size, size] + [ptr] * 8 + [tol, ptr, ptr]
     lib.gp_max_flow.restype = lib.gp_reach.restype = ctypes.c_int
     return lib
 
@@ -390,19 +394,43 @@ def _kernel():
     return _lib
 
 
+def _c_arrays(arrays, dtypes, sizes):
+    """``arrays`` as C-contiguous arrays of ``dtypes``, copied only where
+    they are not already, once each holds as many items as ``sizes`` says:
+    the kernel reads that many from each address.
+
+    Raises
+    ------
+    DimensionMismatch
+        If an array's size is not the one given.
+    """
+    out = [np.ascontiguousarray(a, t) for a, t in zip(arrays, dtypes)]
+    if [a.size for a in out] != sizes:
+        raise DimensionMismatch("flow arrays do not match the network")
+    return out
+
+
+_NET_TYPES = (np.float64, np.float64, np.int64, np.int64, np.float64)
+
+
 def _pr_flow(lib, net: FlowNetwork) -> FlowState:
     """Maximum flow of ``net`` by the kernel's push-relabel on the clamped
     network (``_clamped``), saturation tested against ``net.tol()``: a
     clamp-sized max_cap would inflate it."""
     cnet = _clamped(net)[0]
     n, m = net.n, len(net.arc_u)
-    z_src, z_snk, z_arc = np.empty(n), np.empty(n), np.empty(m)
-    if lib.gp_max_flow(n, m, cnet.source_caps, cnet.sink_caps,
-                       np.ascontiguousarray(net.arc_u),
-                       np.ascontiguousarray(net.arc_v), cnet.arc_cap,
-                       net.tol(), z_src, z_snk, z_arc):
+    args = _c_arrays((cnet.source_caps, cnet.sink_caps, net.arc_u, net.arc_v,
+                      cnet.arc_cap), _NET_TYPES, [n, n, m, m, m])
+    z = np.empty(2 * n + m)  # z_source, z_sink and z_arc, back to back
+    at = z.ctypes.data
+    if lib.gp_max_flow(n, m, *[a.ctypes.data for a in args], net.tol(),
+                       at, at + 8 * n, at + 16 * n):
         raise MemoryError(f"max-flow kernel failed on {n} nodes, {m} arcs")
-    return FlowState(z_src, z_snk, z_arc, float(z_snk.sum()))
+    z_snk = z[n:2 * n]
+    return FlowState(z[:n], z_snk, z[2 * n:], float(z_snk.sum()))
+
+
+_REACH_TYPES = (np.int64, np.int64) + (np.float64,) * 6
 
 
 def _reach(n, eu, ev, caps, flows, tol):
@@ -412,16 +440,15 @@ def _reach(n, eu, ev, caps, flows, tol):
     residual arc needs more than ``tol`` left.  Without the kernel, the
     search runs in Python up to 512 nodes and in scipy beyond."""
     m = len(eu)
-    args = [np.ascontiguousarray(a, np.int64) for a in (eu, ev)] + \
-        [np.ascontiguousarray(a, np.float64) for a in (*caps, *flows)]
-    if [len(a) for a in args] != [m, m, n, n, m, n, n, m]:
-        raise DimensionMismatch("flow arrays do not match the network")
+    args = _c_arrays((eu, ev, *caps, *flows), _REACH_TYPES,
+                     [m, m, n, n, m, n, n, m])
     lib = _kernel()
     if lib is not None:
-        from_s, to_t = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-        if lib.gp_reach(n, m, *args, tol, from_s, to_t):
+        out = np.empty(2 * n, dtype=bool)  # from_s, then to_t
+        at = out.ctypes.data
+        if lib.gp_reach(n, m, *[a.ctypes.data for a in args], tol, at, at + n):
             raise MemoryError(f"residual search failed on {n} nodes, {m} arcs")
-        return from_s, to_t
+        return out[:n], out[n:]
     eu, ev, c_src, c_snk, c_arc, z_src, z_snk, z_arc = args
     fwd, rev = c_arc - z_arc > tol, z_arc > tol
     fu = np.concatenate([eu[fwd], ev[rev]])
@@ -562,10 +589,15 @@ def fix_sides(net: FlowNetwork):
     src, snk, tol = net.source_caps, net.sink_caps, net.tol()
     side = (src > snk + np.bincount(u, cap, n) + tol).astype(np.int8)
     side[snk > src + np.bincount(v, cap, n) + tol] = -1
-    if not side.any():
-        return side, net, lambda state: state.z_arc
     free = side == 0
     m = int(np.count_nonzero(free))
+    if m == n:
+        return side, net, lambda state: state.z_arc
+    if m == 0:
+        z = np.where((side[u] > 0) & (side[v] < 0), cap, 0.0)
+        none = np.zeros(0)
+        return side, _prechecked(0, none, none, u[:0], v[:0], none), \
+            lambda state: z
     # each arc end as a free node, or -1 (source-fixed) or -2 (sink-fixed)
     code = np.cumsum(free) - 1
     code[side > 0] = -1

@@ -111,6 +111,15 @@ def pwl_decompose(penalty: PiecewiseLinearPenalty):
     return c, anchors, const
 
 
+def regularizer(u, edge_u, edge_v, edge_w, penalties) -> float:
+    """sum_i xi_i(u_i) + sum_ij w_ij |u_i - u_j| of the float array ``u``
+    over checked edges and penalties (no lambda factor)."""
+    val = float(np.sum(edge_w * np.abs(u[edge_u] - u[edge_v])))
+    for i, pen in penalties.items():
+        val += pen.value(float(u[i]))
+    return val
+
+
 @dataclass
 class ProxProblem:
     """Data of the graph-fused proximal problem.
@@ -183,11 +192,8 @@ class ProxProblem:
 
     def regularizer(self, u) -> float:
         """sum_i xi_i(u_i) + sum_ij w_ij |u_i - u_j| (no lambda factor)."""
-        u = np.asarray(u, dtype=np.float64)
-        val = float(np.sum(self.edge_w * np.abs(u[self.edge_u] - u[self.edge_v])))
-        for i, pen in self.penalties.items():
-            val += pen.value(float(u[i]))
-        return val
+        return regularizer(np.asarray(u, dtype=np.float64), self.edge_u,
+                           self.edge_v, self.edge_w, self.penalties)
 
     def objective(self, u) -> float:
         u = np.asarray(u, dtype=np.float64)

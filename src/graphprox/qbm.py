@@ -52,12 +52,17 @@ def _canonical_edges(u, v, val, n: int):
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
+    val = np.asarray(val, dtype=np.float64)
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     if len(lo) and (lo.min() < 0 or hi.max() >= n):
         raise DimensionMismatch("edge endpoint out of range")
-    keys, inv = np.unique(lo * n + hi, return_inverse=True)
-    summed = np.bincount(inv, weights=np.asarray(val, dtype=np.float64),
-                         minlength=len(keys))
+    keys = lo * n + hi
+    if np.all(keys[1:] > keys[:-1]):
+        # already sorted, each pair once; + 0.0 turns -0.0 into 0.0, as the
+        # sum from 0.0 below does
+        return lo, hi, val + 0.0
+    keys, inv = np.unique(keys, return_inverse=True)
+    summed = np.bincount(inv, weights=val, minlength=len(keys))
     return keys // max(n, 1), keys % max(n, 1), summed
 
 

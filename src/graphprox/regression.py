@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .prox import ProxProblem, prox
+from .prox import ProxProblem, prox, regularizer
 
 L_FLOOR = 1e-12
 L_SAFETY = 1.1       # factor on the power-iteration estimate
@@ -25,7 +25,13 @@ POWER_RTOL = 1e-6    # relative change that stops the power iteration
 
 @dataclass
 class RegressionProblem:
-    """Design matrix, response, and the fused regularizer data."""
+    """Design matrix, response, and the fused regularizer data.
+
+    A must be 2-D with one row per entry of y.  The edges, weights, lambda
+    and penalties are checked as ``ProxProblem`` checks them, and stored
+    as it stores them (each edge with u < v), so a fit's proxes and
+    objectives need no check of their own.
+    """
 
     A: np.ndarray
     y: np.ndarray
@@ -40,11 +46,11 @@ class RegressionProblem:
         self.y = np.asarray(self.y, dtype=np.float64).ravel()
         if self.A.ndim != 2 or self.A.shape[0] != len(self.y):
             raise DimensionMismatch("A must be N x n with len(y) == N")
-        if not 0 <= self.lam < np.inf:
-            raise DimensionMismatch("lambda must be finite and nonnegative")
-        self.edge_u = np.asarray(self.edge_u, dtype=np.int64)
-        self.edge_v = np.asarray(self.edge_v, dtype=np.int64)
-        self.edge_w = np.asarray(self.edge_w, dtype=np.float64)
+        # the prox problem's checks, once: edges, weights, lambda, penalties
+        fused = ProxProblem(np.zeros(self.n), self.edge_u, self.edge_v,
+                            self.edge_w, self.lam, self.penalties)
+        self.edge_u, self.edge_v = fused.edge_u, fused.edge_v
+        self.edge_w, self.penalties = fused.edge_w, fused.penalties
 
     @property
     def n(self) -> int:
@@ -62,8 +68,8 @@ def objective(problem: RegressionProblem, u) -> float:
     if u.shape != (problem.n,):
         raise DimensionMismatch(f"u must have length {problem.n}")
     resid = problem.y - problem.A @ u
-    helper = problem.prox_problem(np.zeros(problem.n), problem.lam)
-    return float(resid @ resid) + problem.lam * helper.regularizer(u)
+    return float(resid @ resid) + problem.lam * regularizer(
+        u, problem.edge_u, problem.edge_v, problem.edge_w, problem.penalties)
 
 
 def lipschitz_estimate(A) -> float:
