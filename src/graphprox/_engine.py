@@ -135,10 +135,13 @@ def _components(L: int, lu, lv) -> np.ndarray:
         np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
         while True:
             up = label[label]
-            if np.array_equal(up, label):
+            if not (up != label).any():
                 break
             label = up
-    return (np.cumsum(label == np.arange(L)) - 1)[label]
+    roots = label == np.arange(L)
+    number = np.empty(L, dtype=np.int64)
+    number[roots] = np.arange(np.count_nonzero(roots))
+    return number[label]
 
 
 def _block_cut(lu, lv, cap, g, unary, inf_src=None, inf_snk=None,
@@ -192,7 +195,7 @@ def _block_cut(lu, lv, cap, g, unary, inf_src=None, inf_snk=None,
     state = None
     if sub.n:
         state = max_flow(sub, method=method)
-        free = np.flatnonzero(side == 0)
+        free = (side == 0).nonzero()[0]
         for mask, ids in zip((s_min, s_max), min_cut(sub, state)):
             mask[free[np.fromiter(ids, dtype=np.int64, count=len(ids))]] = True
     z = lift(state)
@@ -258,8 +261,8 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         lu = loc[eu[edges]]
         label = _components(L, lu, loc[ev[edges]])
         elabel = label[lu]
-        order = np.argsort(label, kind="stable")
-        eorder = np.argsort(elabel, kind="stable")
+        order = label.argsort(kind="stable")
+        eorder = elabel.argsort(kind="stable")
         return nodes[order], label[order], edges[eorder], elabel[eorder]
 
     nodes, bid, edges, ebid = regroup(np.arange(n),
@@ -282,11 +285,15 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         groups = []
         if small.any():
             gn, ge = small[bid], small[ebid]
-            at = np.cumsum(gn) - 1  # live position -> position in the union
+            at = np.empty(L, dtype=np.int64)  # live position -> union's
+            at[gn] = np.arange(np.count_nonzero(gn))
             groups.append((gn, ge, at[lu[ge]], at[lv[ge]], union))
-        for b in np.flatnonzero(blocks & ~small):
-            gn, ge = slice(starts[b], starts[b + 1]), slice(estarts[b], estarts[b + 1])
-            groups.append((gn, ge, lu[ge] - starts[b], lv[ge] - starts[b], method))
+        for b in (blocks & ~small).nonzero()[0]:
+            # block b's slices of the live nodes and edges
+            n0, n1 = np.searchsorted(bid, (b, b + 1))
+            e0, e1 = np.searchsorted(ebid, (b, b + 1))
+            groups.append((slice(n0, n1), slice(e0, e1), lu[e0:e1] - n0,
+                           lv[e0:e1] - n0, method))
         for gn, ge, g_lu, g_lv, how in groups:
             local = None
             if merge is not None:
@@ -306,10 +313,6 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
     while len(nodes):
         L, B = len(nodes), int(bid[-1]) + 1
         size = np.bincount(bid, minlength=B)
-        # block b owns nodes starts[b]:starts[b + 1] and edges
-        # estarts[b]:estarts[b + 1]
-        starts = np.concatenate([[0], np.cumsum(size)])
-        estarts = np.concatenate([[0], np.cumsum(np.bincount(ebid, minlength=B))])
         anch = anchor_mask[nodes]
         anchored = anch.any()
 

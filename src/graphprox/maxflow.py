@@ -204,23 +204,23 @@ def _clamped(net: FlowNetwork) -> tuple[FlowNetwork, float]:
         If a node is pinned to both terminals, or a directed path of
         infinite arcs leads from a source pin to a sink pin (no finite cut).
     """
-    inf_s = np.isinf(net.source_caps)
-    inf_t = np.isinf(net.sink_caps)
-    if np.any(inf_s & inf_t):
-        raise DimensionMismatch("node pinned to both terminals")
-    if inf_s.any() and inf_t.any():
-        ties = np.isinf(net.arc_cap)
-        k, zero = int(np.count_nonzero(ties)), np.zeros(net.n)
-        from_s, to_t = _reach(net.n, net.arc_u[ties], net.arc_v[ties],
-                              (inf_s * 1.0, inf_t * 1.0, np.ones(k)),
-                              (zero, zero, np.zeros(k)), 0.0)
-        if np.any(from_s & to_t):
-            raise DimensionMismatch("infinite path links source to sink")
-        caps = (net.source_caps, net.sink_caps, net.arc_cap)
-        bound = float(sum(c[np.isfinite(c)].sum() for c in caps))
-    else:
-        bound = min(np.inf if inf_s.any() else float(net.source_caps.sum()),
-                    np.inf if inf_t.any() else float(net.sink_caps.sum()))
+    # a side with an infinite arc sums to inf
+    bound = min(float(net.source_caps.sum()), float(net.sink_caps.sum()))
+    if bound == np.inf:
+        inf_s = np.isinf(net.source_caps)
+        inf_t = np.isinf(net.sink_caps)
+        if np.any(inf_s & inf_t):
+            raise DimensionMismatch("node pinned to both terminals")
+        if inf_s.any() and inf_t.any():
+            ties = np.isinf(net.arc_cap)
+            k, zero = int(np.count_nonzero(ties)), np.zeros(net.n)
+            from_s, to_t = _reach(net.n, net.arc_u[ties], net.arc_v[ties],
+                                  (inf_s * 1.0, inf_t * 1.0, np.ones(k)),
+                                  (zero, zero, np.zeros(k)), 0.0)
+            if np.any(from_s & to_t):
+                raise DimensionMismatch("infinite path links source to sink")
+            caps = (net.source_caps, net.sink_caps, net.arc_cap)
+            bound = float(sum(c[np.isfinite(c)].sum() for c in caps))
     clamp = bound * (1.0 + 1e-9) + 1.0
     cnet = _prechecked(net.n, np.minimum(net.source_caps, clamp),
                        np.minimum(net.sink_caps, clamp), net.arc_u, net.arc_v,
@@ -599,13 +599,13 @@ def fix_sides(net: FlowNetwork):
         return side, _prechecked(0, none, none, u[:0], v[:0], none), \
             lambda state: z
     # each arc end as a free node, or -1 (source-fixed) or -2 (sink-fixed)
-    code = np.cumsum(free) - 1
+    code = np.full(n, -2)
     code[side > 0] = -1
-    code[side < 0] = -2
+    code[free] = np.arange(m)
     cu, cv = code.take(u), code.take(v)
     free_u, free_v, from_s, to_t = cu >= 0, cv >= 0, cu == -1, cv == -2
-    both, cross = free_u & free_v, np.flatnonzero(from_s & to_t)
-    into, out = np.flatnonzero(from_s & free_v), np.flatnonzero(free_u & to_t)
+    both, cross = free_u & free_v, (from_s & to_t).nonzero()[0]
+    into, out = (from_s & free_v).nonzero()[0], (free_u & to_t).nonzero()[0]
     terms, shares = [], []
     for k, e, caps in ((into, cv[into], src), (out, cu[out], snk)):
         own, cap_k = caps[free], cap[k]
@@ -614,7 +614,7 @@ def fix_sides(net: FlowNetwork):
         # each arc's share of its free end's terminal excess
         ratio = np.divide(cap_k, add[e], out=np.zeros(len(k)), where=cap_k > 0)
         shares.append((k, e, ratio, own[e]))
-    inner = np.flatnonzero(both)
+    inner = both.nonzero()[0]
     free_net = _prechecked(m, *terms, cu[inner], cv[inner], cap[inner])
     # the solve runs while lift lives: it keeps no arc-sized array but a mask
     n_arcs, cross_cap = len(cap), cap[cross]
@@ -684,7 +684,7 @@ def min_cut(net: FlowNetwork, state: FlowState) -> tuple[set, set]:
     from_s, to_t = _reach(net.n, net.arc_u, net.arc_v, state.caps(net),
                           (state.z_source, state.z_sink, state.z_arc),
                           net.tol())
-    if np.any(from_s & to_t):
+    if (from_s & to_t).any():
         raise StaleFlow("augmenting path exists; flow is not maximum")
     s_min = set(np.flatnonzero(to_t).tolist())
     s_max = set(np.flatnonzero(~from_s).tolist())
