@@ -347,13 +347,14 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         any_zero = zero.any()
         w_eff = np.where(zero[bid], 1.0, w_nd) if any_zero else w_nd
         unary = r - mu[bid] * w_eff
+        if anchored:
+            unary[anch] = 0.0
         del r, w_nd
         tol = TERM_TOL * np.maximum(np.abs(mu), scale)
         spread = np.zeros(B)
         np.maximum.at(spread, bid, np.abs(unary))
         flat = spread <= tol
         if anchored:
-            unary[anch] = 0.0
             flat &= ~pinned
         done = (size == 1) | flat
         active = ~done
@@ -407,11 +408,11 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         fin = done[bid]
         f, b = nodes[fin], bid[fin]
         lo = mu[b]
-        levels[f] = lo * w_eff[fin]
+        level = lo * w_eff[fin]
         if anchored:
-            a_f, av = anch[fin], a_val[fin]
-            levels[f] = np.where(a_f, av, levels[f])
-            lo[a_f] = av[a_f]
+            a_f = anch[fin]
+            level[a_f] = lo[a_f] = a_val[fin][a_f]
+        levels[f] = level
         hi = lo
         if any_zero:
             hi = lo.copy()
