@@ -470,6 +470,13 @@ def quarter_network(rng, n):
     return FlowNetwork(n, src, snk, au, av, cap)
 
 
+def odd_layout(a, dtype):
+    """``a`` as ``dtype``, in a strided view of an array twice as long."""
+    out = np.zeros(2 * len(a), dtype)
+    out[::2] = a
+    return out[::2]
+
+
 def all_cuts(net):
     """(capacity, sink-side mask) of each of the 2^n cuts."""
     n = net.n
@@ -684,6 +691,57 @@ class TestKernel:
         net = FlowNetwork(2, [5.0, 0.0], [0.0, 1.0], [0], [1], [1.0])
         assert max_flow(net, "float").z_source.tolist() == [1.0, 0.0]
         assert check_flow(net, maxflow._pr_flow(mutant, net)) != []
+
+    def test_any_array_layout_reaches_the_kernel_intact(self, rng):
+        # the kernel takes bare addresses: int32 endpoints, float32
+        # capacities and strided views must reach it as the contiguous
+        # int64 / float64 arrays they equal.  Quarter-integer capacities
+        # and flows are exact in float32
+        lib = maxflow._kernel()
+        solved = 0
+        for _ in range(40):
+            net = quarter_network(rng, int(rng.integers(2, 40)))
+            for c in (net.source_caps, net.sink_caps, net.arc_cap):
+                c[np.isinf(c)] = 7.0
+            odd = maxflow._prechecked(
+                net.n, odd_layout(net.source_caps, np.float32),
+                odd_layout(net.sink_caps, np.float32),
+                odd_layout(net.arc_u, np.int32), odd_layout(net.arc_v, np.int32),
+                odd_layout(net.arc_cap, np.float32))
+            want, got = maxflow._pr_flow(lib, net), maxflow._pr_flow(lib, odd)
+            for a, b in zip((want.z_source, want.z_sink, want.z_arc),
+                            (got.z_source, got.z_sink, got.z_arc)):
+                np.testing.assert_array_equal(a, b)
+            assert min_cut(odd, got) == min_cut(net, want)
+            flows = tuple(np.minimum(c, rng.integers(0, 3, len(c)) * 0.5)
+                          for c in (net.source_caps, net.sink_caps, net.arc_cap))
+            args = (net.arc_u, net.arc_v,
+                    (net.source_caps, net.sink_caps, net.arc_cap), flows)
+            odd_args = [odd_layout(a, np.int32) for a in args[:2]] + [
+                tuple(odd_layout(a, np.float32) for a in t) for t in args[2:]]
+            for a, b in zip(_reach(net.n, *args, 0.25),
+                            _reach(net.n, *odd_args, 0.25)):
+                np.testing.assert_array_equal(a, b)
+            solved += 1
+        assert solved == 40
+
+    def test_short_arrays_raise(self):
+        # the kernel would read past the end of an array shorter than the
+        # network says
+        lib = maxflow._kernel()
+        parts = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]),
+                 np.array([0, 1]), np.array([1, 2]), np.array([1.0, 1.0])]
+        assert maxflow._pr_flow(lib, maxflow._prechecked(3, *parts)).value == 1.0
+        for k in range(5):
+            short = [p[:-1] if j == k else p for j, p in enumerate(parts)]
+            with pytest.raises(DimensionMismatch):
+                maxflow._pr_flow(lib, maxflow._prechecked(3, *short))
+        reach = [parts[2], parts[3], parts[0], parts[1], parts[4],
+                 np.zeros(3), np.zeros(3), np.zeros(2)]
+        for k in range(8):
+            short = [p[:-1] if j == k else p for j, p in enumerate(reach)]
+            with pytest.raises(DimensionMismatch):
+                _reach(3, short[0], short[1], short[2:5], short[5:], 0.0)
 
     def test_search_matches_python_bfs(self, rng):
         # arbitrary capacities and flows, not only valid ones: the search

@@ -8,6 +8,7 @@ import pytest
 from graphprox import (DimensionMismatch, EnergyTable, NonSubmodularEnergy,
                        QuadraticBinaryProblem, evaluate, from_energies, solve,
                        to_cut_graph)
+from graphprox.qbm import _canonical_edges
 from conftest import random_submodular
 
 
@@ -261,3 +262,38 @@ class TestObjectiveIdentities:
             diffs.add(round(e - q, 9))
         assert len(diffs) == 1
 
+
+
+def unique_canonical(u, v, val, n):
+    """``qbm._canonical_edges`` by ``np.unique`` on every input."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys, inv = np.unique(lo * n + hi, return_inverse=True)
+    summed = np.bincount(inv, weights=np.asarray(val, dtype=np.float64),
+                         minlength=len(keys))
+    return keys // max(n, 1), keys % max(n, 1), summed
+
+
+@pytest.mark.parametrize("order", ["sorted", "unsorted", "duplicated",
+                                   "reversed", "flipped"])
+def test_canonical_edges_fast_path_matches_unique(rng, order):
+    # sorted input, each pair once, skips np.unique; the arrays must be the
+    # same, -0.0 turned into 0.0 included
+    n = 40
+    key = np.unique(rng.integers(0, n * n, 120))
+    u, v = key // n, key % n
+    u, v = u[u < v], v[u < v]
+    val = -rng.integers(0, 3, len(u)) / 2.0
+    val[::7] = -0.0
+    if order == "unsorted":
+        p = rng.permutation(len(u))
+        u, v, val = u[p], v[p], val[p]
+    elif order == "duplicated":
+        u, v, val = (np.concatenate([a, a[::3]]) for a in (u, v, val))
+    elif order == "reversed":
+        u, v, val = u[::-1], v[::-1], val[::-1]
+    elif order == "flipped":   # sorted pairs, each given as (v, u)
+        u, v = v, u
+    got = _canonical_edges(u, v, val, n)
+    want = unique_canonical(u, v, val, n)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from graphprox import (ProxProblem, RegressionProblem, fista_fit,
-                       lipschitz_estimate, objective, prox, regression)
-from graphprox.errors import DimensionMismatch
+from graphprox import (PiecewiseLinearPenalty, ProxProblem, RegressionProblem,
+                       fista_fit, lipschitz_estimate, objective, prox,
+                       regression)
+from graphprox.errors import DimensionMismatch, NonConvexPenalty
+from conftest import random_penalty
 
 
 def fused_pair_problem(lam=1.0):
@@ -55,6 +57,36 @@ class TestProblem:
                            match="lambda must be finite and nonnegative"):
             RegressionProblem(np.eye(2), np.zeros(2), lam=lam)
 
+    # each of these used to pass construction and fail only at the first
+    # objective or prox call
+    @pytest.mark.parametrize("edges, match", [
+        (([0], [9], [1.0]), "edge endpoint out of range"),
+        (([-1], [2], [1.0]), "edge endpoint out of range"),
+        (([3], [3], [1.0]), "self-loops not allowed"),
+        (([0], [1], [-1.0]), "edge weights must be finite and nonnegative"),
+        (([0], [1], [np.nan]), "edge weights must be finite and nonnegative"),
+        (([0], [1], [np.inf]), "edge weights must be finite and nonnegative"),
+        (([0, 1], [1, 2], [1.0]), "edge arrays must have equal length"),
+    ])
+    def test_rejects_bad_edges(self, edges, match):
+        with pytest.raises(DimensionMismatch, match=match):
+            RegressionProblem(np.eye(4), np.zeros(4), *edges, 1.0)
+
+    def test_rejects_bad_penalties(self):
+        with pytest.raises(DimensionMismatch, match="penalty key 4"):
+            RegressionProblem(np.eye(4), np.zeros(4), lam=1.0,
+                              penalties={4: PiecewiseLinearPenalty.abs_value()})
+        with pytest.raises(NonConvexPenalty, match="not a PiecewiseLinearPenalty"):
+            RegressionProblem(np.eye(4), np.zeros(4), lam=1.0,
+                              penalties={0: abs})
+
+    def test_stores_edges_as_the_prox_problem_does(self):
+        prob = RegressionProblem(np.eye(4), np.zeros(4), [2, 0], [1, 3],
+                                 [0.5, 1.0], 1.0)
+        assert prob.edge_u.tolist() == [1, 0]
+        assert prob.edge_v.tolist() == [2, 3]
+        assert prob.edge_u.dtype == np.int64 and prob.edge_w.dtype == np.float64
+
 
 class TestObjective:
     def test_zero(self):
@@ -65,6 +97,29 @@ class TestObjective:
         # 0.25 + 0.25 + 1*1*|0.5-1.5| = 1.5
         prob = fused_pair_problem()
         assert objective(prob, np.array([0.5, 1.5])) == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("with_penalties", [False, True])
+    def test_equals_the_prox_problem_regularizer(self, rng, with_penalties):
+        # bit for bit the value of a zero-centred ProxProblem's regularizer,
+        # which objective once built on every call, with edges in either
+        # order and duplicate pairs
+        for _ in range(30):
+            n = int(rng.integers(2, 30))
+            m = int(rng.integers(0, 3 * n))
+            eu, ev = rng.integers(0, n, m), rng.integers(0, n, m)
+            eu, ev = eu[eu != ev], ev[eu != ev]
+            ew = rng.uniform(0, 2, len(eu)) * (rng.random(len(eu)) < 0.8)
+            pens = ({int(i): random_penalty(rng) for i in
+                     rng.choice(n, n // 3, replace=False)}
+                    if with_penalties else {})
+            lam = float(rng.uniform(0, 2))
+            A, y = rng.normal(0, 1, (n + 3, n)), rng.normal(0, 1, n + 3)
+            prob = RegressionProblem(A, y, eu, ev, ew, lam, pens)
+            helper = ProxProblem(np.zeros(n), eu, ev, ew, lam, pens)
+            for u in (rng.normal(0, 2, n), np.round(rng.normal(0, 1, n), 1)):
+                resid = y - A @ u
+                want = float(resid @ resid) + lam * helper.regularizer(u)
+                assert objective(prob, u) == want
 
     def test_local_optimality_of_fit(self, rng):
         prob = fused_pair_problem()
