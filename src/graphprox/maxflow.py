@@ -13,7 +13,13 @@ network, whose capacities the flow carries as ``eff_*``.
 The C file is compiled on the first kernel call with plain ``cc -O2
 -shared -fPIC`` into ``~/.cache/graphprox/`` (a private directory in the
 system temp directory when that is not writable), named by the SHA-256 of
-its source, and loaded with ``ctypes``.  If it cannot be built or loaded,
+its source, and loaded with ``ctypes``.  Its functions take bare addresses
+(``ctypes.c_void_p``), not ``ndpointer`` types, whose checks cost more per
+call than the solve of a small network: ``_c_arrays`` first makes each
+array C-contiguous int64 or float64, copying only an array that is not,
+and checks its size against the network, so the kernel never reads past
+an array's end.  ``gp_max_flow`` writes the three flow arrays into one
+buffer, and ``gp_reach`` its two masks.  If it cannot be built or loaded,
 ``kernel_error`` says why and the float backend is Dinic's blocking-flow
 algorithm in pure Python (``_dinic``), exact on the float capacities like
 the kernel; the engine then sends a union of small blocks above the
@@ -369,9 +375,8 @@ def _build(source: bytes, directory: Path) -> Path:
 
 
 def _bind(path: Path):
-    """The library at ``path``, with the kernel's argument types set.  The
-    arrays go in as bare addresses (``_c_arrays`` vets them), since
-    ``ndpointer`` types cost more per call than a small network's solve."""
+    """The library at ``path``, with the kernel's argument types set:
+    arrays go in as bare addresses, which ``_c_arrays`` vets."""
     import ctypes
 
     lib = ctypes.CDLL(str(path))

@@ -29,8 +29,8 @@ class RegressionProblem:
 
     A must be 2-D with one row per entry of y.  The edges, weights, lambda
     and penalties are checked as ``ProxProblem`` checks them, and stored
-    as it stores them (each edge with u < v), so a fit's proxes and
-    objectives need no check of their own.
+    as it stores them (each edge with u < v), so ``objective`` reads them
+    with no check of its own.
     """
 
     A: np.ndarray
