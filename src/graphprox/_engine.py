@@ -144,37 +144,35 @@ def _components(L: int, lu, lv) -> np.ndarray:
     return number[label]
 
 
-def _block_cut(lu, lv, cap, g, unary, inf_src=None, inf_snk=None,
-               local=None, method: str = "auto"):
-    """Extreme sink-side minimum cuts of the blocks made of the nodes of
-    ``unary`` and the edges ``lu[k] -- lv[k]`` (indices into ``unary``)
-    inside them, solved on the residual network of the flow ``g`` those
-    edges already carry.
+def _block_cut(problem: QuadraticBinaryProblem, cap, nodes, edges, g, unary,
+               inf_src=None, inf_snk=None, local=None, method: str = "auto"):
+    """Extreme sink-side minimum cuts of the blocks made of ``nodes``
+    (global ids) and ``edges`` (the problem edges inside them), solved on
+    the residual network of the flow ``g`` those edges already carry.
 
-    ``g`` is each edge's lu -> lv flow in network units (half of alpha),
-    and ``unary`` the nodes' reductions under it, shifted by their pivot.
-    ``inf_src`` and ``inf_snk`` flag the nodes pinned to a terminal (None:
-    none is), and ``local`` gives the network node of each node (None: its
-    own).  Nodes sharing a network node merge: their unaries add up and the
-    edges between them get no capacity.  ``cap`` is each edge's capacity;
-    it gets the arcs lu -> lv of cap/2 - g and lv -> lu of cap/2 + g,
-    clipped at 0, what the box leaves each direction.  Routing ``g`` moved
-    both unaries and arcs by the same flow, so every cut's capacity shifts
-    by one constant and the minimum cuts are those of the zero-flow
-    network.  Returns ``(s_min, s_max, h)``: boolean masks aligned with
-    ``unary`` and the forward-minus-backward max-flow of each edge, which
-    adds to ``g``.
+    ``g`` is each edge's u -> v flow in network units (half of alpha), and
+    ``unary`` the nodes' reductions under it, shifted by their pivot.
+    ``unary``, ``inf_src`` and ``inf_snk``, the nodes pinned to a terminal
+    (None: none is), and ``local``, the network node of each (None: its
+    own), align with ``nodes``.  Nodes sharing a network node merge: their
+    unaries add up and the edges between them get no capacity.  ``cap`` is
+    the per-edge capacity of the whole problem; edge u -> v gets the arcs
+    u -> v of cap/2 - g and v -> u of cap/2 + g, clipped at 0, what the box
+    leaves each direction.  Routing ``g`` moved both unaries and arcs by the
+    same flow, so every cut's capacity shifts by one constant and the
+    minimum cuts are those of the zero-flow network.  Returns ``(s_min,
+    s_max, h)``: boolean masks aligned with ``nodes`` and the
+    forward-minus-backward max-flow of each edge, which adds to ``g``.
     """
-    half = 0.5 * cap
-    if local is None:
-        m = len(unary)
-        fwd, bwd = np.maximum(half - g, 0.0), np.maximum(half + g, 0.0)
-    else:
-        m = int(local.max(initial=-1)) + 1
-        lu, lv = local[lu], local[lv]
+    m = len(nodes) if local is None else int(local.max(initial=-1)) + 1
+    loc = np.empty(problem.n, dtype=np.int64)
+    loc[nodes] = np.arange(m) if local is None else local
+    lu, lv = loc[problem.edge_u[edges]], loc[problem.edge_v[edges]]
+    half = 0.5 * cap[edges]
+    fwd, bwd = np.maximum(half - g, 0.0), np.maximum(half + g, 0.0)
+    if local is not None:
         inner = lu == lv
-        fwd = np.where(inner, 0.0, np.maximum(half - g, 0.0))
-        bwd = np.where(inner, 0.0, np.maximum(half + g, 0.0))
+        fwd[inner] = bwd[inner] = 0.0
         unary = np.bincount(local, unary, m)
         if inf_src is not None:
             inf_src = np.bincount(local, inf_src, m) > 0
@@ -189,7 +187,7 @@ def _block_cut(lu, lv, cap, g, unary, inf_src=None, inf_snk=None,
         m, src, snk, np.concatenate([lu, lv]), np.concatenate([lv, lu]),
         np.concatenate([fwd, bwd])))
     # the solve needs only sub and lift: free the block network's parts
-    del lu, lv, half, fwd, bwd, unary, src, snk
+    del loc, lu, lv, half, fwd, bwd, unary, src, snk
     s_min = side < 0
     s_max = s_min.copy()
     state = None
@@ -199,7 +197,7 @@ def _block_cut(lu, lv, cap, g, unary, inf_src=None, inf_snk=None,
         for mask, ids in zip((s_min, s_max), min_cut(sub, state)):
             mask[free[np.fromiter(ids, dtype=np.int64, count=len(ids))]] = True
     z = lift(state)
-    k = len(g)
+    k = len(edges)
     if local is not None:
         s_min, s_max = s_min[local], s_max[local]
     return s_min, s_max, z[:k] - z[k:]
@@ -277,24 +275,18 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         flagged by ``merge`` form one network node per block.  ``flow``
         receives the forward-minus-backward flow of each edge inside them,
         on top of the carried ``g``."""
-        s_min = np.zeros(L, dtype=bool)
-        s_max = np.zeros(L, dtype=bool)
+        s_min = np.zeros(len(nodes), dtype=bool)
+        s_max = np.zeros(len(nodes), dtype=bool)
         small = blocks & (size <= _SCIPY_NODE_THRESHOLD)
         union = ("float" if method == "auto" and _kernel() is not None
                  else method)
-        groups = []
-        if small.any():
-            gn, ge = small[bid], small[ebid]
-            at = np.empty(L, dtype=np.int64)  # live position -> union's
-            at[gn] = np.arange(np.count_nonzero(gn))
-            groups.append((gn, ge, at[lu[ge]], at[lv[ge]], union))
+        groups = [(small[bid], small[ebid], union)] if small.any() else []
         for b in (blocks & ~small).nonzero()[0]:
             # block b's slices of the live nodes and edges
             n0, n1 = np.searchsorted(bid, (b, b + 1))
             e0, e1 = np.searchsorted(ebid, (b, b + 1))
-            groups.append((slice(n0, n1), slice(e0, e1), lu[e0:e1] - n0,
-                           lv[e0:e1] - n0, method))
-        for gn, ge, g_lu, g_lv, how in groups:
+            groups.append((slice(n0, n1), slice(e0, e1), method))
+        for gn, ge, how in groups:
             local = None
             if merge is not None:
                 joined = merge[gn]
@@ -302,7 +294,8 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
                 local = np.unique(key, return_inverse=True)[1]
             pins = (None, None) if src_pin is None else (src_pin[gn], snk_pin[gn])
             s_min[gn], s_max[gn], flow[ge] = _block_cut(
-                g_lu, g_lv, cap_e[ge], g[ge], unary[gn], *pins, local, how)
+                problem, cap, nodes[gn], edges[ge], g[ge], unary[gn], *pins,
+                local, how)
         return s_min, s_max
 
     def splits(mask):
@@ -317,15 +310,12 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         anchored = anch.any()
 
         # reductions of live nodes under the current diagonal and the flow
-        # g (u -> v, half of alpha) that the edges inside blocks carry;
-        # lu, lv are the live positions of each live edge's ends
+        # g (u -> v, half of alpha) that the edges inside blocks carry
         loc[nodes] = np.arange(L)
-        lu, lv = loc[eu[edges]], loc[ev[edges]]
         g = 0.5 * alpha[edges]
-        cap_e = cap[edges]
         half = 0.5 * static_q[edges]
-        r = diag[nodes] + np.bincount(lu, half - g, L) \
-            + np.bincount(lv, half + g, L)
+        r = diag[nodes] + np.bincount(loc[eu[edges]], half - g, L) \
+            + np.bincount(loc[ev[edges]], half + g, L)
         del half
 
         # pivots: mean anchor value, else sum(r) / sum(w), else (all-zero
@@ -428,7 +418,7 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         # alpha at -cap, flow v -> u; low-v means alpha at +cap, flow u -> v)
         # and let the high endpoint absorb the static coupling
         keep_n, keep_e = split[bid], split[ebid]
-        u_low, v_low = low[lu], low[lv]
+        u_low, v_low = low[loc[eu[edges]]], low[loc[ev[edges]]]
         cross = keep_e & (u_low != v_low)
         cu, cv = edges[cross & u_low], edges[cross & v_low]
         alpha[cu] = -cap[cu]
