@@ -129,13 +129,13 @@ def _components(L: int, lu, lv) -> np.ndarray:
     while True:
         a, b = label[lu], label[lv]
         live = a != b
-        if not live.any():
+        if not np.count_nonzero(live):
             break
         lu, lv, a, b = lu[live], lv[live], a[live], b[live]
         np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
         while True:
             up = label[label]
-            if not (up != label).any():
+            if not np.count_nonzero(up != label):
                 break
             label = up
     roots = label == np.arange(L)
