@@ -592,35 +592,41 @@ def fix_sides(net: FlowNetwork):
     """
     n, u, v, cap = net.n, net.arc_u, net.arc_v, net.arc_cap
     src, snk, tol = net.source_caps, net.sink_caps, net.tol()
-    side = (src > snk + np.bincount(u, cap, n) + tol).astype(np.int8)
-    side[snk > src + np.bincount(v, cap, n) + tol] = -1
-    free = side == 0
+    # a node cannot pass both tests: their sum would need src + snk above
+    # itself
+    fix_s = src > snk + np.bincount(u, cap, n) + tol
+    fix_t = snk > src + np.bincount(v, cap, n) + tol
+    side = fix_s.astype(np.int8) - fix_t
+    free = ~(fix_s | fix_t)
     m = int(np.count_nonzero(free))
     if m == n:
         return side, net, lambda state: state.z_arc
     if m == 0:
-        z = np.where((side[u] > 0) & (side[v] < 0), cap, 0.0)
+        z = np.where(fix_s[u] & fix_t[v], cap, 0.0)
         none = np.zeros(0)
         return side, _prechecked(0, none, none, u[:0], v[:0], none), \
             lambda state: z
     # each arc end as a free node, or -1 (source-fixed) or -2 (sink-fixed)
-    code = np.full(n, -2)
-    code[side > 0] = -1
+    code = fix_s - 2
     code[free] = np.arange(m)
     cu, cv = code.take(u), code.take(v)
     free_u, free_v, from_s, to_t = cu >= 0, cv >= 0, cu == -1, cv == -2
     both, cross = free_u & free_v, (from_s & to_t).nonzero()[0]
     into, out = (from_s & free_v).nonzero()[0], (free_u & to_t).nonzero()[0]
-    terms, shares = [], []
-    for k, e, caps in ((into, cv[into], src), (out, cu[out], snk)):
-        own, cap_k = caps[free], cap[k]
-        add = np.bincount(e, cap_k, m)
-        terms.append(own + add)
-        # each arc's share of its free end's terminal excess
-        ratio = np.divide(cap_k, add[e], out=np.zeros(len(k)), where=cap_k > 0)
-        shares.append((k, e, ratio, own[e]))
+    # the arcs that feed a free node's terminal arc: into it from a
+    # source-fixed node (its source arc, bins 0..m-1) and out of it into a
+    # sink-fixed node (its sink arc, bins m..2m-1)
+    k = np.concatenate([into, out])
+    e = np.concatenate([cv[into], cu[out] + m])
+    own, cap_k = np.concatenate([src[free], snk[free]]), cap[k]
+    add = np.bincount(e, cap_k, 2 * m)
+    term = own + add
+    # each arc's share of its free end's terminal excess
+    ratio = np.divide(cap_k, add[e], out=np.zeros(len(k)), where=cap_k > 0)
+    own = own[e]
     inner = both.nonzero()[0]
-    free_net = _prechecked(m, *terms, cu[inner], cv[inner], cap[inner])
+    free_net = _prechecked(m, term[:m], term[m:], cu[inner], cv[inner],
+                           cap[inner])
     # the solve runs while lift lives: it keeps no arc-sized array but a mask
     n_arcs, cross_cap = len(cap), cap[cross]
 
@@ -628,9 +634,8 @@ def fix_sides(net: FlowNetwork):
         z = np.zeros(n_arcs)
         z[both] = state.z_arc
         z[cross] = cross_cap
-        for (k, e, ratio, own_e), z_free in zip(
-                shares, (state.z_source, state.z_sink)):
-            z[k] = ratio * np.maximum(z_free[e] - own_e, 0.0)
+        z_term = np.concatenate([state.z_source, state.z_sink])
+        z[k] = ratio * np.maximum(z_term[e] - own, 0.0)
         return z
 
     return side, free_net, lift
