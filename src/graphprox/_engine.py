@@ -26,14 +26,15 @@ cuts restricted to a block are that block's own.  All blocks of at most
 the float backend (the C push-relabel) whatever its total size: its pushes
 and relabels stay inside each block, while every phase of scipy's
 max-flow would sweep the whole union.  Where the kernel cannot be built,
-the union takes ``method``'s choice like any other network, as the float
-backend is then a pure-Python Dinic.  Larger blocks get one network each
-and ``method``'s choice, which under ``"auto"`` is scipy for a free
-network above the threshold.  Anchors sitting exactly at their block's
-pivot need a second solve, batched the same way, in which each block's
-anchors are one free node.  ``maxflow.fix_sides`` first fixes every node
-whose unary outweighs all its arcs, so only the nodes left go to
-``max_flow`` and ``min_cut`` (on a chain-fused prox, nearly none).
+the union goes to ``max_flow``'s ``"auto"`` like any other network, as the
+float backend is then a pure-Python Dinic.  Larger blocks get one network
+each and ``"auto"``, which is scipy for a free network above the
+threshold; the caller chooses no backend.  Anchors sitting exactly at
+their block's pivot need a second solve, batched the same way, in which
+each block's anchors are one free node.  ``maxflow.fix_sides`` first
+fixes every node whose unary outweighs all its arcs, so only the nodes
+left go to ``max_flow`` and ``min_cut`` (on a chain-fused prox, nearly
+none).
 
 After each depth ``_components`` labels the blocks again, in a few
 whole-array passes of min-label hooking and pointer jumping, and numbers
@@ -145,7 +146,7 @@ def _components(L: int, lu, lv) -> np.ndarray:
 
 
 def _block_cut(problem: QuadraticBinaryProblem, cap, nodes, edges, g, unary,
-               inf_src=None, inf_snk=None, local=None, method: str = "auto"):
+               inf_src, inf_snk, local, method: str):
     """Extreme sink-side minimum cuts of the blocks made of ``nodes``
     (global ids) and ``edges`` (the problem edges inside them), solved on
     the residual network of the flow ``g`` those edges already carry.
@@ -155,7 +156,8 @@ def _block_cut(problem: QuadraticBinaryProblem, cap, nodes, edges, g, unary,
     ``unary``, ``inf_src`` and ``inf_snk``, the nodes pinned to a terminal
     (None: none is), and ``local``, the network node of each (None: its
     own), align with ``nodes``.  Nodes sharing a network node merge: their
-    unaries add up and the edges between them get no capacity.  ``cap`` is
+    unaries add up and the edges between them get no capacity; a merged
+    network has no pins.  ``method`` is ``max_flow``'s backend.  ``cap`` is
     the per-edge capacity of the whole problem; edge u -> v gets the arcs
     u -> v of cap/2 - g and v -> u of cap/2 + g, clipped at 0, what the box
     leaves each direction.  Routing ``g`` moved both unaries and arcs by the
@@ -174,9 +176,6 @@ def _block_cut(problem: QuadraticBinaryProblem, cap, nodes, edges, g, unary,
         inner = lu == lv
         fwd[inner] = bwd[inner] = 0.0
         unary = np.bincount(local, unary, m)
-        if inf_src is not None:
-            inf_src = np.bincount(local, inf_src, m) > 0
-            inf_snk = np.bincount(local, inf_snk, m) > 0
     src, snk = np.maximum(unary, 0.0), np.maximum(-unary, 0.0)
     if inf_src is not None:
         src[inf_src] = np.inf
@@ -204,8 +203,7 @@ def _block_cut(problem: QuadraticBinaryProblem, cap, nodes, edges, g, unary,
 
 
 def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
-                     anchor_mask=None, anchor_values=None,
-                     method: str = "auto") -> ParametricSolution:
+                     anchor_mask=None, anchor_values=None) -> ParametricSolution:
     """Run the recursive bisection to optimality.
 
     Parameters
@@ -215,9 +213,9 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
     anchor_mask, anchor_values : optional anchored-node specification.
         Anchored nodes are pinned at their value: their membership flips
         exactly there regardless of flow (infinite-weight limit).
-    method : flow solver backend passed through to max_flow; under
-        "auto" the union of small blocks takes "float" where the C kernel
-        is loaded.
+
+    The engine picks each network's max-flow backend as the module
+    docstring says.
     """
     n = problem.n
     w = _check_weights(weights, n)
@@ -269,23 +267,23 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
     def cut(blocks, unary, src_pin, snk_pin, flow, merge=None):
         """Extreme sink-side cuts of the current depth's ``blocks``, as
         masks over live nodes: blocks of at most _SCIPY_NODE_THRESHOLD
-        nodes in one union network for the float backend, larger ones
-        alone with ``method``.  ``src_pin`` and ``snk_pin`` flag the live
-        nodes pinned to a terminal (None: none is), and the live nodes
-        flagged by ``merge`` form one network node per block.  ``flow``
+        nodes in one union network for the float backend (for "auto"
+        where the kernel is not loaded), larger ones alone for "auto".
+        ``src_pin`` and ``snk_pin`` flag the live nodes pinned to a
+        terminal (None: none is), and the live nodes flagged by ``merge``
+        form one network node per block (with no pins).  ``flow``
         receives the forward-minus-backward flow of each edge inside them,
         on top of the carried ``g``."""
         s_min = np.zeros(len(nodes), dtype=bool)
         s_max = np.zeros(len(nodes), dtype=bool)
         small = blocks & (size <= _SCIPY_NODE_THRESHOLD)
-        union = ("float" if method == "auto" and _kernel() is not None
-                 else method)
+        union = "float" if _kernel() is not None else "auto"
         groups = [(small[bid], small[ebid], union)] if small.any() else []
         for b in (blocks & ~small).nonzero()[0]:
             # block b's slices of the live nodes and edges
             n0, n1 = np.searchsorted(bid, (b, b + 1))
             e0, e1 = np.searchsorted(ebid, (b, b + 1))
-            groups.append((slice(n0, n1), slice(e0, e1), method))
+            groups.append((slice(n0, n1), slice(e0, e1), "auto"))
         for gn, ge, how in groups:
             local = None
             if merge is not None:

@@ -23,7 +23,7 @@ from . import oracle, parametric, regression, weighted
 from .errors import GraphProxError, ParseError
 from .prox import ProxProblem
 from .prox import prox as prox_op
-from .qbm import QuadraticBinaryProblem, _canonical_edges
+from .qbm import QuadraticBinaryProblem
 
 EXIT_CHECK_FAIL = 1
 EXIT_PARSE = 2
@@ -57,7 +57,12 @@ def _fmt(x: float) -> str:
 
 
 def _write_vector(path, values, index_base: int = 0):
-    lines = [f"{i + index_base} {_fmt(v)}" for i, v in enumerate(values)]
+    _write_lines(path, [f"{i + index_base} {_fmt(v)}"
+                        for i, v in enumerate(values)])
+
+
+def _write_lines(path, lines):
+    """Write ``lines`` to the file ``path``, or to stdout for ``-``."""
     text = "\n".join(lines) + "\n"
     if path == "-":
         sys.stdout.write(text)
@@ -106,26 +111,16 @@ def cmd_path(args) -> int:
         out.append(f"# level sets at beta = {_fmt(args.beta)}")
         out.append("U1 " + " ".join(str(i) for i in u1))
         out.append("U2 " + " ".join(str(i) for i in u2))
-    text = "\n".join(out) + "\n"
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", newline="\n") as fh:
-            fh.write(text)
+    _write_lines(args.output, out)
     return 0
 
 
 def cmd_fit(args) -> int:
     A = gio.read_csv_matrix(args.design)
     y = gio.read_csv_matrix(args.response).ravel()
+    eu = ev = ew = ()
     if args.edges is not None:
-        eu, ev, ew, size = gio._edge_lines(args.edges, args.index_base)
-        if np.any(ew < 0):
-            raise GraphProxError("negative fusion weight")
-        eu, ev, ew = _canonical_edges(eu, ev, ew, size)
-    else:
-        eu = ev = np.zeros(0, dtype=np.int64)
-        ew = np.zeros(0)
+        eu, ev, ew, _ = gio._fusion_edges(args.edges, args.index_base)
     pens = gio.read_penalty_file(args.penalties, args.index_base) \
         if args.penalties else {}
     problem = regression.RegressionProblem(A, y, eu, ev, ew, args.lam, pens)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DimensionMismatch, ParseError
 from .prox import PiecewiseLinearPenalty, ProxProblem
 from .qbm import QuadraticBinaryProblem, _canonical_edges, _edge_arrays
 
@@ -87,6 +87,15 @@ def read_edge_file(path, index_base: int = 0):
     return _canonical_edges(u, v, vals, size)
 
 
+def _fusion_edges(path, index_base: int):
+    """``read_edge_file``'s (u, v, w) of ``i j w_ij`` lines, and 1 + the
+    largest endpoint; raises DimensionMismatch for a negative line."""
+    u, v, w, size = _edge_lines(path, index_base)
+    if np.any(w < 0):
+        raise DimensionMismatch(f"{path}: negative fusion weight")
+    return (*_canonical_edges(u, v, w, size), size)
+
+
 def read_qbm(node_path, edge_path=None, index_base: int = 0):
     """Assemble a QuadraticBinaryProblem plus weights from text files.
     Every edge line's coupling must be <= 0, even one that a repeated
@@ -128,7 +137,7 @@ def read_prox_problem(node_path, edge_path=None, penalty_path=None,
                       lam: float = 1.0, index_base: int = 0) -> ProxProblem:
     """Assemble a ProxProblem from ``i a_i`` nodes and ``i j w_ij`` edges.
     Every edge line's weight must be >= 0, even one that a repeated pair
-    would cancel."""
+    would cancel (else DimensionMismatch)."""
     centers = {}
     for lineno, toks in _data_lines(node_path):
         if len(toks) != 2:
@@ -145,13 +154,11 @@ def read_prox_problem(node_path, edge_path=None, penalty_path=None,
         a[i] = val
     u = v = w = ()
     if edge_path is not None:
-        u, v, w, size = _edge_lines(edge_path, index_base)
-        if np.any(w < 0):
-            raise ParseError(f"{edge_path}: negative fusion weight")
+        u, v, w, size = _fusion_edges(edge_path, index_base)
         a = np.concatenate([a, np.zeros(max(size - n, 0))])
     penalties = read_penalty_file(penalty_path, index_base) \
         if penalty_path is not None else {}
-    return ProxProblem.from_edges(a, zip(u, v, w), lam, penalties)
+    return ProxProblem(a, u, v, w, lam, penalties)
 
 
 def read_csv_matrix(path) -> np.ndarray:

@@ -67,6 +67,23 @@ SAT_TOL = 1e-12  # absolute slack scale for saturation tests
 _SCIPY_NODE_THRESHOLD = 300  # auto backend switches to scipy above this
 
 
+def _checked_edges(u, v, val, n: int):
+    """``(u, v, val)`` as int64, int64 and float64 arrays; raises
+    DimensionMismatch unless they are 1-D of equal length with every
+    endpoint in [0, n).  Every constructor that takes edge arrays checks
+    them here."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    val = np.asarray(val, dtype=np.float64)
+    if u.ndim != 1 or v.ndim != 1 or val.ndim != 1:
+        raise DimensionMismatch("edge arrays must be 1-D")
+    if not len(u) == len(v) == len(val):
+        raise DimensionMismatch("edge arrays must have equal length")
+    if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
+        raise DimensionMismatch("edge endpoint out of range")
+    return u, v, val
+
+
 @dataclass
 class FlowNetwork:
     """Directed s-t network on n interior nodes.
@@ -87,17 +104,10 @@ class FlowNetwork:
     def __post_init__(self):
         self.source_caps = np.asarray(self.source_caps, dtype=np.float64)
         self.sink_caps = np.asarray(self.sink_caps, dtype=np.float64)
-        self.arc_u = np.asarray(self.arc_u, dtype=np.int64)
-        self.arc_v = np.asarray(self.arc_v, dtype=np.int64)
-        self.arc_cap = np.asarray(self.arc_cap, dtype=np.float64)
         if self.source_caps.shape != (self.n,) or self.sink_caps.shape != (self.n,):
             raise DimensionMismatch("terminal capacity arrays must have length n")
-        arcs = (self.arc_u, self.arc_v, self.arc_cap)
-        if any(a.ndim != 1 for a in arcs) or len({len(a) for a in arcs}) > 1:
-            raise DimensionMismatch("arc arrays must be 1-D of equal length")
-        if len(self.arc_u) and (min(self.arc_u.min(), self.arc_v.min()) < 0 or
-                                max(self.arc_u.max(), self.arc_v.max()) >= self.n):
-            raise DimensionMismatch("arc endpoint out of range")
+        self.arc_u, self.arc_v, self.arc_cap = _checked_edges(
+            self.arc_u, self.arc_v, self.arc_cap, self.n)
         # NaN fails every comparison, so this rejects it too
         if not all(np.all(c >= 0) for c in
                    (self.source_caps, self.sink_caps, self.arc_cap)):

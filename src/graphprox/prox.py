@@ -22,6 +22,7 @@ import numpy as np
 
 from ._engine import ParametricSolution, solve_parametric
 from .errors import DimensionMismatch, NonConvexPenalty
+from .maxflow import _checked_edges
 from .qbm import QuadraticBinaryProblem, _canonical_edges, _edge_arrays
 
 FUSE_TOL = 1e-9
@@ -126,8 +127,9 @@ class ProxProblem:
 
     a is the prox center; edges carry nonnegative fusion weights w_ij;
     ``penalties`` maps node index -> PiecewiseLinearPenalty (sparse).  a
-    must be 1-D, the three edge arrays of equal length, a, the weights and
-    lam finite, and every penalty key a node index.
+    must be 1-D and finite, the edge arrays as ``maxflow._checked_edges``
+    requires, the weights and lam finite, and every penalty key a node
+    index.
     """
 
     a: np.ndarray
@@ -139,19 +141,13 @@ class ProxProblem:
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=np.float64)
-        self.edge_u = np.asarray(self.edge_u, dtype=np.int64)
-        self.edge_v = np.asarray(self.edge_v, dtype=np.int64)
-        self.edge_w = np.asarray(self.edge_w, dtype=np.float64)
         n = len(self.a)
         if self.a.ndim != 1:
             raise DimensionMismatch("prox center must be 1-D")
-        if not len(self.edge_u) == len(self.edge_v) == len(self.edge_w):
-            raise DimensionMismatch("edge arrays must have equal length")
         if not np.all(np.isfinite(self.a)):
             raise DimensionMismatch("prox center must be finite")
-        if len(self.edge_u) and (self.edge_u.min() < 0 or
-                                 max(self.edge_u.max(), self.edge_v.max()) >= n):
-            raise DimensionMismatch("edge endpoint out of range")
+        self.edge_u, self.edge_v, self.edge_w = _checked_edges(
+            self.edge_u, self.edge_v, self.edge_w, n)
         if np.any(self.edge_u == self.edge_v):
             raise DimensionMismatch("self-loops not allowed")
         # NaN fails both comparisons

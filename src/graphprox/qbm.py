@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonSubmodularEnergy
-from .maxflow import FlowNetwork
+from .maxflow import FlowNetwork, _checked_edges
 
 REL_TOL = 1e-9
 
@@ -47,15 +47,11 @@ def _canonical_edges(u, v, val, n: int):
     """``(u, v, val)`` with each pair stored once: ordered u < v, sorted by
     (u, v), and the values of duplicate pairs summed in input order.
 
-    Raises DimensionMismatch for an endpoint outside [0, n).  A self-loop
-    passes through as a pair (i, i) for the caller to reject.
+    Raises DimensionMismatch as ``maxflow._checked_edges`` does.  A
+    self-loop passes through as a pair (i, i) for the caller to reject.
     """
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    val = np.asarray(val, dtype=np.float64)
+    u, v, val = _checked_edges(u, v, val, n)
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    if len(lo) and (lo.min() < 0 or hi.max() >= n):
-        raise DimensionMismatch("edge endpoint out of range")
     keys = lo * n + hi
     if np.all(keys[1:] > keys[:-1]):
         # already sorted, each pair once; + 0.0 turns -0.0 into 0.0, as the
@@ -160,16 +156,10 @@ class QuadraticBinaryProblem:
         self.diag = np.asarray(self.diag, dtype=np.float64)
         if self.diag.shape != (self.n,):
             raise DimensionMismatch(f"diag must have length {self.n}")
-        self.edge_u = np.asarray(self.edge_u, dtype=np.int64)
-        self.edge_v = np.asarray(self.edge_v, dtype=np.int64)
-        self.edge_q = np.asarray(self.edge_q, dtype=np.float64)
-        edges = (self.edge_u, self.edge_v, self.edge_q)
-        if any(e.ndim != 1 for e in edges) or len({len(e) for e in edges}) > 1:
-            raise DimensionMismatch("edge arrays must be 1-D of equal length")
+        self.edge_u, self.edge_v, self.edge_q = _checked_edges(
+            self.edge_u, self.edge_v, self.edge_q, self.n)
         if np.any(self.edge_u >= self.edge_v):
             raise DimensionMismatch("edges must be stored with u < v")
-        if len(self.edge_u) and (self.edge_u.min() < 0 or self.edge_v.max() >= self.n):
-            raise DimensionMismatch("edge endpoint out of range")
         if not np.all(np.isfinite(self.diag)):
             raise DimensionMismatch("diagonal entries must be finite")
         if np.any(np.isnan(self.edge_q)):

@@ -27,10 +27,10 @@ POWER_RTOL = 1e-6    # relative change that stops the power iteration
 class RegressionProblem:
     """Design matrix, response, and the fused regularizer data.
 
-    A must be 2-D with one row per entry of y.  The edges, weights, lambda
-    and penalties are checked as ``ProxProblem`` checks them, and stored
-    as it stores them (each edge with u < v), so ``objective`` reads them
-    with no check of its own.
+    A must be 2-D with one row per entry of y, and both finite.  The
+    edges, weights, lambda and penalties are checked as ``ProxProblem``
+    checks them, and stored as it stores them (each edge with u < v), so
+    ``objective`` reads them with no check of its own.
     """
 
     A: np.ndarray
@@ -46,6 +46,8 @@ class RegressionProblem:
         self.y = np.asarray(self.y, dtype=np.float64).ravel()
         if self.A.ndim != 2 or self.A.shape[0] != len(self.y):
             raise DimensionMismatch("A must be N x n with len(y) == N")
+        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.y))):
+            raise DimensionMismatch("A and y must be finite")
         # the prox problem's checks, once: edges, weights, lambda, penalties
         fused = ProxProblem(np.zeros(self.n), self.edge_u, self.edge_v,
                             self.edge_w, self.lam, self.penalties)

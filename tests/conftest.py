@@ -59,3 +59,21 @@ def chain_prox(n=500, segments=10, seed=5, lam=0.3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def flow_backend(monkeypatch):
+    """``flow_backend(method)`` sends every network the engine solves from
+    then on to ``max_flow``'s ``method`` backend ("float" or "scipy"),
+    whatever backend the engine asks for.  The engine takes no backend
+    choice of its own, so the backend cross-checks patch its ``max_flow``
+    here."""
+    import graphprox._engine as engine
+
+    inner = engine.max_flow
+
+    def force(backend):
+        def forced(net, method=None):
+            return inner(net, backend)
+        monkeypatch.setattr(engine, "max_flow", forced)
+    return force

@@ -55,14 +55,16 @@ class TestProxCommand:
         assert rc == 2
         assert "error" in err
 
-    def test_negative_weight_exit_2(self, capsys, tmp_path):
+    def test_negative_weight_exit_3(self, capsys, tmp_path):
+        # an out-of-domain value, as in fit, path and denoise
         nodes = tmp_path / "n.txt"
         edges = tmp_path / "e.txt"
         nodes.write_text("0 1.0\n1 2.0\n")
         edges.write_text("0 1 -0.5\n")
         rc, _, err = run(capsys, "prox", str(nodes), "--edges", str(edges),
                          "--lam", "1")
-        assert rc == 2
+        assert rc == 3
+        assert "negative fusion weight" in err
 
     def test_output_certifies(self, capsys, tmp_path, rng):
         nodes = tmp_path / "n.txt"
@@ -210,7 +212,8 @@ class TestPathCommand:
         assert rc == 3
         assert "error" in err
 
-    def test_reductions_exact_on_large_block(self, capsys, tmp_path):
+    def test_reductions_exact_on_large_block(self, capsys, tmp_path,
+                                             flow_backend):
         # a 400-node component goes to the quantized scipy backend, whose
         # in-block flows are off by ~1e-7; the printed r column must be
         # the exact level, as the pure float backend computes it
@@ -232,7 +235,8 @@ class TestPathCommand:
         assert rc == 0
         r = np.array([float(line.split()[2]) for line in out.splitlines()[3:]])
         problem = QuadraticBinaryProblem(n, diag, eu, ev, q)
-        exact = solve_parametric(problem, w, method="float").levels
+        flow_backend("float")
+        exact = solve_parametric(problem, w).levels
         np.testing.assert_allclose(r, exact, rtol=0, atol=1e-9)
 
 

@@ -83,7 +83,7 @@ class TestBatching:
         assert max(flow_calls) <= 25
         assert certificate(problem, u) <= 1e-7
 
-    def test_mixed_block_sizes(self, flow_calls):
+    def test_mixed_block_sizes(self, flow_calls, flow_backend):
         # a strongly fused 350-node chain at level ~3 among 150 weakly
         # coupled pairs on both sides: depths mix one block over the
         # 300-node threshold (solved alone) with a union of small blocks
@@ -100,17 +100,19 @@ class TestBatching:
         w = np.concatenate([np.full(big - 1, 5.0), np.full(pairs, 0.2)])
         problem = ProxProblem(a, eu, eu + 1, w, 1.0)
         b = build_prox_qbm(problem)
-        auto = engine.solve_parametric(b.qbm, method="auto")
+        auto = engine.solve_parametric(b.qbm)
         assert big in flow_calls  # the fused chain, cut on its own
         assert any(n <= 300 for n in flow_calls)
-        ref = engine.solve_parametric(b.qbm, method="float")
+        flow_backend("float")
+        ref = engine.solve_parametric(b.qbm)
         for key in ("levels", "flip_lo", "flip_hi"):
             x, y = getattr(auto, key), getattr(ref, key)
             assert np.allclose(x, y, rtol=1e-9, atol=1e-9), key
         assert np.ptp(auto.levels[:big]) == 0.0  # the chain stays fused
         assert certificate(problem, auto.levels[:problem.n]) <= 1e-7
 
-    def test_interleaved_large_blocks(self, block_sizes, flow_calls):
+    def test_interleaved_large_blocks(self, block_sizes, flow_calls,
+                                      flow_backend):
         # two 350-node chains, one on the even and one on the odd nodes:
         # their edges interleave in problem order, and each chain is over
         # the 300-node threshold, so it is cut alone from its own slice
@@ -126,7 +128,8 @@ class TestBatching:
         # most chain nodes are fixed, so each chain's free network goes
         # to the float backend
         assert flow_calls[:2] == [67, 71]
-        ref = engine.solve_parametric(b.qbm, method="float")
+        flow_backend("float")
+        ref = engine.solve_parametric(b.qbm)
         np.testing.assert_allclose(auto.levels, ref.levels, rtol=1e-9,
                                    atol=1e-9)
         assert certificate(problem, auto.levels) <= 1e-7
@@ -186,37 +189,39 @@ class TestAnchoredHarvest:
     """A finished block holding anchors needs a flow that routes each
     node's excess into the anchors; the cut's max flow need not."""
 
-    def residual(self, problem, method="auto"):
+    def residual(self, problem):
         build = build_prox_qbm(problem)
         sol = engine.solve_parametric(build.qbm, None,
-                                      build.anchor_mask, build.anchor_values,
-                                      method=method)
+                                      build.anchor_mask, build.anchor_values)
         r = reductions(build.qbm, sol.alpha).r
         return sol, float(np.abs(r - sol.levels)[sol.interior()].max())
 
     @pytest.mark.parametrize("method", ["float", "scipy"])
-    def test_excess_into_anchor(self, method):
+    def test_excess_into_anchor(self, method, flow_backend):
         # soft thresholding puts u at the anchor 0, with all of a = -0.2
         # carried by the anchor edge
         problem = ProxProblem.from_edges(
             [-0.2], [], 1.0, {0: PiecewiseLinearPenalty.abs_value()})
-        sol, res = self.residual(problem, method)
+        flow_backend(method)
+        sol, res = self.residual(problem)
         assert sol.levels[0] == 0.0
         assert res <= 1e-9
 
-    def test_random_penalized(self):
+    def test_random_penalized(self, flow_backend):
         rng = np.random.default_rng(7)
+        flow_backend("float")
         for _ in range(40):
             problem = random_prox_problem(rng, int(rng.integers(1, 40)),
                                           with_penalties=True)
-            assert self.residual(problem, "float")[1] <= 1e-9
+            assert self.residual(problem)[1] <= 1e-9
 
 
 class TestHardTies:
     @pytest.mark.parametrize("method", ["float", "scipy"])
-    def test_random_ties_brute_force(self, method):
+    def test_random_ties_brute_force(self, method, flow_backend):
         # cycles and chains of infinite couplings among finite ones
         rng = np.random.default_rng(4)
+        flow_backend(method)
         for _ in range(30):
             n = int(rng.integers(2, 9))
             edges = {}
@@ -229,7 +234,7 @@ class TestHardTies:
                         edges[(i, j)] = -abs(float(rng.normal(0, 1)))
             prob = QuadraticBinaryProblem.from_parts(rng.normal(0, 2, n), edges)
             w = rng.uniform(0.5, 2.0, n)
-            sol = engine.solve_parametric(prob, w, method=method)
+            sol = engine.solve_parametric(prob, w)
             if method == "float":
                 r = reductions(prob, sol.alpha).r
                 assert np.abs(r - sol.levels).max() <= 1e-9
@@ -284,24 +289,25 @@ def three_pieces(rng, sizes):
     return pieces
 
 
-def solve(piece, method="auto"):
+def solve(piece):
     prob, w, mask, values = piece
     return engine.solve_parametric(prob, w, mask if mask.any() else None,
-                                   values, method=method)
+                                   values)
 
 
 KEYS = ("levels", "flip_lo", "flip_hi", "alpha")
 
 
 class TestComponents:
-    def test_pieces_solve_as_if_alone(self):
+    def test_pieces_solve_as_if_alone(self, flow_backend):
         # trees, so the in-block flows and with them alpha are unique
         rng = np.random.default_rng(3)
         pieces = three_pieces(rng, (60, 40, 50))
         whole = union(pieces)
         sol = solve(whole)
-        ref = solve(whole, "float")
         alone = [solve(p) for p in pieces]
+        flow_backend("float")
+        ref = solve(whole)
         for key in KEYS:
             got = getattr(sol, key)
             want = np.concatenate([getattr(a, key) for a in alone])
@@ -411,7 +417,12 @@ class TestCarriedFlow:
     """Each depth cuts its blocks on the residual network of the flow its
     parent depth left.  Every finished block, one found flat with no flow
     call included, leaves an alpha inside the box whose reductions are the
-    levels, and levels and flips match the reference solvers."""
+    levels, and levels and flips match the reference solvers, with every
+    network on the float backend."""
+
+    @pytest.fixture(autouse=True)
+    def float_backend(self, flow_backend):
+        flow_backend("float")
 
     def check_alpha(self, prob, sol):
         cap = np.where(prob.ties, np.inf, -prob.edge_q)
@@ -423,7 +434,7 @@ class TestCarriedFlow:
         b = build_prox_qbm(problem)
         sol = engine.solve_parametric(
             b.qbm, None, b.anchor_mask if anchored else None,
-            b.anchor_values, method="float")
+            b.anchor_values)
         self.check_alpha(b.qbm, sol)
         n, ref = problem.n, prox_reference(problem)
         for key in ("levels", "flip_lo", "flip_hi"):
@@ -464,7 +475,7 @@ class TestCarriedFlow:
                 np.round(rng.normal(0, 2, n), 1), edges)
             w = rng.choice([0.0, 0.5, 1.0, 2.0] if t % 2 else [0.5, 1.0, 2.0],
                            n)
-            sol = engine.solve_parametric(prob, w, method="float")
+            sol = engine.solve_parametric(prob, w)
             self.check_alpha(prob, sol)
             if t % 2 == 0:
                 ref = min_norm_reference(prob, w).r

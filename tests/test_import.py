@@ -11,7 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import chain_prox
+
+from graphprox import prox
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,6 +73,28 @@ def test_union_of_small_blocks_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.strip() == "[]"
+
+
+def test_no_compiler_solves_without_kernel_or_scipy(tmp_path):
+    # no cc on PATH and an empty home, so no cached build: the kernel is
+    # not built, the float backend is the pure-Python Dinic, and a chain
+    # prox still loads no scipy module and matches the kernel's answer
+    env = dict(os.environ, PATH="", HOME=str(tmp_path),
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                           str(ROOT / "tests")]))
+    out = tmp_path / "u.npy"
+    code = ("import sys, numpy as np; from conftest import chain_prox; "
+            "from graphprox import maxflow, prox; "
+            f"np.save({str(out)!r}, prox(chain_prox(lam=0.3))); "
+            "print(maxflow.kernel_error); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == ["no C compiler (cc) on PATH", "[]"]
+    np.testing.assert_allclose(np.load(out), prox(chain_prox(lam=0.3)),
+                               rtol=0, atol=1e-9)
 
 
 def test_public_names_resolve_once():

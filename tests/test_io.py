@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from graphprox import NonSubmodularEnergy, ParseError
+from graphprox import DimensionMismatch, NonSubmodularEnergy, ParseError
 from graphprox import io as gio
 
 
@@ -58,7 +58,7 @@ class TestTextFormats:
         with pytest.raises(NonSubmodularEnergy):
             gio.read_qbm(nodes, edges)
         edges.write_text("0 1 -0.5\n1 0 1.0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(DimensionMismatch, match="negative fusion weight"):
             gio.read_prox_problem(nodes, edges)
 
     def test_repeated_edge_lines_summed(self, tmp_path):

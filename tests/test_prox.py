@@ -124,7 +124,9 @@ class TestProxProblemInput:
     @pytest.mark.parametrize("args,match", [
         (([1.0, 2.0, 3.0], [0, 1], [1], [1.0, 1.0]), "equal length"),
         (([1.0, 2.0, 3.0], [0, 1], [1, 2], [1.0]), "equal length"),
-        (([[1.0, 2.0], [3.0, 4.0]],), "1-D")])
+        (([[1.0, 2.0], [3.0, 4.0]],), "1-D"),
+        # edge_v = -1 used to pass, and objective read u[-1]
+        (([1.0, 2.0, 5.0], [0], [-1], [1.0]), "edge endpoint out of range")])
     def test_shapes_checked_at_construction(self, args, match):
         with pytest.raises(DimensionMismatch, match=match):
             ProxProblem(*args)

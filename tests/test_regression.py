@@ -67,10 +67,24 @@ class TestProblem:
         (([0], [1], [np.nan]), "edge weights must be finite and nonnegative"),
         (([0], [1], [np.inf]), "edge weights must be finite and nonnegative"),
         (([0, 1], [1, 2], [1.0]), "edge arrays must have equal length"),
+        (([0], [-1], [1.0]), "edge endpoint out of range"),
     ])
     def test_rejects_bad_edges(self, edges, match):
         with pytest.raises(DimensionMismatch, match=match):
             RegressionProblem(np.eye(4), np.zeros(4), *edges, 1.0)
+
+    # an infinite y used to construct, and the fit returned u = [0, 0]
+    # after numpy's invalid-value warnings; a NaN in A failed only at the
+    # first prox step, as "prox center must be finite"
+    @pytest.mark.parametrize("A, y", [
+        (np.eye(2), [np.inf, 1.0]),
+        (np.eye(2), [np.nan, 1.0]),
+        ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+        ([[1.0, 0.0], [0.0, -np.inf]], [1.0, 1.0]),
+    ])
+    def test_rejects_non_finite_data(self, A, y):
+        with pytest.raises(DimensionMismatch, match="A and y must be finite"):
+            RegressionProblem(A, y, [0], [1], [1.0], 1.0)
 
     def test_rejects_bad_penalties(self):
         with pytest.raises(DimensionMismatch, match="penalty key 4"):
