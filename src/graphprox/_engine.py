@@ -78,7 +78,7 @@ import numpy as np
 
 from .maxflow import (_SCIPY_NODE_THRESHOLD, _kernel, _prechecked,
                       fix_sides, max_flow, min_cut)
-from .qbm import QuadraticBinaryProblem, _check_weights
+from .qbm import QuadraticBinaryProblem, _check_beta, _check_weights
 
 TERM_TOL = 1e-9  # relative tolerance for "block is one level set"
 ZERO_W_TOL = 1e-12
@@ -102,11 +102,11 @@ class ParametricSolution:
         return ~self.anchor_mask
 
     def u1(self, beta: float) -> set:
-        m = (beta > self.flip_lo) & self.interior()
+        m = (_check_beta(beta) > self.flip_lo) & self.interior()
         return set(np.flatnonzero(m).tolist())
 
     def u2(self, beta: float) -> set:
-        m = (beta >= self.flip_hi) & self.interior()
+        m = (_check_beta(beta) >= self.flip_hi) & self.interior()
         return set(np.flatnonzero(m).tolist())
 
     def breakpoints(self) -> np.ndarray:

@@ -147,9 +147,8 @@ def _random_instance(rng, n):
 def _check_instance(inst, betas_per=15) -> list:
     """Run the oracle cross-validation battery on one serialized instance.
     Returns a list of failure descriptions (empty = pass)."""
-    problem = QuadraticBinaryProblem.from_parts(
-        np.array(inst["diag"]),
-        {(i, j): q for i, j, q in inst["edges"]})
+    problem = QuadraticBinaryProblem.from_parts(np.array(inst["diag"]),
+                                                inst["edges"])
     w = np.array(inst.get("weights", [1.0] * problem.n))
     rng = np.random.default_rng(inst.get("beta_seed", 0))
     failures = []

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ParseError
 from .prox import PiecewiseLinearPenalty, ProxProblem
-from .qbm import QuadraticBinaryProblem, _canonical_edges, _edge_arrays
+from .qbm import QuadraticBinaryProblem, _canonical_edges
 
 
 def _data_lines(path):
@@ -63,7 +63,7 @@ def _edge_lines(path, index_base: int):
     entry per line, as written, and 1 + the largest endpoint (0 if none).
     Callers check each line's sign here, before repeated pairs are
     summed."""
-    rows = []
+    ends, vals = [], []
     for lineno, toks in _data_lines(path):
         if len(toks) != 3:
             raise ParseError(f"{path}:{lineno}: expected 'i j value'")
@@ -75,9 +75,10 @@ def _edge_lines(path, index_base: int):
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if i < 0 or j < 0 or i == j:
             raise ParseError(f"{path}:{lineno}: bad endpoints {i} {j}")
-        rows.append((i, j, val))
-    u, v, vals = _edge_arrays(rows)
-    return u, v, vals, int(np.maximum(u, v).max(initial=-1)) + 1
+        ends.append((i, j))
+        vals.append(val)
+    u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    return u, v, np.array(vals), int(np.maximum(u, v).max(initial=-1)) + 1
 
 
 def read_edge_file(path, index_base: int = 0):
@@ -107,7 +108,7 @@ def read_qbm(node_path, edge_path=None, index_base: int = 0):
         extra = max(size - len(diag), 0)
         diag = np.concatenate([diag, np.zeros(extra)])
         weights = np.concatenate([weights, np.ones(extra)])
-    return QuadraticBinaryProblem.from_parts(diag, zip(u, v, q)), weights
+    return QuadraticBinaryProblem(len(diag), diag, u, v, q), weights
 
 
 def read_penalty_file(path, index_base: int = 0) -> dict:
@@ -268,10 +269,16 @@ def write_float_map(path, img: np.ndarray):
 
 
 def read_float_map(path) -> np.ndarray:
+    """Read ``write_float_map``'s format; raises ParseError, with the path,
+    on a malformed header, a token that is not a number, or rows that do
+    not match the header's shape."""
     with open(path) as fh:
-        h, w = (int(t) for t in fh.readline().split())
-        rows = [[float(x) for x in fh.readline().split()] for _ in range(h)]
-    img = np.asarray(rows, dtype=np.float64)
-    if img.shape != (h, w):
-        raise ParseError(f"{path}: shape mismatch")
-    return img
+        try:
+            h, w = (int(t) for t in fh.readline().split())
+            rows = [[float(x) for x in fh.readline().split()] for _ in range(h)]
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+    if h < 0 or w < 0 or any(len(row) != w for row in rows):
+        raise ParseError(f"{path}: shape mismatch, expected {h} rows of {w} "
+                         "values")
+    return np.array(rows, dtype=np.float64).reshape(h, w)

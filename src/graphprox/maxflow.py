@@ -67,20 +67,34 @@ SAT_TOL = 1e-12  # absolute slack scale for saturation tests
 _SCIPY_NODE_THRESHOLD = 300  # auto backend switches to scipy above this
 
 
+def _node_ids(x, n: int, what: str) -> np.ndarray:
+    """``x`` as an int64 array; raises DimensionMismatch naming ``what``
+    unless every entry is an integer in [0, n).  An int or bool array skips
+    the float pass."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biu":
+        x = np.asarray(x, dtype=np.float64)
+        if not np.all(np.isfinite(x) & (x == np.trunc(x))):
+            raise DimensionMismatch(f"{what} must be a finite integer")
+        x = np.clip(x, -1, n)   # so the cast is exact; -1 and n fail below
+    x = x.astype(np.int64, copy=False)
+    if x.size and (x.min() < 0 or x.max() >= n):
+        raise DimensionMismatch(f"{what} out of range")
+    return x
+
+
 def _checked_edges(u, v, val, n: int):
     """``(u, v, val)`` as int64, int64 and float64 arrays; raises
     DimensionMismatch unless they are 1-D of equal length with every
-    endpoint in [0, n).  Every constructor that takes edge arrays checks
-    them here."""
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
+    endpoint an integer in [0, n).  Every constructor that takes edge
+    arrays checks them here."""
+    u = _node_ids(u, n, "edge endpoint")
+    v = _node_ids(v, n, "edge endpoint")
     val = np.asarray(val, dtype=np.float64)
     if u.ndim != 1 or v.ndim != 1 or val.ndim != 1:
         raise DimensionMismatch("edge arrays must be 1-D")
     if not len(u) == len(v) == len(val):
         raise DimensionMismatch("edge arrays must have equal length")
-    if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
-        raise DimensionMismatch("edge endpoint out of range")
     return u, v, val
 
 

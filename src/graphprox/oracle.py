@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimensionMismatch, TooLarge, WeightNotPositiveInteger
 from .parametric import ReductionVector
 from .prox import ProxProblem
-from .qbm import QuadraticBinaryProblem, _canonical_edges
+from .qbm import QuadraticBinaryProblem
 
 ENUM_GUARD = 20
 
@@ -106,14 +106,13 @@ def augment_integer_weights(problem: QuadraticBinaryProblem, int_weights):
     copies = np.repeat(np.arange(n), w - 1)
     aux = n + np.arange(len(copies))
     diag = np.concatenate([problem.diag, np.zeros(len(aux))])
-    u, v, q = _canonical_edges(
-        np.concatenate([problem.edge_u, copies]),
-        np.concatenate([problem.edge_v, aux]),
-        np.concatenate([problem.edge_q, np.full(len(aux), -np.inf)]), len(diag))
     groups = np.split(aux, np.cumsum(w - 1)[:-1])
     index_map = {i: [i, *g.tolist()] for i, g in zip(range(n), groups)}
-    return QuadraticBinaryProblem(len(diag), diag, u, v, q, problem.offset), \
-        index_map
+    return QuadraticBinaryProblem(
+        len(diag), diag, np.concatenate([problem.edge_u, copies]),
+        np.concatenate([problem.edge_v, aux]),
+        np.concatenate([problem.edge_q, np.full(len(aux), -np.inf)]),
+        problem.offset), index_map
 
 
 def min_norm_reference(problem: QuadraticBinaryProblem, weights=None,

@@ -176,7 +176,7 @@ class ProxProblem:
         than once, in either order, are stored once with their weights
         summed; every given weight must be nonnegative."""
         a = np.asarray(a, dtype=np.float64)
-        u, v, w = _edge_arrays(edges)
+        u, v, w = _checked_edges(*_edge_arrays(edges), len(a))
         if np.any(w < 0):
             raise DimensionMismatch("edge weights must be nonnegative")
         return cls(a, *_canonical_edges(u, v, w, len(a)), lam,
@@ -235,9 +235,9 @@ def build_prox_qbm(problem: ProxProblem) -> ProxBuild:
     full_diag = np.bincount(
         np.concatenate([np.arange(n), np.column_stack([eu, ev]).ravel(), host]),
         np.concatenate([diag, np.repeat(0.5 * ew, 2), 0.5 * ak]), total)
-    qbm = QuadraticBinaryProblem(total, full_diag, *_canonical_edges(
-        np.concatenate([eu, host]), np.concatenate([ev, pin]),
-        np.concatenate([-ew, -ak]), total))
+    qbm = QuadraticBinaryProblem(
+        total, full_diag, np.concatenate([eu, host]),
+        np.concatenate([ev, pin]), np.concatenate([-ew, -ak]))
 
     anchor_mask = np.arange(total) >= n
     anchor_values = np.concatenate([np.zeros(n), anchor_b])

@@ -12,9 +12,10 @@ objective offsets, so tests can compare values and not just argmins.
 
 Conventions
 -----------
-* Node indices are 0-based.  Edges are stored once with u < v; the
-  constructors store each pair once, summing the values of a pair given
-  more than once, in either order.
+* Node indices are 0-based.  The ``QuadraticBinaryProblem`` constructor
+  takes edges in any orientation, checks each coupling before repeated
+  pairs are summed, stores each pair once with u < v, sorted, and copies
+  the caller's arrays.
 * A coupling of -inf marks a hard tie: both endpoints must take the same
   label, and any set splitting them evaluates to +inf.
 * The optimal set of the cut problem is the set of interior nodes on the
@@ -23,34 +24,44 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonSubmodularEnergy
-from .maxflow import FlowNetwork, _checked_edges
+from .maxflow import FlowNetwork, _checked_edges, _node_ids
 
 REL_TOL = 1e-9
 
 
 def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, v, val) arrays from {(i, j): value} or (i, j, value) triples."""
+    """(u, v, val) float arrays of {(i, j): value} or (i, j, value) triples,
+    for ``maxflow._checked_edges`` to check; raises DimensionMismatch for a
+    key that is not an (i, j) pair or an entry that is not a triple."""
     if isinstance(edges, dict):
-        u, v = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
+        u, v = _columns(list(edges), 2, "edge keys must be (i, j) pairs")
         return u, v, np.fromiter(edges.values(), np.float64, len(edges))
-    t = np.array(list(edges), dtype=object).reshape(-1, 3)
-    return (t[:, 0].astype(np.int64), t[:, 1].astype(np.int64),
-            t[:, 2].astype(np.float64))
+    u, v, val = _columns(list(edges), 3, "edges must be (i, j, value) triples")
+    return u, v, val
+
+
+def _columns(entries: list, width: int, message: str) -> np.ndarray:
+    """The ``width`` columns of ``entries``, as the rows of a float array."""
+    try:
+        if any(len(e) != width for e in entries):
+            raise DimensionMismatch(message)
+        flat = np.fromiter(itertools.chain.from_iterable(entries), np.float64,
+                           width * len(entries))
+    except (TypeError, ValueError):   # an entry with no length, or a non-number
+        raise DimensionMismatch(message) from None
+    return flat.reshape(-1, width).T
 
 
 def _canonical_edges(u, v, val, n: int):
-    """``(u, v, val)`` with each pair stored once: ordered u < v, sorted by
-    (u, v), and the values of duplicate pairs summed in input order.
-
-    Raises DimensionMismatch as ``maxflow._checked_edges`` does.  A
-    self-loop passes through as a pair (i, i) for the caller to reject.
-    """
-    u, v, val = _checked_edges(u, v, val, n)
+    """Checked ``(u, v, val)`` arrays with each pair stored once: ordered
+    u < v, sorted by (u, v), and the values of duplicate pairs summed in
+    input order.  A self-loop passes through as a pair (i, i)."""
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     keys = lo * n + hi
     if np.all(keys[1:] > keys[:-1]):
@@ -140,9 +151,12 @@ class EnergyTable:
 class QuadraticBinaryProblem:
     """Submodular quadratic form over binary indicator vectors.
 
-    diag holds finite q_ii; edges hold q_ij <= 0 for i < j (q_ij = -inf
-    marks a hard tie).  Instances are immutable after construction and
-    safe to share across solver invocations.
+    diag holds finite q_ii; edges hold q_ij <= 0 in any orientation
+    (q_ij = -inf marks a hard tie).  Each coupling is checked before a
+    repeated pair is summed, so a self-loop, a NaN or a positive coupling
+    fails even where a repeat would cancel it.  The stored arrays are
+    read-only copies, each pair once with u < v, sorted, so instances are
+    immutable and safe to share across solver invocations.
     """
 
     n: int
@@ -153,40 +167,30 @@ class QuadraticBinaryProblem:
     offset: float = 0.0
 
     def __post_init__(self):
-        self.diag = np.asarray(self.diag, dtype=np.float64)
+        self.diag = np.array(self.diag, dtype=np.float64)
         if self.diag.shape != (self.n,):
             raise DimensionMismatch(f"diag must have length {self.n}")
-        self.edge_u, self.edge_v, self.edge_q = _checked_edges(
-            self.edge_u, self.edge_v, self.edge_q, self.n)
-        if np.any(self.edge_u >= self.edge_v):
-            raise DimensionMismatch("edges must be stored with u < v")
         if not np.all(np.isfinite(self.diag)):
             raise DimensionMismatch("diagonal entries must be finite")
-        if np.any(np.isnan(self.edge_q)):
+        u, v, q = _checked_edges(self.edge_u, self.edge_v, self.edge_q, self.n)
+        if np.any(u == v):
+            raise DimensionMismatch("self-loops not allowed")
+        if np.any(np.isnan(q)):
             raise DimensionMismatch("couplings must not be NaN")
-        bad = np.nonzero(self.edge_q > 0.0)[0]
+        bad = np.flatnonzero(q > 0.0)
         if bad.size:
             k = int(bad[0])
-            raise NonSubmodularEnergy(int(self.edge_u[k]), int(self.edge_v[k]),
-                                      float(self.edge_q[k]))
+            raise NonSubmodularEnergy(int(min(u[k], v[k])), int(max(u[k], v[k])),
+                                      float(q[k]))
+        self.edge_u, self.edge_v, self.edge_q = _canonical_edges(u, v, q, self.n)
         for arr in (self.diag, self.edge_u, self.edge_v, self.edge_q):
             arr.setflags(write=False)
 
     @classmethod
     def from_parts(cls, diag, edges, offset: float = 0.0) -> "QuadraticBinaryProblem":
         """Build from a diagonal vector and an edge mapping {(i, j): q_ij}
-        or (i, j, q_ij) triples.  Pairs given more than once, in either
-        order, are stored once with their couplings summed; every given
-        coupling must be <= 0, even one a duplicate would cancel.
-        """
-        diag = np.asarray(diag, dtype=np.float64)
-        u, v, q = _edge_arrays(edges)
-        bad = np.flatnonzero(q > 0.0)
-        if bad.size:
-            k = int(bad[0])
-            raise NonSubmodularEnergy(int(min(u[k], v[k])), int(max(u[k], v[k])),
-                                      float(q[k]))
-        return cls(len(diag), diag, *_canonical_edges(u, v, q, len(diag)), offset)
+        or (i, j, q_ij) triples, stored as the constructor stores them."""
+        return cls(len(diag), diag, *_edge_arrays(edges), offset)
 
     @property
     def n_edges(self) -> int:
@@ -278,13 +282,18 @@ def to_cut_graph(problem: QuadraticBinaryProblem, beta: float = 0.0,
 
 def evaluate(problem: QuadraticBinaryProblem, S, beta: float = 0.0,
              weights=None) -> float:
-    """f(S) - beta * w(S).  Returns +inf if S splits a hard tie."""
+    """f(S) - beta * w(S).  Returns +inf if S splits a hard tie.
+
+    S holds node ids, or is a boolean mask array; raises DimensionMismatch
+    unless every node id is an integer in [0, n).
+    """
     w = _check_weights(weights, problem.n)
     beta = _check_beta(beta)
+    if isinstance(S, np.ndarray) and S.dtype == bool:
+        S = np.flatnonzero(S)
     mask = np.zeros(problem.n, dtype=bool)
-    idx = np.fromiter(S, dtype=np.int64) if not isinstance(S, np.ndarray) else S
-    if len(idx):
-        mask[idx] = True
+    mask[_node_ids(S if isinstance(S, np.ndarray) else list(S), problem.n,
+                   "node id")] = True
     inside = mask[problem.edge_u] & mask[problem.edge_v]
     ties = problem.ties
     if np.any(ties & (mask[problem.edge_u] != mask[problem.edge_v])):

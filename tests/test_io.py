@@ -136,3 +136,14 @@ class TestPgm:
         path = tmp_path / "m.fm"
         gio.write_float_map(path, img)
         assert np.array_equal(gio.read_float_map(path), img)
+
+    @pytest.mark.parametrize("text", ["3 2\n1 2\n3 4\n",   # a row short
+                                      "2 2\n1 2\n3 x\n",   # not a number
+                                      "2 2\n1 2\n3\n",     # a value short
+                                      "2\n1 2\n"])          # bad header
+    def test_float_map_malformed_rejected(self, tmp_path, text):
+        # the first two used to raise a bare ValueError
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="bad.txt"):
+            gio.read_float_map(path)

@@ -98,6 +98,10 @@ class TestMaxFlow:
         ([0], [1], [[1.0]]),
         ([0], [1], [np.nan]),          # NaN arc capacity
         ([0], [1], [-1.0]),
+        ([0.5], [1], [1.0]),           # used to be truncated to node 0
+        ([np.nan], [1], [1.0]),        # used to give a numpy warning
+        ([0], [-np.inf], [1.0]),
+        ([0.0], [2.0 ** 70], [1.0]),   # integral, but past int64
     ])
     def test_malformed_arcs_rejected(self, arcs):
         with pytest.raises(DimensionMismatch):

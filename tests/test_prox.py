@@ -126,10 +126,25 @@ class TestProxProblemInput:
         (([1.0, 2.0, 3.0], [0, 1], [1, 2], [1.0]), "equal length"),
         (([[1.0, 2.0], [3.0, 4.0]],), "1-D"),
         # edge_v = -1 used to pass, and objective read u[-1]
-        (([1.0, 2.0, 5.0], [0], [-1], [1.0]), "edge endpoint out of range")])
+        (([1.0, 2.0, 5.0], [0], [-1], [1.0]), "edge endpoint out of range"),
+        # 0.9 used to be truncated, so the edge (0.9, 2) became (0, 2)
+        (([0.0, 1.0, 2.0], [0.9], [2], [1.0]), "finite integer"),
+        (([0.0, 1.0, 2.0], [np.nan], [2], [1.0]), "finite integer"),
+        (([0.0, 1.0, 2.0], [0], [np.inf], [1.0]), "finite integer")])
     def test_shapes_checked_at_construction(self, args, match):
         with pytest.raises(DimensionMismatch, match=match):
             ProxProblem(*args)
+
+    @pytest.mark.parametrize("edges, match", [
+        ([(0.9, 2, 1.0)], "finite integer"),
+        ([(np.nan, 2, 1.0)], "finite integer"),   # used to be a bare ValueError
+        ({(0, np.inf): 1.0}, "finite integer"),
+        ([(0, 1, 1.0, 1, 2, 1.0)], "triples"),     # used to be two edges
+        ([0, 1, 1.0], "triples"),
+        ({(0, 1, 2): 1.0}, "pairs")])
+    def test_malformed_edges_rejected(self, edges, match):
+        with pytest.raises(DimensionMismatch, match=match):
+            ProxProblem.from_edges([0.0, 1.0, 2.0], edges)
 
     @pytest.mark.parametrize("key", [5, 2, -1, 1.0, "0"])
     def test_penalty_key_must_be_a_node(self, key):

@@ -152,6 +152,73 @@ class TestFromEnergies:
         assert prob.offdiag() == {(0, 1): -3.0}
 
 
+class TestConstructorContract:
+    """The constructor gives couplings their stored form; ``from_parts``
+    only turns its edges into arrays."""
+
+    def test_stores_edges_as_from_parts(self):
+        # (1, 0) used to be rejected, and a repeated pair kept twice
+        u, v = [2, 1, 0, 1, 2], [1, 0, 1, 2, 0]
+        q = [-2.0, -1.0, -0.5, -1.0, -np.inf]
+        direct = QuadraticBinaryProblem(3, [1.0, 2.0, 3.0], u, v, q)
+        parts = QuadraticBinaryProblem.from_parts([1.0, 2.0, 3.0], zip(u, v, q))
+        assert direct.offdiag() == {(0, 1): -1.5, (0, 2): -np.inf, (1, 2): -3.0}
+        for a, b in [(direct.edge_u, parts.edge_u), (direct.edge_v, parts.edge_v),
+                     (direct.edge_q, parts.edge_q), (direct.diag, parts.diag)]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_caller_arrays_stay_writable(self):
+        # the constructor used to freeze the caller's own arrays
+        d = np.array([1.0, 2.0])
+        u, v, q = np.array([0]), np.array([1]), np.array([-1.0])
+        prob = QuadraticBinaryProblem(2, d, u, v, q)
+        assert all(a.flags.writeable for a in (d, u, v, q))
+        d[0] = u[0] = v[0] = q[0] = 7
+        assert prob.diag.tolist() == [1.0, 2.0]
+        assert prob.offdiag() == {(0, 1): -1.0}
+        assert not any(a.flags.writeable for a in
+                       (prob.diag, prob.edge_u, prob.edge_v, prob.edge_q))
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(DimensionMismatch, match="self-loops not allowed"):
+            QuadraticBinaryProblem(2, [0.0, 0.0], [1], [1], [-1.0])
+        with pytest.raises(DimensionMismatch, match="self-loops not allowed"):
+            QuadraticBinaryProblem.from_parts([0.0, 0.0], [(0, 0, -1.0)])
+
+    def test_positive_coupling_rejected_before_summing(self):
+        # the repeat would bring the pair's sum to -0.5; the error names
+        # the pair in order
+        with pytest.raises(NonSubmodularEnergy) as exc:
+            QuadraticBinaryProblem(2, [0.0, 0.0], [0, 1], [1, 0], [-1.0, 0.5])
+        assert (exc.value.i, exc.value.j) == (0, 1)
+
+    @pytest.mark.parametrize("end", [0.5, np.nan, np.inf, -np.inf])
+    def test_endpoints_must_be_integers(self, end):
+        # 0.5 used to be truncated to node 0; NaN and inf failed inside
+        # numpy
+        with pytest.raises(DimensionMismatch, match="finite integer"):
+            QuadraticBinaryProblem(3, [0.0, 0.0, 0.0], [end], [2], [-1.0])
+        with pytest.raises(DimensionMismatch, match="finite integer"):
+            QuadraticBinaryProblem.from_parts([0.0, 0.0, 0.0], [(end, 2, -1.0)])
+
+    def test_integral_float_and_bool_endpoints_accepted(self):
+        prob = QuadraticBinaryProblem(3, [0.0, 0.0, 0.0], [2.0, False],
+                                      [0.0, True], [-1.0, -2.0])
+        assert prob.offdiag() == {(0, 1): -2.0, (0, 2): -1.0}
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, -1.0, 1, 2, -1.0)],     # used to become two couplings
+        [0, 1, -1.0],                   # used to become one coupling
+        [(0, 1)],
+        [(0, 1, -1.0), (1, 2)],
+        {(0, 1, 2): -1.0},              # used to fail inside numpy
+        {0: -1.0},
+    ])
+    def test_malformed_entries_rejected(self, edges):
+        with pytest.raises(DimensionMismatch, match="triples|pairs"):
+            QuadraticBinaryProblem.from_parts([0.0, 0.0, 0.0], edges)
+
+
 class TestToCutGraph:
     def test_single_node(self):
         prob = QuadraticBinaryProblem.from_parts([2.0], {})
@@ -207,12 +274,30 @@ def test_non_finite_beta_rejected(beta):
         to_cut_graph(prob, beta)
     with pytest.raises(DimensionMismatch, match="beta"):
         evaluate(prob, {0}, beta)
+    # sol.u1(nan) and sol.u2(nan) used to return set()
+    sol = solve(prob)
+    with pytest.raises(DimensionMismatch, match="beta"):
+        sol.u1(beta)
+    with pytest.raises(DimensionMismatch, match="beta"):
+        sol.u2(beta)
 
 
 class TestEvaluate:
     def test_empty_set(self):
         prob = QuadraticBinaryProblem.from_parts([0.5, 2.5], {(0, 1): -1.0})
         assert evaluate(prob, set()) == 0.0
+
+    @pytest.mark.parametrize("S", [{-1}, {2}, {0.5}, {np.nan}, np.array([0, 3])])
+    def test_node_ids_checked(self, S):
+        # -1 used to score node 1, 0.5 node 0, and 2 raised an IndexError
+        prob = QuadraticBinaryProblem.from_parts([0.5, 2.5], {(0, 1): -1.0})
+        with pytest.raises(DimensionMismatch, match="node id"):
+            evaluate(prob, S)
+
+    def test_integral_float_ids_and_masks_accepted(self):
+        prob = QuadraticBinaryProblem.from_parts([0.5, 2.5], {(0, 1): -1.0})
+        assert evaluate(prob, [1.0]) == evaluate(prob, {1}) == 2.5
+        assert evaluate(prob, np.array([False, True])) == 2.5
 
     def test_full_set_beta_zero(self):
         prob = QuadraticBinaryProblem.from_parts([0.5, 2.5], {(0, 1): -1.0})

@@ -68,6 +68,9 @@ class TestProblem:
         (([0], [1], [np.inf]), "edge weights must be finite and nonnegative"),
         (([0, 1], [1, 2], [1.0]), "edge arrays must have equal length"),
         (([0], [-1], [1.0]), "edge endpoint out of range"),
+        (([0.9], [2], [1.0]), "finite integer"),   # used to mean node 0
+        (([np.nan], [2], [1.0]), "finite integer"),
+        (([0], [np.inf], [1.0]), "finite integer"),
     ])
     def test_rejects_bad_edges(self, edges, match):
         with pytest.raises(DimensionMismatch, match=match):
