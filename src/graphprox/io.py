@@ -89,12 +89,13 @@ def read_edge_file(path, index_base: int = 0):
 
 
 def _fusion_edges(path, index_base: int):
-    """``read_edge_file``'s (u, v, w) of ``i j w_ij`` lines, and 1 + the
-    largest endpoint; raises DimensionMismatch for a negative line."""
+    """``_edge_lines``' (u, v, w, 1 + largest endpoint) of ``i j w_ij``
+    lines, as written, for the ``ProxProblem`` constructor to store; raises
+    DimensionMismatch, naming the path, for a negative line."""
     u, v, w, size = _edge_lines(path, index_base)
     if np.any(w < 0):
         raise DimensionMismatch(f"{path}: negative fusion weight")
-    return (*_canonical_edges(u, v, w, size), size)
+    return u, v, w, size
 
 
 def read_qbm(node_path, edge_path=None, index_base: int = 0):

@@ -83,6 +83,14 @@ def _node_ids(x, n: int, what: str) -> np.ndarray:
     return x
 
 
+def _node_key(i, n: int, what: str) -> int:
+    """The dict key ``i`` as an int; raises DimensionMismatch naming ``what``
+    unless it is a Python or numpy integer, not a bool, in [0, n)."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n:
+        raise DimensionMismatch(f"{what} {i!r} is not a node in [0, {n})")
+    return int(i)
+
+
 def _checked_edges(u, v, val, n: int):
     """``(u, v, val)`` as int64, int64 and float64 arrays; raises
     DimensionMismatch unless they are 1-D of equal length with every

@@ -54,12 +54,6 @@ class ReductionVector:
 
     r: np.ndarray
 
-    def __iter__(self):
-        return iter(self.r)
-
-    def __len__(self):
-        return len(self.r)
-
 
 def reductions(problem: QuadraticBinaryProblem, alpha) -> ReductionVector:
     """r_i = q_ii + (1/2) sum_{i'<i} (q + alpha) + (1/2) sum_{j>i} (q - alpha).

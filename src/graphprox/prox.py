@@ -22,7 +22,7 @@ import numpy as np
 
 from ._engine import ParametricSolution, solve_parametric
 from .errors import DimensionMismatch, NonConvexPenalty
-from .maxflow import _checked_edges
+from .maxflow import _checked_edges, _node_key
 from .qbm import QuadraticBinaryProblem, _canonical_edges, _edge_arrays
 
 FUSE_TOL = 1e-9
@@ -129,7 +129,9 @@ class ProxProblem:
     ``penalties`` maps node index -> PiecewiseLinearPenalty (sparse).  a
     must be 1-D and finite, the edge arrays as ``maxflow._checked_edges``
     requires, the weights and lam finite, and every penalty key a node
-    index.
+    (``maxflow._node_key``).  Edges come in any orientation, each weight is
+    checked before repeated pairs are summed, and each pair is stored once
+    with u < v, sorted, in copies of the caller's arrays.
     """
 
     a: np.ndarray
@@ -155,32 +157,22 @@ class ProxProblem:
             raise DimensionMismatch("edge weights must be finite and nonnegative")
         if not 0 <= self.lam < np.inf:
             raise DimensionMismatch("lambda must be finite and nonnegative")
-        self.penalties = dict(self.penalties or {})
+        self.penalties = {_node_key(i, n, "penalty key"): pen
+                          for i, pen in dict(self.penalties or {}).items()}
         for i, pen in self.penalties.items():
-            if not isinstance(i, (int, np.integer)) or not 0 <= i < n:
-                raise DimensionMismatch(f"penalty key {i!r} is not a node in [0, {n})")
             if not isinstance(pen, PiecewiseLinearPenalty):
                 raise NonConvexPenalty(f"penalty of node {i} is a "
                                        f"{type(pen).__name__}, not a "
                                        "PiecewiseLinearPenalty")
-        # normalize to u < v
-        flip = self.edge_u > self.edge_v
-        if np.any(flip):
-            eu = np.where(flip, self.edge_v, self.edge_u)
-            ev = np.where(flip, self.edge_u, self.edge_v)
-            self.edge_u, self.edge_v = eu, ev
+        self.edge_u, self.edge_v, self.edge_w = _canonical_edges(
+            self.edge_u, self.edge_v, self.edge_w, n)
 
     @classmethod
     def from_edges(cls, a, edges, lam: float = 1.0, penalties=None) -> "ProxProblem":
-        """edges: {(i, j): w} or iterable of (i, j, w).  Pairs given more
-        than once, in either order, are stored once with their weights
-        summed; every given weight must be nonnegative."""
-        a = np.asarray(a, dtype=np.float64)
-        u, v, w = _checked_edges(*_edge_arrays(edges), len(a))
-        if np.any(w < 0):
-            raise DimensionMismatch("edge weights must be nonnegative")
-        return cls(a, *_canonical_edges(u, v, w, len(a)), lam,
-                   dict(penalties or {}))
+        """Build from edges {(i, j): w} or (i, j, w) triples, stored as the
+        constructor stores them: each pair once with u < v, sorted, and the
+        weights of repeated pairs summed."""
+        return cls(a, *_edge_arrays(edges), lam, penalties)
 
     @property
     def n(self) -> int:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonSubmodularEnergy
-from .maxflow import FlowNetwork, _checked_edges, _node_ids
+from .maxflow import FlowNetwork, _checked_edges, _node_ids, _node_key
 
 REL_TOL = 1e-9
 
@@ -105,8 +105,9 @@ class EnergyTable:
     unary : array, shape (n, 2)
         unary[i, x] is the finite cost of labeling node i with x in {0, 1}.
     pairwise : dict
-        Maps (i, j), i < j, to a 2x2 table t with t[xi, xj] the pairwise
-        cost.  Every table must satisfy t[0,0] + t[1,1] <= t[0,1] + t[1,0].
+        Maps nodes (i, j), i < j, each checked by ``maxflow._node_key``, to
+        a 2x2 table t with t[xi, xj] the pairwise cost.  Every table must
+        satisfy t[0,0] + t[1,1] <= t[0,1] + t[1,0].
     """
 
     n: int
@@ -122,9 +123,12 @@ class EnergyTable:
                 f"energy table: unary energies of node {i} must be finite, "
                 f"got {self.unary[i].tolist()}")
         clean = {}
-        for (i, j), tbl in self.pairwise.items():
-            if not (0 <= i < j < self.n):
-                raise DimensionMismatch(f"edge ({i}, {j}) out of range for n={self.n}")
+        for key, tbl in self.pairwise.items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise DimensionMismatch(f"pairwise key {key!r} is not an (i, j) pair")
+            i, j = (_node_key(k, self.n, "pairwise key entry") for k in key)
+            if i >= j:
+                raise DimensionMismatch(f"pairwise key ({i}, {j}) needs i < j")
             clean[(i, j)] = np.asarray(tbl, dtype=np.float64).reshape(2, 2)
         self.pairwise = clean
 

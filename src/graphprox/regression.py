@@ -29,8 +29,8 @@ class RegressionProblem:
 
     A must be 2-D with one row per entry of y, and both finite.  The
     edges, weights, lambda and penalties are checked as ``ProxProblem``
-    checks them, and stored as it stores them (each edge with u < v), so
-    ``objective`` reads them with no check of its own.
+    checks them, and stored as it stores them (each pair once with u < v,
+    sorted), so ``objective`` reads them with no check of its own.
     """
 
     A: np.ndarray

@@ -188,6 +188,20 @@ class TestLevelSets:
                 assert sol.u1(float(beta)) == mp.s_min
                 assert sol.u2(float(beta)) == mp.s_max
 
+    @pytest.mark.xfail(strict=True, reason="a zero-weight node that a cut "
+                       "leaves alone with r = 0 gets no flip from its tight "
+                       "crossing edges (ROADMAP item 5)")
+    def test_zero_weight_node_alone_with_zero_reduction(self):
+        # the root cut isolates node 1 with r = 0; the saturated edge (1, 2)
+        # makes it strictly better in whenever node 2 is in
+        prob = QuadraticBinaryProblem.from_parts([-1.0, 0.0, -1.0],
+                                                 {(0, 2): -1.0, (1, 2): -1.0})
+        w = np.array([0.0, 0.0, 1.0])
+        sol = solve(prob, weights=w)
+        mp = brute_force_minimizers(prob, -1.0, w)
+        assert mp.s_min == mp.s_max == {0, 1, 2}
+        assert sol.u1(-1.0) == mp.s_min and sol.u2(-1.0) == mp.s_max
+
 
 class TestBreakpoints:
     """``sol.breakpoints()``: sorted distinct finite flips r_i / w_i."""

@@ -146,10 +146,10 @@ class TestProxProblemInput:
         with pytest.raises(DimensionMismatch, match=match):
             ProxProblem.from_edges([0.0, 1.0, 2.0], edges)
 
-    @pytest.mark.parametrize("key", [5, 2, -1, 1.0, "0"])
+    @pytest.mark.parametrize("key", [5, 2, -1, 1.0, "0", True])
     def test_penalty_key_must_be_a_node(self, key):
         # 5 used to raise a bare IndexError in the build, -1 a numpy
-        # ValueError
+        # ValueError; True used to shift every node's diagonal in the build
         with pytest.raises(DimensionMismatch, match="penalty key"):
             ProxProblem([1.0, 2.0], penalties={key: ABS})
 
@@ -161,6 +161,7 @@ class TestProxProblemInput:
 
     def test_numpy_integer_penalty_key_accepted(self):
         problem = ProxProblem([1.0, 2.0], penalties={np.int64(1): ABS})
+        assert [type(k) for k in problem.penalties] == [int]
         assert prox(problem) == pytest.approx([1.0, 1.5])
 
     def test_no_penalties_given_as_none(self):
@@ -168,6 +169,49 @@ class TestProxProblemInput:
         problem = ProxProblem([1.0, 2.0], penalties=None)
         assert problem.penalties == {}
         assert prox(problem) == pytest.approx([1.0, 2.0])
+
+
+class TestConstructorContract:
+    """The constructor gives fusion edges their stored form; ``from_edges``
+    only turns its edges into arrays."""
+
+    def test_reversed_pair_stored_in_order(self):
+        p = ProxProblem([0.0, 2.0], [1], [0], [0.5])
+        assert (p.edge_u.tolist(), p.edge_v.tolist()) == ([0], [1])
+
+    def test_stores_edges_as_from_edges(self):
+        # a repeated pair used to be kept twice, in input order
+        u, v, w = [2, 1, 0, 1, 2], [1, 0, 1, 2, 0], [2.0, 1.0, 0.5, 1.0, 0.0]
+        direct = ProxProblem([1.0, 2.0, 3.0], u, v, w, 0.5, {2: ABS})
+        edges = ProxProblem.from_edges([1.0, 2.0, 3.0], zip(u, v, w), 0.5, {2: ABS})
+        assert direct.edge_u.tolist() == [0, 0, 1]
+        assert direct.edge_v.tolist() == [1, 2, 2]
+        assert direct.edge_w.tolist() == [1.5, 0.0, 3.0]
+        for name in ("a", "edge_u", "edge_v", "edge_w"):
+            a, b = getattr(direct, name), getattr(edges, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert direct.penalties == edges.penalties
+
+    def test_caller_arrays_stay_unchanged_and_writable(self):
+        u, v, w = np.array([1, 0, 1]), np.array([0, 1, 2]), np.array([1.0, 2.0, 0.5])
+        p = ProxProblem([0.0, 1.0, 2.0], u, v, w)
+        assert all(x.flags.writeable for x in (u, v, w))
+        assert (u.tolist(), v.tolist(), w.tolist()) == \
+            ([1, 0, 1], [0, 1, 2], [1.0, 2.0, 0.5])
+        u[0] = v[0] = w[0] = 7
+        assert (p.edge_u.tolist(), p.edge_v.tolist(), p.edge_w.tolist()) == \
+            ([0, 1], [1, 2], [3.0, 0.5])
+
+    def test_negative_weight_rejected_before_summing(self):
+        # the repeat would bring the pair's sum to 1.0
+        with pytest.raises(DimensionMismatch, match="nonnegative"):
+            ProxProblem([0.0, 2.0], [0, 1], [1, 0], [-1.0, 2.0])
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(DimensionMismatch, match="self-loops not allowed"):
+            ProxProblem([0.0, 2.0], [1], [1], [1.0])
+        with pytest.raises(DimensionMismatch, match="self-loops not allowed"):
+            ProxProblem.from_edges([0.0, 2.0], [(0, 0, 1.0)])
 
 
 class TestBuildProxQbm:

@@ -118,6 +118,20 @@ class TestFromEnergies:
         with pytest.raises(DimensionMismatch, match="energy table"):
             EnergyTable(2, unary, {(0, 1): [[0.0, 1.0], [1.0, 0.0]]})
 
+    @pytest.mark.parametrize("key", [(0.5, 2), (True, 2), (2, 1), (1, 1),
+                                     (0, 3), (-1, 2), (0, "1"), (0, 1, 2), 0])
+    def test_pair_key_must_be_two_nodes_in_order(self, key):
+        # (0.5, 2) and (True, 2) used to be accepted and fail later in
+        # energy() or from_energies with a bare IndexError or TypeError
+        with pytest.raises(DimensionMismatch, match="pairwise key"):
+            EnergyTable(3, np.zeros((3, 2)), {key: [[0.0, 1.0], [1.0, 0.0]]})
+
+    def test_numpy_integer_pair_key_stored_as_int(self):
+        et = EnergyTable(3, np.zeros((3, 2)),
+                         {(np.int64(0), np.uint8(2)): [[0.0, 1.0], [1.0, 0.0]]})
+        assert [type(k) for k in next(iter(et.pairwise))] == [int, int]
+        assert from_energies(et).offdiag() == {(0, 2): -2.0}
+
     @pytest.mark.parametrize("diag,q", [([np.nan, 0.0], -1.0),
                                         ([np.inf, 0.0], -1.0),
                                         ([-np.inf, 0.0], -1.0),

@@ -98,10 +98,13 @@ class TestProblem:
                               penalties={0: abs})
 
     def test_stores_edges_as_the_prox_problem_does(self):
+        # each pair once with u < v, sorted; the pairs used to keep their
+        # input order
         prob = RegressionProblem(np.eye(4), np.zeros(4), [2, 0], [1, 3],
                                  [0.5, 1.0], 1.0)
-        assert prob.edge_u.tolist() == [1, 0]
-        assert prob.edge_v.tolist() == [2, 3]
+        assert prob.edge_u.tolist() == [0, 1]
+        assert prob.edge_v.tolist() == [3, 2]
+        assert prob.edge_w.tolist() == [1.0, 0.5]
         assert prob.edge_u.dtype == np.int64 and prob.edge_w.dtype == np.float64
 
 
