@@ -19,7 +19,7 @@ from .errors import (AlphaOutOfBox, DimensionMismatch, GraphProxError,
 from .maxflow import FlowNetwork, FlowState, check_flow, max_flow, min_cut
 from .parametric import ReductionVector, check_optimality, reductions, solve
 from .prox import (PiecewiseLinearPenalty, ProxProblem, build_prox_qbm,
-                   certificate, prox, prox_solve, pwl_decompose)
+                   certificate, prox, pwl_decompose)
 from .qbm import (EnergyTable, QuadraticBinaryProblem, evaluate,
                   from_energies, to_cut_graph)
 from .regression import (FitResult, RegressionProblem, fista_fit,
@@ -37,6 +37,6 @@ __all__ = [
     "StaleFlow", "TooLarge", "WeightNotPositiveInteger", "build_prox_qbm",
     "certificate", "check_flow", "check_optimality", "evaluate", "fista_fit",
     "from_energies", "io", "lipschitz_estimate", "max_flow", "min_cut",
-    "objective", "oracle", "prox", "prox_solve", "pwl_decompose",
+    "objective", "oracle", "prox", "pwl_decompose",
     "reductions", "solve", "solve_weighted", "to_cut_graph",
 ]

@@ -185,8 +185,10 @@ def cmd_check(args) -> int:
             print(f"FAIL {f}")
         print("replay:", "pass" if not failures else "fail")
         return 0 if not failures else EXIT_CHECK_FAIL
-    if args.n > 20:
-        raise GraphProxError("self-check limited to n <= 20")
+    if not 1 <= args.n <= 20:
+        raise GraphProxError("self-check needs 1 <= n <= 20")
+    if args.trials < 0:
+        raise GraphProxError("self-check needs trials >= 0")
     rng = np.random.default_rng(args.seed)
     n_fail = 0
     for trial in range(args.trials):

@@ -13,6 +13,15 @@ everything is 0-based.
 * PGM images:   P2 (ascii) and P5 (binary), maxval <= 65535
 * float map:    ``height width`` header line, then one text row per
                 image row
+
+The five indexed formats go through one line parser, ``_rows``: a wrong
+token count, a token that is not a number, a node index below
+``index_base`` or an edge from a node to itself raises
+``ParseError("<path>:<line>: ...")`` (CLI exit 2).  In node-keyed files a
+later line for a node replaces an earlier one; the constructors sum
+repeated edges.  A value outside the model's domain (a positive
+coupling, a negative fusion weight, a nonconvex penalty, a penalty on a
+node past the last) is the constructors' error (exit 3).
 """
 
 from __future__ import annotations
@@ -21,40 +30,48 @@ import numpy as np
 
 from .errors import DimensionMismatch, ParseError
 from .prox import PiecewiseLinearPenalty, ProxProblem
-from .qbm import QuadraticBinaryProblem, _canonical_edges
+from .qbm import QuadraticBinaryProblem
 
 
-def _data_lines(path):
+def _rows(path, index_base: int, n_ids: int, fits, usage: str):
+    """Yield ``(ids, values)`` for each data line of ``path``: its first
+    ``n_ids`` tokens as distinct 0-based node ids, the rest as floats,
+    whose count ``fits(count)`` must accept.  The one reader of the
+    indexed formats' lines; raises ParseError naming the path and line."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line.split()
+            toks = raw.split("#", 1)[0].split()
+            if not toks:
+                continue
+            where = f"{path}:{lineno}"
+            if len(toks) < n_ids or not fits(len(toks) - n_ids):
+                raise ParseError(f"{where}: expected '{usage}', got "
+                                 f"{len(toks)} tokens")
+            try:
+                ids = [int(t) - index_base for t in toks[:n_ids]]
+                vals = [float(t) for t in toks[n_ids:]]
+            except ValueError as exc:
+                raise ParseError(f"{where}: {exc}") from exc
+            if min(ids) < 0:
+                raise ParseError(f"{where}: node index below base")
+            if len(set(ids)) < n_ids:
+                raise ParseError(f"{where}: edge from a node to itself")
+            yield ids, vals
+
+
+def _node_rows(path, index_base: int, fits, usage: str) -> dict:
+    """``{node: values}`` of a file of ``i values...`` lines; a later line
+    for a node replaces an earlier one."""
+    return {i: vals for (i,), vals in _rows(path, index_base, 1, fits, usage)}
 
 
 def read_node_file(path, index_base: int = 0):
     """Read ``i q_ii [w_i]`` lines; returns (diag, weights) arrays."""
-    entries = {}
-    for lineno, toks in _data_lines(path):
-        if len(toks) not in (2, 3):
-            raise ParseError(f"{path}:{lineno}: expected 'i q [w]'")
-        try:
-            i = int(toks[0]) - index_base
-            q = float(toks[1])
-            w = float(toks[2]) if len(toks) == 3 else 1.0
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if i < 0:
-            raise ParseError(f"{path}:{lineno}: node index below base")
-        entries[i] = (q, w)
-    if not entries:
-        return np.zeros(0), np.zeros(0)
-    n = max(entries) + 1
-    diag = np.zeros(n)
-    weights = np.ones(n)
-    for i, (q, w) in entries.items():
-        diag[i] = q
-        weights[i] = w
+    rows = _node_rows(path, index_base, lambda k: k in (1, 2), "i q [w]")
+    n = max(rows, default=-1) + 1
+    diag, weights = np.zeros(n), np.ones(n)
+    for i, vals in rows.items():
+        diag[i], weights[i] = (vals + [1.0])[:2]
     return diag, weights
 
 
@@ -64,28 +81,12 @@ def _edge_lines(path, index_base: int):
     Callers check each line's sign here, before repeated pairs are
     summed."""
     ends, vals = [], []
-    for lineno, toks in _data_lines(path):
-        if len(toks) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 'i j value'")
-        try:
-            i = int(toks[0]) - index_base
-            j = int(toks[1]) - index_base
-            val = float(toks[2])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if i < 0 or j < 0 or i == j:
-            raise ParseError(f"{path}:{lineno}: bad endpoints {i} {j}")
-        ends.append((i, j))
+    for ids, (val,) in _rows(path, index_base, 2, lambda k: k == 1,
+                             "i j value"):
+        ends.append(ids)
         vals.append(val)
     u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T
     return u, v, np.array(vals), int(np.maximum(u, v).max(initial=-1)) + 1
-
-
-def read_edge_file(path, index_base: int = 0):
-    """Read ``i j value`` lines; returns (u, v, value) arrays (u < v), one
-    entry per node pair with the values of repeated pairs summed."""
-    u, v, vals, size = _edge_lines(path, index_base)
-    return _canonical_edges(u, v, vals, size)
 
 
 def _fusion_edges(path, index_base: int):
@@ -118,21 +119,11 @@ def read_penalty_file(path, index_base: int = 0) -> dict:
     Each line: node index, then m-1 breakpoints followed by m slopes
     (2m - 1 numbers total; a single number is a pure linear slope).
     """
-    penalties = {}
-    for lineno, toks in _data_lines(path):
-        try:
-            i = int(toks[0]) - index_base
-            vals = [float(t) for t in toks[1:]]
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if len(vals) % 2 != 1:
-            raise ParseError(
-                f"{path}:{lineno}: need m-1 breakpoints and m slopes "
-                f"(odd count), got {len(vals)} values")
-        m = (len(vals) + 1) // 2
-        penalties[i] = PiecewiseLinearPenalty(np.array(vals[:m - 1]),
-                                              np.array(vals[m - 1:]))
-    return penalties
+    rows = _node_rows(path, index_base, lambda k: k % 2 == 1,
+                      "i b_1 .. b_{m-1} theta_1 .. theta_m")
+    return {i: PiecewiseLinearPenalty(np.array(vals[:len(vals) // 2]),
+                                      np.array(vals[len(vals) // 2:]))
+            for i, vals in rows.items()}
 
 
 def read_prox_problem(node_path, edge_path=None, penalty_path=None,
@@ -140,19 +131,12 @@ def read_prox_problem(node_path, edge_path=None, penalty_path=None,
     """Assemble a ProxProblem from ``i a_i`` nodes and ``i j w_ij`` edges.
     Every edge line's weight must be >= 0, even one that a repeated pair
     would cancel (else DimensionMismatch)."""
-    centers = {}
-    for lineno, toks in _data_lines(node_path):
-        if len(toks) != 2:
-            raise ParseError(f"{node_path}:{lineno}: expected 'i a_i'")
-        try:
-            centers[int(toks[0]) - index_base] = float(toks[1])
-        except ValueError as exc:
-            raise ParseError(f"{node_path}:{lineno}: {exc}") from exc
-    if not centers or min(centers) < 0:
-        raise ParseError(f"{node_path}: empty or indices below base")
+    centers = _node_rows(node_path, index_base, lambda k: k == 1, "i a_i")
+    if not centers:
+        raise ParseError(f"{node_path}: no node lines")
     n = max(centers) + 1
     a = np.zeros(n)
-    for i, val in centers.items():
+    for i, (val,) in centers.items():
         a[i] = val
     u = v = w = ()
     if edge_path is not None:
@@ -180,6 +164,8 @@ def read_csv_matrix(path) -> np.ndarray:
             rows.append([float(x) for x in line.replace(",", " ").split()])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    if not rows:
+        raise ParseError(f"{path}: no data rows after the header")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ParseError(f"{path}: ragged rows (widths {sorted(widths)})")

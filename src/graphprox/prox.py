@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._engine import ParametricSolution, solve_parametric
+from ._engine import solve_parametric
 from .errors import DimensionMismatch, NonConvexPenalty
 from .maxflow import _checked_edges, _node_key
 from .qbm import QuadraticBinaryProblem, _canonical_edges, _edge_arrays
@@ -236,18 +236,13 @@ def build_prox_qbm(problem: ProxProblem) -> ProxBuild:
     return ProxBuild(qbm, anchor_mask, anchor_values)
 
 
-def prox_solve(problem: ProxProblem) -> tuple[np.ndarray, ParametricSolution, ProxBuild]:
-    """Solve and return (u*, parametric solution, build)."""
+def prox(problem: ProxProblem) -> np.ndarray:
+    """The unique minimizer of the prox objective: the first n levels of
+    the parametric solve of ``build_prox_qbm(problem)``."""
     build = build_prox_qbm(problem)
     sol = solve_parametric(build.qbm, anchor_mask=build.anchor_mask,
                            anchor_values=build.anchor_values)
-    return sol.levels[:problem.n].copy(), sol, build
-
-
-def prox(problem: ProxProblem) -> np.ndarray:
-    """The unique minimizer of the prox objective."""
-    u, _, _ = prox_solve(problem)
-    return u
+    return sol.levels[:problem.n].copy()
 
 
 def certificate(problem: ProxProblem, u) -> float:

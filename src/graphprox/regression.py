@@ -120,11 +120,15 @@ def fista_fit(problem: RegressionProblem, tol: float = 1e-8,
     """Run the accelerated proximal-gradient loop.
 
     Returns the best iterate, the per-iteration objective trace, and a
-    convergence flag (relative objective change below tol).
+    convergence flag (relative objective change below tol).  A given L
+    must be positive and finite (else DimensionMismatch); by default it
+    is ``lipschitz_estimate(A)``.
     """
     A, y = problem.A, problem.y
     if L is None:
         L = lipschitz_estimate(A)
+    elif not 0 < L < np.inf:
+        raise DimensionMismatch(f"L must be positive and finite, got {L}")
     lam_eff = 2.0 * problem.lam / L
 
     u = np.zeros(problem.n)

@@ -55,6 +55,16 @@ class TestProxCommand:
         assert rc == 2
         assert "error" in err
 
+    def test_penalty_index_below_base_exit_2(self, capsys, tmp_path):
+        nodes = tmp_path / "n.txt"
+        pens = tmp_path / "pen.txt"
+        nodes.write_text("1 0.5\n2 1.5\n")
+        pens.write_text("2 0.5\n0 0 -1 1\n")
+        rc, _, err = run(capsys, "prox", str(nodes), "--penalties", str(pens),
+                         "--lam", "1", "--index-base", "1")
+        assert rc == 2
+        assert f"{pens}:2: node index below base" in err
+
     def test_negative_weight_exit_3(self, capsys, tmp_path):
         # an out-of-domain value, as in fit, path and denoise
         nodes = tmp_path / "n.txt"
@@ -315,6 +325,12 @@ class TestCheckCommand:
     def test_zero_trials_vacuous(self, capsys):
         rc, out, _ = run(capsys, "check", "--trials", "0")
         assert rc == 0
+
+    @pytest.mark.parametrize("argv", [("--n", "0"), ("--n", "-1"),
+                                      ("--n", "21"), ("--trials", "-1")])
+    def test_bad_size_exit_3(self, capsys, argv):
+        rc, out, err = run(capsys, "check", *argv)
+        assert rc == 3 and "self-check needs" in err and out == ""
 
     def test_replay_roundtrip(self, capsys, tmp_path, monkeypatch):
         import json

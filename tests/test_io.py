@@ -22,21 +22,27 @@ class TestTextFormats:
         assert diag == pytest.approx([1.5, 2.5])
 
     def test_edge_file(self, tmp_path):
+        nodes = tmp_path / "nodes.txt"
         p = tmp_path / "edges.txt"
+        nodes.write_text("0 0.5\n")
         p.write_text("0 1 -1.0  # coupling\n2 1 -0.25\n")
-        u, v, q = gio.read_edge_file(p)
-        assert u.tolist() == [0, 1]
-        assert v.tolist() == [1, 2]
-        assert q == pytest.approx([-1.0, -0.25])
+        prob, w = gio.read_qbm(nodes, p)
+        assert prob.edge_u.tolist() == [0, 1]
+        assert prob.edge_v.tolist() == [1, 2]
+        assert prob.edge_q == pytest.approx([-1.0, -0.25])
+        assert prob.diag.tolist() == [0.5, 0.0, 0.0]
+        assert w.tolist() == [1.0, 1.0, 1.0]
 
     def test_bad_lines_raise(self, tmp_path):
+        nodes = tmp_path / "nodes.txt"
         p = tmp_path / "bad.txt"
         p.write_text("0 abc\n")
         with pytest.raises(ParseError):
             gio.read_node_file(p)
+        nodes.write_text("0 0.5\n")
         p.write_text("0 0 1.0\n")
-        with pytest.raises(ParseError):
-            gio.read_edge_file(p)
+        with pytest.raises(ParseError, match=r"bad\.txt:1: edge from a node"):
+            gio.read_qbm(nodes, p)
 
     def test_qbm_assembly(self, tmp_path):
         nodes = tmp_path / "n.txt"
@@ -90,6 +96,39 @@ class TestTextFormats:
         with pytest.raises(ParseError):
             gio.read_penalty_file(p)
 
+    @pytest.mark.parametrize("fmt", ["node", "prox_node", "edge",
+                                     "fusion_edge", "penalty"])
+    def test_index_below_base_names_line(self, tmp_path, fmt):
+        # every indexed format reports an index below the base the same
+        # way (a parse error naming the file and the line)
+        nodes = tmp_path / "n.txt"
+        bad = tmp_path / "bad.txt"
+        nodes.write_text("1 0.5\n2 0.5\n")
+        bad.write_text("1 2 0\n0 1 0\n" if "edge" in fmt else
+                       "1 0.5\n0 0.5\n")
+        read = {
+            "node": lambda: gio.read_node_file(bad, 1),
+            "prox_node": lambda: gio.read_prox_problem(bad, index_base=1),
+            "edge": lambda: gio.read_qbm(nodes, bad, 1),
+            "fusion_edge": lambda: gio.read_prox_problem(nodes, bad,
+                                                         index_base=1),
+            "penalty": lambda: gio.read_prox_problem(nodes, None, bad,
+                                                     index_base=1),
+        }[fmt]
+        with pytest.raises(ParseError,
+                           match=r"bad\.txt:2: node index below base"):
+            read()
+
+    def test_later_node_line_replaces_earlier(self, tmp_path):
+        p = tmp_path / "n.txt"
+        p.write_text("0 1.0 2.0\n1 3.0\n0 4.0\n")
+        diag, w = gio.read_node_file(p)
+        assert (diag.tolist(), w.tolist()) == ([4.0, 3.0], [1.0, 1.0])
+        p.write_text("0 1.0\n0 2.0\n")
+        assert gio.read_prox_problem(p).a.tolist() == [2.0]
+        p.write_text("0 0 -1 1\n0 0.5\n")
+        assert gio.read_penalty_file(p)[0].slopes.tolist() == [0.5]
+
     def test_csv_header_detection(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("a,b\n1,2\n3,4\n")
@@ -97,6 +136,12 @@ class TestTextFormats:
         assert np.allclose(m, [[1, 2], [3, 4]])
         p.write_text("1,2\n3,4\n")
         assert np.allclose(gio.read_csv_matrix(p), [[1, 2], [3, 4]])
+
+    def test_csv_header_only_has_no_data_rows(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("a,b\n")
+        with pytest.raises(ParseError, match="no data rows"):
+            gio.read_csv_matrix(p)
 
     def test_csv_ragged_rejected(self, tmp_path):
         p = tmp_path / "m.csv"

@@ -5,7 +5,8 @@ import pytest
 
 from graphprox import (DimensionMismatch, NonConvexPenalty,
                        PiecewiseLinearPenalty, ProxProblem, build_prox_qbm,
-                       certificate, prox, prox_solve, pwl_decompose)
+                       certificate, prox, pwl_decompose)
+from graphprox._engine import solve_parametric
 from graphprox.oracle import prox_reference
 from conftest import random_penalty, random_prox_problem
 
@@ -317,7 +318,10 @@ class TestProxProperties:
         for _ in range(10):
             n = int(rng.integers(2, 25))
             p = random_prox_problem(rng, n)
-            u, sol, build = prox_solve(p)
+            build = build_prox_qbm(p)
+            sol = solve_parametric(build.qbm, anchor_mask=build.anchor_mask,
+                                   anchor_values=build.anchor_values)
+            u = prox(p)
             vals = np.unique(u)
             grid = np.concatenate([[vals.min() - 1], (vals[:-1] + vals[1:]) / 2,
                                    [vals.max() + 1]])

@@ -201,3 +201,8 @@ class TestFit:
         prob = fused_pair_problem()
         res = fista_fit(prob, max_iter=1, L=1e18)
         assert res.u == pytest.approx([0.0, 0.0], abs=1e-12)
+
+    @pytest.mark.parametrize("L", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_lipschitz_rejected(self, L):
+        with pytest.raises(DimensionMismatch, match="L must be"):
+            fista_fit(fused_pair_problem(), L=L)
