@@ -27,14 +27,15 @@ the float backend (the C push-relabel) whatever its total size: its pushes
 and relabels stay inside each block, while every phase of scipy's
 max-flow would sweep the whole union.  Where the kernel cannot be built,
 the union goes to ``max_flow``'s ``"auto"`` like any other network, as the
-float backend is then a pure-Python Dinic.  Larger blocks get one network
-each and ``"auto"``, which is scipy for a free network above the
-threshold; the caller chooses no backend.  Anchors sitting exactly at
-their block's pivot need a second solve, batched the same way, in which
-each block's anchors are one free node.  ``maxflow.fix_sides`` first
-fixes every node whose unary outweighs all its arcs, so only the nodes
-left go to ``max_flow`` and ``min_cut`` (on a chain-fused prox, nearly
-none).
+float backend is then pure-Python shortest augmenting paths, slow on large
+networks: it gets only the unions of at most the threshold.  Larger blocks
+get one network each and ``"auto"``, which is scipy for a free network
+above the threshold; the caller chooses no backend.  Anchors sitting
+exactly at their block's pivot need a second solve, batched the same way,
+in which each block's anchors are one free node.  ``maxflow.fix_sides``
+first fixes every node whose unary outweighs all its arcs, so only the
+nodes left go to ``max_flow`` and ``min_cut`` (on a chain-fused prox,
+nearly none).
 
 After each depth ``_components`` labels the blocks again, in a few
 whole-array passes of min-label hooking and pointer jumping, and numbers

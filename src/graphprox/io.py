@@ -150,16 +150,17 @@ def read_prox_problem(node_path, edge_path=None, penalty_path=None,
 def read_csv_matrix(path) -> np.ndarray:
     """Numeric CSV with an optional header row."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        # numbered before blank lines drop, so errors name the file's line
+        lines = [(k, ln.strip()) for k, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty file")
     start = 0
     try:
-        [float(x) for x in lines[0].replace(",", " ").split()]
+        [float(x) for x in lines[0][1].replace(",", " ").split()]
     except ValueError:
         start = 1
     rows = []
-    for lineno, line in enumerate(lines[start:], start + 1):
+    for lineno, line in lines[start:]:
         try:
             rows.append([float(x) for x in line.replace(",", " ").split()])
         except ValueError as exc:

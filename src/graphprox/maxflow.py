@@ -20,11 +20,12 @@ array C-contiguous int64 or float64, copying only an array that is not,
 and checks its size against the network, so the kernel never reads past
 an array's end.  ``gp_max_flow`` writes the three flow arrays into one
 buffer, and ``gp_reach`` its two masks.  If it cannot be built or loaded,
-``kernel_error`` says why and the float backend is Dinic's blocking-flow
-algorithm in pure Python (``_dinic``), exact on the float capacities like
-the kernel; the engine then sends a union of small blocks above the
-threshold to scipy, and the residual search runs in Python up to 512
-nodes and in scipy beyond.
+``kernel_error`` says why and the float backend is shortest augmenting
+paths in pure Python (``_augmenting_paths``), exact on the float
+capacities like the kernel.  One size switch then rules the fallback:
+networks and residual searches of at most ``_SCIPY_NODE_THRESHOLD`` nodes
+run in Python and larger ones in scipy, and the engine sends a union of
+small blocks above the threshold to scipy like any other network.
 
 Callers mark infinite capacities with ``np.inf``.  An infinite terminal
 arc forces its node onto one side of every finite cut; an infinite arc
@@ -64,7 +65,8 @@ from .errors import DimensionMismatch, StaleFlow
 
 SAT_TOL = 1e-12  # absolute slack scale for saturation tests
 
-_SCIPY_NODE_THRESHOLD = 300  # auto backend switches to scipy above this
+# "auto" and the kernel-less residual search switch to scipy above this
+_SCIPY_NODE_THRESHOLD = 300
 
 
 def _node_ids(x, n: int, what: str) -> np.ndarray:
@@ -267,18 +269,19 @@ def _clamped(net: FlowNetwork) -> tuple[FlowNetwork, float]:
 
 
 # ---------------------------------------------------------------------------
-# Dinic core (pure python, float capacities): the float backend where the
-# C kernel cannot be built or loaded, and its cross-check in the tests
+# shortest augmenting paths (pure python, float capacities): the float
+# backend where the C kernel cannot be built or loaded, and its cross-check
+# in the tests
 # ---------------------------------------------------------------------------
 
-def _dinic(net: FlowNetwork, tol: float) -> FlowState:
-    """Dinic's blocking-flow algorithm on float capacities; a residual arc
-    with at most ``tol`` left counts as saturated.  Residual arc 2k is the
-    k-th arc of positive capacity (terminal arcs first) and 2k + 1 its
-    reverse, whose residual is the arc's flow.  Each phase levels nodes by
-    BFS from s and saturates level-increasing paths with an iterative DFS
-    (no recursion: paths can be longer than the recursion limit); a dead
-    end drops out of the phase at level -1."""
+def _augmenting_paths(net: FlowNetwork, tol: float) -> FlowState:
+    """Shortest augmenting paths (Edmonds and Karp, 1972) on float
+    capacities; a residual arc with at most ``tol`` left counts as
+    saturated.  Residual arc 2k is the k-th arc of positive capacity
+    (terminal arcs first) and 2k + 1 its reverse, whose residual is the
+    arc's flow.  Each round a BFS from s records the arc that first reached
+    each node and stops once t is reached; the path's bottleneck is then
+    pushed back along that path."""
     n = net.n
     s, t = n, n + 1
     tail = np.concatenate([np.full(n, s), np.arange(n), net.arc_u])
@@ -292,52 +295,28 @@ def _dinic(net: FlowNetwork, tol: float) -> FlowState:
     to = ends[:, ::-1].ravel().tolist()
     res = np.column_stack([cap[keep], np.zeros(len(keep))]).ravel().tolist()
     while True:
-        level = [-1] * (n + 2)
-        level[s] = depth = 0
+        via = [-1] * (n + 2)  # the arc that first reached each node
+        via[s] = 0            # never read: it only marks s as reached
         frontier = [s]
-        while frontier and level[t] < 0:
-            depth += 1
+        while frontier and via[t] < 0:
             nxt = []
             for x in frontier:
                 for a in adj[first[x]:first[x + 1]]:
                     y = to[a]
-                    if level[y] < 0 and res[a] > tol:
-                        level[y] = depth
+                    if via[y] < 0 and res[a] > tol:
+                        via[y] = a
                         nxt.append(y)
             frontier = nxt
-        if level[t] < 0:
+        if via[t] < 0:
             break
-        ptr = first[:]
-        path = []
-        x = s
-        while True:
-            if x == t:
-                d = min([res[a] for a in path])
-                for a in path:
-                    res[a] -= d
-                    res[a ^ 1] += d
-                # retreat to the tail of the first saturated arc
-                k = next(j for j, a in enumerate(path) if res[a] <= tol)
-                x = to[path[k] ^ 1]
-                del path[k:]
-                continue
-            # move x's current arc to its next arc into the next level
-            i, end, up = ptr[x], first[x + 1], level[x] + 1
-            while i < end:
-                a = adj[i]
-                if res[a] > tol and level[to[a]] == up:
-                    break
-                i += 1
-            ptr[x] = i
-            if i < end:
-                path.append(a)
-                x = to[a]
-            elif x == s:
-                break
-            else:
-                level[x] = -1
-                x = to[path.pop() ^ 1]
-                ptr[x] += 1
+        path, x = [], t
+        while x != s:
+            path.append(via[x])
+            x = to[via[x] ^ 1]
+        d = min([res[a] for a in path])
+        for a in path:
+            res[a] -= d
+            res[a ^ 1] += d
     z = np.zeros(len(cap))
     z[keep] = res[1::2]
     z_snk = z[n:2 * n]
@@ -475,7 +454,8 @@ def _reach(n, eu, ev, caps, flows, tol):
     the residual network of the flows ``(z_source, z_sink, z_arc)`` on the
     arcs ``eu -> ev`` with capacities ``(source, sink, arc)``, where a
     residual arc needs more than ``tol`` left.  Without the kernel, the
-    search runs in Python up to 512 nodes and in scipy beyond."""
+    search runs in Python up to ``_SCIPY_NODE_THRESHOLD`` nodes and in
+    scipy beyond."""
     m = len(eu)
     args = _c_arrays((eu, ev, *caps, *flows), _REACH_TYPES,
                      [m, m, n, n, m, n, n, m])
@@ -490,7 +470,7 @@ def _reach(n, eu, ev, caps, flows, tol):
     fwd, rev = c_arc - z_arc > tol, z_arc > tol
     fu = np.concatenate([eu[fwd], ev[rev]])
     fv = np.concatenate([ev[fwd], eu[rev]])
-    bfs = _bfs_scipy if n > 512 else _bfs_python
+    bfs = _bfs_scipy if n > _SCIPY_NODE_THRESHOLD else _bfs_python
     return (bfs(n, fu, fv, c_src - z_src > tol),
             bfs(n, fv, fu, c_snk - z_snk > tol))
 
@@ -574,7 +554,10 @@ def max_flow(net: FlowNetwork, method: str = "auto") -> FlowState:
         scipy's C max-flow on capacities snapped to a power-of-two grid,
         and "auto" uses "float" up to ``_SCIPY_NODE_THRESHOLD`` nodes and
         "scipy" beyond.  Where the kernel cannot be built or loaded,
-        "float" is the pure-Python Dinic (``_dinic``).
+        "float" is shortest augmenting paths in pure Python
+        (``_augmenting_paths``), which slows on large networks; the engine
+        then gives "float" only networks of at most
+        ``_SCIPY_NODE_THRESHOLD`` nodes.
 
     Returns
     -------
@@ -596,7 +579,7 @@ def max_flow(net: FlowNetwork, method: str = "auto") -> FlowState:
         return _pr_flow(lib, net)
     # tolerance from the caller's network: a clamp-sized max_cap would
     # inflate it
-    return _dinic(_clamped(net)[0], net.tol())
+    return _augmenting_paths(_clamped(net)[0], net.tol())
 
 
 def fix_sides(net: FlowNetwork):

@@ -55,6 +55,11 @@ class TestProxCommand:
         assert rc == 2
         assert "error" in err
 
+    def test_missing_file_exit_2(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "prox", str(tmp_path / "missing.txt"),
+                           "--lam", "1")
+        assert rc == 2 and err.startswith("error:") and out == ""
+
     def test_penalty_index_below_base_exit_2(self, capsys, tmp_path):
         nodes = tmp_path / "n.txt"
         pens = tmp_path / "pen.txt"
@@ -331,6 +336,30 @@ class TestCheckCommand:
     def test_bad_size_exit_3(self, capsys, argv):
         rc, out, err = run(capsys, "check", *argv)
         assert rc == 3 and "self-check needs" in err and out == ""
+
+    def test_failure_saved_and_replayed(self, capsys, tmp_path, monkeypatch):
+        # a solver that answers the problem with its diagonal negated: every
+        # trial fails, its instance is saved, and its replay fails too
+        import json
+        from graphprox import weighted
+        solve = weighted.solve_weighted
+
+        def wrong(problem, w):
+            return solve(QuadraticBinaryProblem(
+                problem.n, -problem.diag, problem.edge_u, problem.edge_v,
+                problem.edge_q), w)
+
+        monkeypatch.setattr(weighted, "solve_weighted", wrong)
+        monkeypatch.chdir(tmp_path)
+        rc, out, _ = run(capsys, "check", "--n", "4", "--trials", "2")
+        saved = tmp_path / "graphprox-check-failure-0-0.json"
+        assert rc == 1
+        assert "FAIL trial 0: " in out and f"saved to {saved.name}" in out
+        assert "self-check: 0/2 trials passed" in out
+        assert json.loads(saved.read_text())["beta_seed"] == 0
+        rc, out, _ = run(capsys, "check", "--replay", str(saved))
+        assert rc == 1
+        assert out.startswith("FAIL ") and out.endswith("replay: fail\n")
 
     def test_replay_roundtrip(self, capsys, tmp_path, monkeypatch):
         import json

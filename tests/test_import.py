@@ -77,8 +77,9 @@ def test_union_of_small_blocks_loads_no_scipy():
 
 def test_no_compiler_solves_without_kernel_or_scipy(tmp_path):
     # no cc on PATH and an empty home, so no cached build: the kernel is
-    # not built, the float backend is the pure-Python Dinic, and a chain
-    # prox still loads no scipy module and matches the kernel's answer
+    # not built, the float backend is the pure-Python shortest augmenting
+    # paths, and a chain prox still loads no scipy module and matches the
+    # kernel's answer
     env = dict(os.environ, PATH="", HOME=str(tmp_path),
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
                                            str(ROOT / "tests")]))

@@ -43,6 +43,9 @@ class TestTextFormats:
         p.write_text("0 0 1.0\n")
         with pytest.raises(ParseError, match=r"bad\.txt:1: edge from a node"):
             gio.read_qbm(nodes, p)
+        p.write_text("# only a comment\n\n")
+        with pytest.raises(ParseError, match=r"bad\.txt: no node lines"):
+            gio.read_prox_problem(p)
 
     def test_qbm_assembly(self, tmp_path):
         nodes = tmp_path / "n.txt"
@@ -141,6 +144,16 @@ class TestTextFormats:
         p = tmp_path / "m.csv"
         p.write_text("a,b\n")
         with pytest.raises(ParseError, match="no data rows"):
+            gio.read_csv_matrix(p)
+        p.write_text("")
+        with pytest.raises(ParseError, match=r"m\.csv: empty file"):
+            gio.read_csv_matrix(p)
+
+    def test_csv_bad_value_names_its_line(self, tmp_path):
+        # blank lines count: the bad value is on the file's fifth line
+        p = tmp_path / "m.csv"
+        p.write_text("a,b\n\n1,2\n\n3,x\n")
+        with pytest.raises(ParseError, match=r"m\.csv:5: "):
             gio.read_csv_matrix(p)
 
     def test_csv_ragged_rejected(self, tmp_path):

@@ -1,6 +1,6 @@
 """Max-flow solver: duality against brute force, extreme cuts, flow checks,
-and the C kernel against the pure-Python Dinic that replaces it where it
-cannot be built."""
+and the C kernel against the pure-Python shortest augmenting paths that
+replace it where it cannot be built."""
 
 import itertools
 import os
@@ -14,7 +14,7 @@ from graphprox import (DimensionMismatch, FlowNetwork, FlowState,
                        QuadraticBinaryProblem, StaleFlow, check_flow,
                        max_flow, min_cut, solve_weighted, to_cut_graph)
 from graphprox import maxflow
-from graphprox.maxflow import _clamped, _dinic, _reach, fix_sides
+from graphprox.maxflow import _augmenting_paths, _clamped, _reach, fix_sides
 from graphprox.oracle import brute_force_minimizers
 from conftest import random_submodular
 
@@ -89,7 +89,7 @@ class TestMaxFlow:
             assert state.value == pytest.approx(value, rel=1e-9)
 
     @pytest.mark.parametrize("arcs", [
-        ([0], [-1], [1.0]),            # head out of range: Dinic never returns
+        ([0], [-1], [1.0]),            # head out of range (negative)
         ([0], [2], [1.0]),             # head past n
         ([-1], [1], [1.0]),            # tail out of range
         ([0, 1], [1], [1.0]),          # arc arrays of unequal length
@@ -112,6 +112,13 @@ class TestMaxFlow:
             FlowNetwork(2, [np.nan, 0.0], [0.0, 1.0])
         with pytest.raises(DimensionMismatch):
             FlowNetwork(2, [1.0, 0.0], [0.0, np.nan])
+
+    @pytest.mark.parametrize("src, snk", [([1.0], [0.0, 1.0]),
+                                          ([1.0, 0.0], [0.0, 1.0, 2.0]),
+                                          ([[1.0, 0.0]], [[0.0, 1.0]])])
+    def test_terminal_arrays_of_other_length_rejected(self, src, snk):
+        with pytest.raises(DimensionMismatch, match="length n"):
+            FlowNetwork(2, src, snk)
 
     def test_backends_agree(self, rng):
         for _ in range(25):
@@ -641,10 +648,10 @@ class TestKernel:
         assert maxflow._kernel() is not None, maxflow.kernel_error
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_dinic(self, seed):
+    def test_matches_augmenting_paths(self, seed):
         # hard ties, infinite arcs, pins, zero and parallel arcs, up to
-        # about 2k nodes: same value as the pure-Python Dinic, a valid
-        # flow, and the same extreme cuts
+        # about 2k nodes: same value as the pure-Python shortest
+        # augmenting paths, a valid flow, and the same extreme cuts
         rng = np.random.default_rng(seed)
         solved = 0
         for n in list(rng.integers(1, 40, 40)) + list(rng.integers(200, 2200, 4)):
@@ -654,7 +661,7 @@ class TestKernel:
             except DimensionMismatch:
                 continue
             state = max_flow(net, "float")
-            ref = _dinic(cnet, net.tol())
+            ref = _augmenting_paths(cnet, net.tol())
             assert state.eff_source is None
             assert check_flow(net, state) == []
             assert state.value == pytest.approx(ref.value, rel=1e-12, abs=1e-9)
@@ -803,7 +810,8 @@ def test_kernel_builds_without_user_ids(no_kernel, monkeypatch, tmp_path):
 
 class TestFallback:
     """With the kernel unable to load, the float backend is the pure-Python
-    Dinic and the residual search runs in Python or scipy."""
+    shortest augmenting paths and the residual search runs in Python or
+    scipy."""
 
     def test_networks_fall_back(self, no_kernel):
         rng = np.random.default_rng(2)
@@ -823,7 +831,7 @@ class TestFallback:
                 set(np.flatnonzero(opt.any(0)).tolist()))
 
     def test_search_matches_python_bfs(self, no_kernel, rng):
-        # both sides of the 512-node switch between Python and scipy
+        # both sides of the 300-node switch between Python and scipy
         for n in list(rng.integers(1, 300, 20)) + [513, 900]:
             n = int(n)
             m = int(rng.integers(0, 4 * n + 1))

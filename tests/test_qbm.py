@@ -150,6 +150,11 @@ class TestFromEnergies:
         with pytest.raises(DimensionMismatch, match="1-D"):
             QuadraticBinaryProblem(2, [1.0, 2.0], *edges)
 
+    @pytest.mark.parametrize("diag", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+    def test_constructor_rejects_diag_of_other_length(self, diag):
+        with pytest.raises(DimensionMismatch, match="diag must have length 2"):
+            QuadraticBinaryProblem(2, diag, [0], [1], [-1.0])
+
     def test_constructor_rejects_positive_coupling(self):
         with pytest.raises(NonSubmodularEnergy):
             QuadraticBinaryProblem.from_parts([0.0, 0.0], {(0, 1): 0.5})

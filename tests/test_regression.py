@@ -89,6 +89,14 @@ class TestProblem:
         with pytest.raises(DimensionMismatch, match="A and y must be finite"):
             RegressionProblem(A, y, [0], [1], [1.0], 1.0)
 
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(DimensionMismatch, match=r"len\(y\) == N"):
+            RegressionProblem(np.eye(3), np.zeros(2))
+        problem = RegressionProblem(np.eye(3), np.zeros(3))
+        for u in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+            with pytest.raises(DimensionMismatch, match="u must have length 3"):
+                objective(problem, u)
+
     def test_rejects_bad_penalties(self):
         with pytest.raises(DimensionMismatch, match="penalty key 4"):
             RegressionProblem(np.eye(4), np.zeros(4), lam=1.0,
