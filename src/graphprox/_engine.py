@@ -62,6 +62,13 @@ block found flat with no flow call is already equalized by g.  Crossing
 edges of nontrivial cuts are saturated and folded into the diagonal of the
 high-side endpoint; the edges left inside the children keep g + h.
 
+Each block has one tolerance, TERM_TOL times the larger of |pivot| and
+the problem's largest bound on |r_i| over non-anchor nodes: the block is
+one level set when no unary strays further from its pivot, and an anchor
+that close to the pivot sits at it.  Neither this tolerance nor
+``FlowNetwork.tol()`` has a floor of 1, so data far below 1 are not read
+as flat blocks or saturated arcs.
+
 The engine records, per node, the level its block terminated at and the
 flip thresholds governing level-set membership:
 ``i in U1(beta) iff beta > flip_lo[i]`` and
@@ -94,12 +101,10 @@ class ParametricSolution:
     levels: np.ndarray      # target reduction value per node
     flip_lo: np.ndarray     # i in U1(beta)  iff  beta >  flip_lo[i]
     flip_hi: np.ndarray     # i in U2(beta)  iff  beta >= flip_hi[i]
-    anchor_mask: np.ndarray | None = None
+    anchor_mask: np.ndarray  # anchored nodes (all False: none)
 
     def interior(self) -> np.ndarray:
         """Mask of non-anchor nodes."""
-        if self.anchor_mask is None:
-            return np.ones(self.problem.n, dtype=bool)
         return ~self.anchor_mask
 
     def u1(self, beta: float) -> set:
@@ -237,12 +242,12 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
     flip_hi = np.zeros(n)
 
     # per-node magnitude bound: |r_i| never exceeds |q_ii| plus half the
-    # incident coupling mass, so this scales the fuse tolerance safely
+    # incident coupling mass, so this scales the fuse tolerance safely, in
+    # the data's own units
     half_q = 0.5 * np.abs(static_q)
     half_mass = np.bincount(eu, half_q, n) + np.bincount(ev, half_q, n)
     bound = np.abs(diag) + half_mass
-    scale = max(1.0, float(bound[~anchor_mask].max()) if (~anchor_mask).any()
-                else 1.0)
+    scale = float(bound[~anchor_mask].max(initial=0.0))
     del half_q, half_mass, bound
 
     loc = np.empty(n, dtype=np.int64)  # scratch: global -> live position
@@ -355,7 +360,7 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
             if anchored:
                 # anchors at or below the pivot are pinned to the sink
                 # (low) side
-                tie_tol = (TERM_TOL * np.maximum(1.0, np.abs(mu)))[bid]
+                tie_tol = tol[bid]
                 at_pivot = anch & (np.abs(a_val - mu[bid]) <= tie_tol)
                 inf_snk = anch & (a_val <= mu[bid] + tie_tol)
                 inf_src = anch & ~inf_snk
@@ -431,5 +436,5 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         nodes, bid, edges, ebid = regroup(nodes[keep_n], edges[keep_e])
 
     return ParametricSolution(problem, alpha, levels, flip_lo, flip_hi,
-                              anchor_mask if anchor_mask.any() else None)
+                              anchor_mask)
 

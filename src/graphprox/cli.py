@@ -1,13 +1,16 @@
 """Command-line surface: prox evaluation, TV denoising, breakpoint dumps,
 regression fitting, and the oracle self-check.
 
-Exit codes: 0 success, 1 self-check failure, 2 parse error, 3 invariant
-violation, 4 non-convergence (best iterate still written).
+Exit codes: 0 success, 1 self-check failure, 2 parse error or unreadable
+file, 3 invariant violation, 4 non-convergence (best iterate still
+written).  Each value is checked where the library takes it: an edge
+weight, lambda or grid weight out of domain is the ``ProxProblem``
+constructor's error (exit 3), not a check of the command's own.
 
 The discretized total-variation penalty used by ``denoise`` is
 anisotropic (the l1 norm of axis-aligned differences on the 4-neighbor
-grid), which is the form the graph-fused objective covers; it is not the
-isotropic (rotation-invariant) functional.
+grid, ``grid_edges``), which is the form the graph-fused objective
+covers; it is not the isotropic (rotation-invariant) functional.
 """
 
 from __future__ import annotations
@@ -31,25 +34,15 @@ EXIT_INVARIANT = 3
 EXIT_NO_CONVERGE = 4
 
 
-class GridSpec:
-    """4-neighbor image lattice with a uniform edge weight."""
-
-    def __init__(self, height: int, width: int, weight: float = 1.0):
-        if height < 1 or width < 1:
-            raise GraphProxError("grid dimensions must be positive")
-        if weight < 0:
-            raise GraphProxError("grid edge weight must be nonnegative")
-        self.height = height
-        self.width = width
-        self.weight = weight
-
-    def edges(self):
-        """(edge_u, edge_v, edge_w) arrays connecting lattice neighbors."""
-        idx = np.arange(self.height * self.width).reshape(self.height,
-                                                          self.width)
-        eu = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
-        ev = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
-        return eu, ev, np.full(len(eu), self.weight)
+def grid_edges(height: int, width: int, weight: float):
+    """(edge_u, edge_v, edge_w) arrays joining the 4-neighbors of a
+    ``height`` x ``width`` image lattice, each edge of weight ``weight``."""
+    if height < 1 or width < 1:
+        raise GraphProxError("grid dimensions must be positive")
+    idx = np.arange(height * width).reshape(height, width)
+    eu = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    ev = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    return eu, ev, np.full(len(eu), weight)
 
 
 def _fmt(x: float) -> str:
@@ -83,7 +76,7 @@ def cmd_denoise(args) -> int:
     img, maxval = gio.read_pgm(args.image)
     a = img.astype(np.float64) / maxval
     h, w = a.shape
-    eu, ev, ew = GridSpec(h, w, args.weight).edges()
+    eu, ev, ew = grid_edges(h, w, args.weight)
     u = prox_op(ProxProblem(a.ravel(), eu, ev, ew, args.lam)).reshape(h, w)
     if args.float_map:
         gio.write_float_map(args.output, u)
@@ -120,7 +113,7 @@ def cmd_fit(args) -> int:
     y = gio.read_csv_matrix(args.response).ravel()
     eu = ev = ew = ()
     if args.edges is not None:
-        eu, ev, ew, _ = gio._fusion_edges(args.edges, args.index_base)
+        eu, ev, ew, _ = gio._edge_lines(args.edges, args.index_base)
     pens = gio.read_penalty_file(args.penalties, args.index_base) \
         if args.penalties else {}
     problem = regression.RegressionProblem(A, y, eu, ev, ew, args.lam, pens)
@@ -144,7 +137,7 @@ def _random_instance(rng, n):
             "edges": [[int(i), int(j), q] for (i, j), q in edges.items()]}
 
 
-def _check_instance(inst, betas_per=15) -> list:
+def _check_instance(inst) -> list:
     """Run the oracle cross-validation battery on one serialized instance.
     Returns a list of failure descriptions (empty = pass)."""
     problem = QuadraticBinaryProblem.from_parts(np.array(inst["diag"]),
@@ -157,14 +150,13 @@ def _check_instance(inst, betas_per=15) -> list:
     r = parametric.reductions(problem, sol.alpha).r
     if not parametric.check_optimality(problem, sol.alpha, w):
         failures.append("saturation conditions violated")
-    ref = oracle.min_norm_reference(problem, np.maximum(w, 1e-300)) \
-        if np.all(w > 0) else None
+    ref = oracle.min_norm_reference(problem, w) if np.all(w > 0) else None
     if ref is not None and np.abs(ref.r - r).max() > 1e-7:
         failures.append(f"min-norm deviation {np.abs(ref.r - r).max():.3g}")
     ratios = np.where(w > 0, r / np.where(w > 0, w, 1), 0.0)
     lo, hi = float(ratios.min()) - 1, float(ratios.max()) + 1
     prev_u2 = set()
-    for b in sorted(rng.uniform(lo, hi, betas_per)):
+    for b in sorted(rng.uniform(lo, hi, 15)):
         mp = oracle.brute_force_minimizers(problem, b, w)
         if sol.u1(b) != mp.s_min or sol.u2(b) != mp.s_max:
             failures.append(f"level-set mismatch at beta={b!r}")
@@ -185,8 +177,8 @@ def cmd_check(args) -> int:
             print(f"FAIL {f}")
         print("replay:", "pass" if not failures else "fail")
         return 0 if not failures else EXIT_CHECK_FAIL
-    if not 1 <= args.n <= 20:
-        raise GraphProxError("self-check needs 1 <= n <= 20")
+    if not 1 <= args.n <= oracle.ENUM_GUARD:
+        raise GraphProxError(f"self-check needs 1 <= n <= {oracle.ENUM_GUARD}")
     if args.trials < 0:
         raise GraphProxError("self-check needs trials >= 0")
     rng = np.random.default_rng(args.seed)
@@ -273,10 +265,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except GraphProxError as exc:

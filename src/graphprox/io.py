@@ -21,14 +21,16 @@ token count, a token that is not a number, a node index below
 later line for a node replaces an earlier one; the constructors sum
 repeated edges.  A value outside the model's domain (a positive
 coupling, a negative fusion weight, a nonconvex penalty, a penalty on a
-node past the last) is the constructors' error (exit 3).
+node past the last) is the constructors' error (exit 3): the readers
+pass each edge line's value to them as read, and the message names the
+first bad value and its edge.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError
+from .errors import ParseError
 from .prox import PiecewiseLinearPenalty, ProxProblem
 from .qbm import QuadraticBinaryProblem
 
@@ -78,8 +80,8 @@ def read_node_file(path, index_base: int = 0):
 def _edge_lines(path, index_base: int):
     """Read ``i j value`` lines; returns (u, v, value) arrays with one
     entry per line, as written, and 1 + the largest endpoint (0 if none).
-    Callers check each line's sign here, before repeated pairs are
-    summed."""
+    The constructors check each line's value before they sum repeated
+    pairs."""
     ends, vals = [], []
     for ids, (val,) in _rows(path, index_base, 2, lambda k: k == 1,
                              "i j value"):
@@ -87,16 +89,6 @@ def _edge_lines(path, index_base: int):
         vals.append(val)
     u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T
     return u, v, np.array(vals), int(np.maximum(u, v).max(initial=-1)) + 1
-
-
-def _fusion_edges(path, index_base: int):
-    """``_edge_lines``' (u, v, w, 1 + largest endpoint) of ``i j w_ij``
-    lines, as written, for the ``ProxProblem`` constructor to store; raises
-    DimensionMismatch, naming the path, for a negative line."""
-    u, v, w, size = _edge_lines(path, index_base)
-    if np.any(w < 0):
-        raise DimensionMismatch(f"{path}: negative fusion weight")
-    return u, v, w, size
 
 
 def read_qbm(node_path, edge_path=None, index_base: int = 0):
@@ -130,7 +122,7 @@ def read_prox_problem(node_path, edge_path=None, penalty_path=None,
                       lam: float = 1.0, index_base: int = 0) -> ProxProblem:
     """Assemble a ProxProblem from ``i a_i`` nodes and ``i j w_ij`` edges.
     Every edge line's weight must be >= 0, even one that a repeated pair
-    would cancel (else DimensionMismatch)."""
+    would cancel (else the constructor's DimensionMismatch)."""
     centers = _node_rows(node_path, index_base, lambda k: k == 1, "i a_i")
     if not centers:
         raise ParseError(f"{node_path}: no node lines")
@@ -140,7 +132,7 @@ def read_prox_problem(node_path, edge_path=None, penalty_path=None,
         a[i] = val
     u = v = w = ()
     if edge_path is not None:
-        u, v, w, size = _fusion_edges(edge_path, index_base)
+        u, v, w, size = _edge_lines(edge_path, index_base)
         a = np.concatenate([a, np.zeros(max(size - n, 0))])
     penalties = read_penalty_file(penalty_path, index_base) \
         if penalty_path is not None else {}

@@ -49,6 +49,10 @@ residual network (``_reach``), never a solver's labels, so it
 checks every backend independently.  It raises ``StaleFlow`` with
 ``check_flow``'s messages, or when an augmenting path is left.
 
+Saturation tests read ``FlowNetwork.tol()``, ``SAT_TOL`` times the
+network's largest finite capacity, so they hold at every scale of the
+capacities.
+
 ``fix_sides`` fixes, in one O(m) pass, the nodes every minimum cut agrees
 on, and lifts a maximum flow of the network left to the whole network.
 """
@@ -63,7 +67,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, StaleFlow
 
-SAT_TOL = 1e-12  # absolute slack scale for saturation tests
+SAT_TOL = 1e-12  # saturation slack, relative to the largest finite capacity
 
 # "auto" and the kernel-less residual search switch to scipy above this
 _SCIPY_NODE_THRESHOLD = 300
@@ -137,22 +141,18 @@ class FlowNetwork:
                    (self.source_caps, self.sink_caps, self.arc_cap)):
             raise DimensionMismatch("capacities must be nonnegative, not NaN")
 
-    @property
-    def max_cap(self) -> float:
-        """Largest finite capacity (0.0 for none)."""
-        top = 0.0
-        for c in (self.source_caps, self.sink_caps, self.arc_cap):
-            m = c.max(initial=0.0)
-            if m == np.inf:
-                m = c.max(where=np.isfinite(c), initial=0.0)
-            top = max(top, float(m))
-        return top
-
     def tol(self) -> float:
-        """``SAT_TOL`` scaled by ``max(1, max_cap)``, computed at the first
-        call and kept: a network's arrays do not change once it is built."""
+        """``SAT_TOL`` times the largest finite capacity (0 when there is
+        none), computed at the first call and kept: a network's arrays do
+        not change once it is built."""
         if self._tol is None:
-            self._tol = SAT_TOL * max(1.0, self.max_cap)
+            top = 0.0
+            for c in (self.source_caps, self.sink_caps, self.arc_cap):
+                m = c.max(initial=0.0)
+                if m == np.inf:
+                    m = c.max(where=np.isfinite(c), initial=0.0)
+                top = max(top, float(m))
+            self._tol = SAT_TOL * top
         return self._tol
 
 
@@ -431,8 +431,8 @@ _NET_TYPES = (np.float64, np.float64, np.int64, np.int64, np.float64)
 
 def _pr_flow(lib, net: FlowNetwork) -> FlowState:
     """Maximum flow of ``net`` by the kernel's push-relabel on the clamped
-    network (``_clamped``), saturation tested against ``net.tol()``: a
-    clamp-sized max_cap would inflate it."""
+    network (``_clamped``), saturation tested against ``net.tol()``: the
+    clamp would inflate the clamped network's."""
     cnet = _clamped(net)[0]
     n, m = net.n, len(net.arc_u)
     args = _c_arrays((cnet.source_caps, cnet.sink_caps, net.arc_u, net.arc_v,
@@ -577,8 +577,8 @@ def max_flow(net: FlowNetwork, method: str = "auto") -> FlowState:
     lib = _kernel()
     if lib is not None:
         return _pr_flow(lib, net)
-    # tolerance from the caller's network: a clamp-sized max_cap would
-    # inflate it
+    # tolerance from the caller's network: the clamp would inflate the
+    # clamped network's
     return _augmenting_paths(_clamped(net)[0], net.tol())
 
 

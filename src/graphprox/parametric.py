@@ -39,7 +39,7 @@ def validate_alpha(problem: QuadraticBinaryProblem, alpha) -> np.ndarray:
                                 f"got {alpha.shape}")
     cap = np.where(problem.ties, np.inf, -problem.edge_q)
     slack = np.abs(alpha) - cap
-    bad = slack > BOX_TOL * np.maximum(1.0, cap)
+    bad = slack > BOX_TOL * cap
     if np.any(bad):
         k = int(np.nonzero(bad)[0][0])
         raise AlphaOutOfBox(
@@ -96,7 +96,7 @@ def check_optimality(problem: QuadraticBinaryProblem, alpha,
         key = np.where(w > 0, r / np.where(w > 0, w, 1.0),
                        np.where(r > 0, np.inf, -np.inf))
     cap = np.where(problem.ties, np.inf, -problem.edge_q)
-    scale = max(1.0, float(np.abs(r).max(initial=0.0)))
+    scale = float(np.abs(r).max(initial=0.0))
     free = (w == 0) & (np.abs(r) <= OPT_TOL * scale)
     ki, kj = key[problem.edge_u], key[problem.edge_v]
     with np.errstate(invalid="ignore"):
@@ -105,5 +105,5 @@ def check_optimality(problem: QuadraticBinaryProblem, alpha,
     # split ties are already infeasible; nothing to pin
     pinned = (ki != kj) & (gap > OPT_TOL * scale) & np.isfinite(want) \
         & ~free[problem.edge_u] & ~free[problem.edge_v]
-    off = np.abs(a - want)[pinned] > OPT_TOL * np.maximum(1.0, cap[pinned])
+    off = np.abs(a - want)[pinned] > OPT_TOL * cap[pinned]
     return not off.any()

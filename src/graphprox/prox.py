@@ -153,8 +153,13 @@ class ProxProblem:
         if np.any(self.edge_u == self.edge_v):
             raise DimensionMismatch("self-loops not allowed")
         # NaN fails both comparisons
-        if not np.all((self.edge_w >= 0) & (self.edge_w < np.inf)):
-            raise DimensionMismatch("edge weights must be finite and nonnegative")
+        ok = (self.edge_w >= 0) & (self.edge_w < np.inf)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise DimensionMismatch(
+                "edge weights must be finite and nonnegative, got "
+                f"{float(self.edge_w[k])!r} on edge ({self.edge_u[k]}, "
+                f"{self.edge_v[k]})")
         if not 0 <= self.lam < np.inf:
             raise DimensionMismatch("lambda must be finite and nonnegative")
         self.penalties = {_node_key(i, n, "penalty key"): pen

@@ -58,11 +58,6 @@ class RegressionProblem:
     def n(self) -> int:
         return self.A.shape[1]
 
-    def prox_problem(self, center, lam_eff: float) -> ProxProblem:
-        return ProxProblem(np.asarray(center, dtype=np.float64),
-                           self.edge_u, self.edge_v, self.edge_w,
-                           lam_eff, self.penalties)
-
 
 def objective(problem: RegressionProblem, u) -> float:
     """||y - A u||^2 + lambda * Phi(u)."""
@@ -78,11 +73,12 @@ def lipschitz_estimate(A) -> float:
     """Upper bound on the gradient Lipschitz constant 2*sigma_max(A)^2.
 
     Power iteration on A^T A times L_SAFETY.  The iteration stops once
-    the estimate changes by at most POWER_RTOL, relative, or after
-    POWER_ITERS steps, whichever comes first; on designs whose top two
-    singular values lie close it stops at the cap (on 300 x 500 Gaussian
-    designs, up to 4.3e-4 below 2*sigma_max(A)^2, relative).  Its estimate
-    never exceeds 2*sigma_max(A)^2, and L_SAFETY covers the shortfall.
+    the estimate changes by at most POWER_RTOL relative to itself, at
+    any scale of A, or after POWER_ITERS steps, whichever comes first;
+    on designs whose top two singular values lie close it stops at the
+    cap (on 300 x 500 Gaussian designs, up to 4.3e-4 below
+    2*sigma_max(A)^2, relative).  Its estimate never exceeds
+    2*sigma_max(A)^2, and L_SAFETY covers the shortfall.
     Degenerate (zero) designs get a tiny positive floor so step sizes
     stay finite.
     """
@@ -100,7 +96,7 @@ def lipschitz_estimate(A) -> float:
             return L_FLOOR
         lam_new = float(v @ w)
         v = w / norm
-        if abs(lam_new - lam) <= POWER_RTOL * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= POWER_RTOL * abs(lam_new):
             lam = lam_new
             break
         lam = lam_new
@@ -119,10 +115,13 @@ def fista_fit(problem: RegressionProblem, tol: float = 1e-8,
               max_iter: int = 10_000, L: float | None = None) -> FitResult:
     """Run the accelerated proximal-gradient loop.
 
-    Returns the best iterate, the per-iteration objective trace, and a
-    convergence flag (relative objective change below tol).  A given L
-    must be positive and finite (else DimensionMismatch); by default it
-    is ``lipschitz_estimate(A)``.
+    Each step's prox is ``prox`` of a ``ProxProblem`` centred at the
+    gradient step, with the problem's edges and penalties and lambda
+    2*lambda/L; with lambda = 0 and no penalties the step is the gradient
+    step itself, and no prox is built.  Returns the best iterate, the
+    per-iteration objective trace, and a convergence flag (relative
+    objective change below tol).  A given L must be positive and finite
+    (else DimensionMismatch); by default it is ``lipschitz_estimate(A)``.
     """
     A, y = problem.A, problem.y
     if L is None:
@@ -144,7 +143,9 @@ def fista_fit(problem: RegressionProblem, tol: float = 1e-8,
         g = 2.0 * (A.T @ (A @ z - y))
         v = z - g / L
         if problem.lam > 0 or problem.penalties:
-            u_new = prox(problem.prox_problem(v, lam_eff))
+            u_new = prox(ProxProblem(v, problem.edge_u, problem.edge_v,
+                                     problem.edge_w, lam_eff,
+                                     problem.penalties))
         else:
             u_new = v
         obj = objective(problem, u_new)

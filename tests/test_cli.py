@@ -79,7 +79,7 @@ class TestProxCommand:
         rc, _, err = run(capsys, "prox", str(nodes), "--edges", str(edges),
                          "--lam", "1")
         assert rc == 3
-        assert "negative fusion weight" in err
+        assert "nonnegative, got -0.5 on edge (0, 1)" in err
 
     def test_output_certifies(self, capsys, tmp_path, rng):
         nodes = tmp_path / "n.txt"
@@ -293,7 +293,7 @@ class TestFitCommand:
         rc, _, err = run(capsys, "fit", str(A), str(y), "--edges", str(e),
                          "--lam", "1", "-o", str(tmp_path / "c.txt"))
         assert rc == 3
-        assert "negative fusion weight" in err
+        assert "nonnegative, got -0.5 on edge (1, 0)" in err
 
     def test_nonconvergence_exit_4(self, capsys, tmp_path, rng):
         A = tmp_path / "A.csv"
@@ -376,8 +376,8 @@ class TestCheckCommand:
 
 class TestGridSpec:
     def test_lattice_edges_only(self):
-        from graphprox.cli import GridSpec
-        eu, ev, ew = GridSpec(3, 4, weight=0.5).edges()
+        from graphprox.cli import grid_edges
+        eu, ev, ew = grid_edges(3, 4, 0.5)
         assert len(eu) == 3 * 3 + 2 * 4  # horizontal + vertical
         assert np.all(ew == 0.5)
         for a, b in zip(eu, ev):
@@ -387,8 +387,6 @@ class TestGridSpec:
 
     def test_rejects_bad_dimensions(self):
         from graphprox import GraphProxError
-        from graphprox.cli import GridSpec
+        from graphprox.cli import grid_edges
         with pytest.raises(GraphProxError):
-            GridSpec(0, 4)
-        with pytest.raises(GraphProxError):
-            GridSpec(2, 2, weight=-1.0)
+            grid_edges(0, 4, 1.0)

@@ -483,3 +483,44 @@ class TestCarriedFlow:
                 for key in ("flip_lo", "flip_hi"):
                     np.testing.assert_allclose(getattr(sol, key), ref / w,
                                                rtol=0, atol=1e-6, err_msg=key)
+
+
+class TestScaleInvariance:
+    """Scaling the data by c scales every level by c and keeps every level
+    set: no tolerance is floored at 1, so data far below 1 are not read as
+    flat blocks or saturated arcs."""
+
+    SCALES = (1e-20, 1e-10, 1e-8, 1e-4, 1e4, 1e10)
+
+    def test_chain_prox(self):
+        p = chain_prox(n=200, seed=3)
+        ref = prox(p)
+        for c in self.SCALES:
+            u = prox(ProxProblem(c * p.a, p.edge_u, p.edge_v, p.edge_w,
+                                 c * p.lam))
+            assert np.abs(u / c - ref).max() <= 1e-12, c
+            assert len(np.unique(u)) == len(np.unique(ref)), c
+
+    def test_qbm_solve(self):
+        p = random_submodular(np.random.default_rng(8), 30, density=0.2)
+        ref = solve_weighted(p, None)
+        for c in self.SCALES:
+            sol = solve_weighted(QuadraticBinaryProblem(
+                p.n, c * p.diag, p.edge_u, p.edge_v, c * p.edge_q), None)
+            assert np.abs(sol.levels / c - ref.levels).max() <= 1e-12, c
+            assert len(sol.breakpoints()) == len(ref.breakpoints()), c
+
+    def test_penalized_chain(self):
+        # |u - b| on every third node, with b scaled too: anchors at c * b
+        p = chain_prox(n=120, seed=4)
+        b = np.random.default_rng(4).normal(0, 2, p.n)
+
+        def scaled(c):
+            pens = {i: PiecewiseLinearPenalty([c * b[i]], [-1.0, 1.0])
+                    for i in range(0, p.n, 3)}
+            return ProxProblem(c * p.a, p.edge_u, p.edge_v, p.edge_w,
+                               c * p.lam, pens)
+
+        ref = prox(scaled(1.0))
+        for c in self.SCALES:
+            assert np.abs(prox(scaled(c)) / c - ref).max() <= 1e-12, c

@@ -67,7 +67,8 @@ class TestTextFormats:
         with pytest.raises(NonSubmodularEnergy):
             gio.read_qbm(nodes, edges)
         edges.write_text("0 1 -0.5\n1 0 1.0\n")
-        with pytest.raises(DimensionMismatch, match="negative fusion weight"):
+        with pytest.raises(DimensionMismatch,
+                           match=r"nonnegative, got -0.5 on edge \(0, 1\)"):
             gio.read_prox_problem(nodes, edges)
 
     def test_repeated_edge_lines_summed(self, tmp_path):
@@ -187,6 +188,21 @@ class TestPgm:
             gio.read_pgm(path)
         path.write_bytes(b"P5\n2 2\n255\nab")  # truncated raster
         with pytest.raises(ParseError):
+            gio.read_pgm(path)
+
+    @pytest.mark.parametrize("data,match", [
+        (b"P2\n2 2", "truncated header"),
+        (b"P2\n2 x\n255\n0 0 0 0\n", "bad header"),
+        (b"P2\n2 2\n0\n0 0 0 0\n", "maxval 0 out of range"),
+        (b"P2\n2 2\n65536\n0 0 0 0\n", "maxval 65536 out of range"),
+        (b"P2\n2 2\n255\n0 0 x 0\n", "bad ascii raster"),
+        (b"P2\n2 2\n255\n0 0 0\n", "expected 4 pixels, got 3"),
+        (b"P2\n2 2\n255\n0 0 0 256\n", "pixel outside"),
+    ])
+    def test_bad_header_or_raster_names_the_fault(self, tmp_path, data, match):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=match):
             gio.read_pgm(path)
 
     def test_float_map_roundtrip(self, tmp_path, rng):

@@ -5,6 +5,8 @@ replace it where it cannot be built."""
 import itertools
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -481,6 +483,50 @@ def quarter_network(rng, n):
     return FlowNetwork(n, src, snk, au, av, cap)
 
 
+# Run by TestKernel under the sanitizers: the kernel at argv[1] against
+# the pure-Python shortest augmenting paths on random networks of 0-80
+# nodes, with parallel and antiparallel arcs, about 5 % infinite arcs,
+# and some with no arcs at all.  Prints the number of networks solved.
+SANITIZED_CHILD = """
+import sys
+import numpy as np
+from graphprox import maxflow
+from graphprox.errors import DimensionMismatch
+
+maxflow._lib = maxflow._bind(sys.argv[1])
+rng = np.random.default_rng(11)
+
+
+def caps(k):
+    c = rng.uniform(0, 10, k) * (rng.random(k) < 0.8)
+    c[rng.random(k) < 0.05] = np.inf
+    return c
+
+
+solved = 0
+for t in range(300):
+    n = int(rng.integers(0, 81))
+    m = int(rng.integers(0, 4 * n + 1)) if t % 10 else 0
+    au, av = rng.integers(0, n, m), rng.integers(0, n, m)
+    au, av = au[au != av], av[au != av]
+    dup = rng.random(len(au)) < 0.2
+    anti = rng.random(len(au)) < 0.2
+    au = np.concatenate([au, au[dup], av[anti]])
+    av = np.concatenate([av, av[dup], au[:len(anti)][anti]])
+    net = maxflow.FlowNetwork(n, caps(n), caps(n), au, av, caps(len(au)))
+    try:
+        cnet = maxflow._clamped(net)[0]
+    except DimensionMismatch:
+        continue
+    state = maxflow.max_flow(net, "float")
+    ref = maxflow._augmenting_paths(cnet, net.tol())
+    assert abs(state.value - ref.value) <= 1e-9 * max(1.0, ref.value), t
+    maxflow.min_cut(net, state)
+    solved += 1
+print(solved)
+"""
+
+
 def odd_layout(a, dtype):
     """``a`` as ``dtype``, in a strided view of an array twice as long."""
     out = np.zeros(2 * len(a), dtype)
@@ -754,6 +800,37 @@ class TestKernel:
             with pytest.raises(DimensionMismatch):
                 _reach(3, short[0], short[1], short[2:5], short[5:], 0.0)
 
+    def test_clean_under_warnings_and_sanitizers(self, tmp_path):
+        # _flow.c compiles with every warning an error, and a build with
+        # AddressSanitizer and UBSan, loaded into a child Python, solves
+        # random networks with no report (any report exits nonzero)
+        cc = shutil.which("cc")
+        runtimes = [subprocess.run([cc, f"-print-file-name={name}"],
+                                   capture_output=True, text=True).stdout.strip()
+                    for name in ("libasan.so", "libubsan.so")]
+        missing = [r for r in runtimes if not os.path.isabs(r)]
+        if missing:
+            pytest.skip(f"no sanitizer runtime: {', '.join(missing)}")
+        for flags, out in ((["-O2", "-Wall", "-Wextra", "-Werror"], "warn.so"),
+                           (["-O1", "-g", "-fsanitize=address,undefined",
+                             "-fno-sanitize-recover=all"], "asan.so")):
+            done = subprocess.run([cc, *flags, "-shared", "-fPIC",
+                                   str(maxflow._SOURCE), "-o",
+                                   str(tmp_path / out)],
+                                  capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+        src = os.path.dirname(os.path.dirname(maxflow.__file__))
+        env = dict(os.environ, LD_PRELOAD=runtimes[0],
+                   ASAN_OPTIONS="detect_leaks=0",
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", SANITIZED_CHILD,
+                               str(tmp_path / "asan.so")],
+                              env=env, capture_output=True, text=True,
+                              timeout=600)
+        assert done.returncode == 0, done.stderr[-3000:]
+        assert int(done.stdout) >= 150
+
     def test_search_matches_python_bfs(self, rng):
         # arbitrary capacities and flows, not only valid ones: the search
         # reads nothing but the residual of each arc
@@ -812,6 +889,12 @@ class TestFallback:
     """With the kernel unable to load, the float backend is the pure-Python
     shortest augmenting paths and the residual search runs in Python or
     scipy."""
+
+    def test_scipy_search_with_no_seed_reaches_nothing(self):
+        reached = maxflow._bfs_scipy(4, np.array([0, 1, 2]),
+                                     np.array([1, 2, 3]),
+                                     np.zeros(4, dtype=bool))
+        assert reached.tolist() == [False] * 4
 
     def test_networks_fall_back(self, no_kernel):
         rng = np.random.default_rng(2)

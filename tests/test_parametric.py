@@ -34,7 +34,7 @@ def check_optimality_by_edge(problem, alpha, weights, tol=1e-7):
     """Edge-by-edge reference for ``check_optimality``."""
     r = reductions(problem, alpha).r
     cap = np.where(problem.ties, np.inf, -problem.edge_q)
-    scale = max(1.0, float(np.abs(r).max(initial=0.0)))
+    scale = float(np.abs(r).max(initial=0.0))
 
     def key(i):
         if weights[i] > 0:
@@ -52,7 +52,7 @@ def check_optimality_by_edge(problem, alpha, weights, tol=1e-7):
         if gap <= tol * scale:
             continue
         want = cap[k] if ki > kj else -cap[k]
-        if np.isfinite(want) and abs(alpha[k] - want) > tol * max(1.0, cap[k]):
+        if np.isfinite(want) and abs(alpha[k] - want) > tol * cap[k]:
             return False
     return True
 
@@ -232,6 +232,14 @@ class TestCheckOptimality:
 
     def test_zero_alpha_fails_on_asymmetric_pair(self):
         assert not check_optimality(PAIR, np.zeros(1))
+
+    def test_verdicts_do_not_depend_on_scale(self):
+        prob = random_submodular(np.random.default_rng(20), 20)
+        for c in (1e-12, 1e-8, 1.0, 1e8):
+            scaled = QuadraticBinaryProblem(prob.n, c * prob.diag, prob.edge_u,
+                                            prob.edge_v, c * prob.edge_q)
+            assert check_optimality(scaled, solve(scaled).alpha), c
+            assert not check_optimality(scaled, np.zeros(prob.n_edges)), c
 
     def test_single_node_vacuous(self):
         prob = QuadraticBinaryProblem.from_parts([1.0], {})

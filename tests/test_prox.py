@@ -66,7 +66,8 @@ class TestPwlDecompose:
                                       ([0.0], [-np.inf, np.inf]),
                                       ([0.0], [0.0, np.inf]),
                                       ([np.inf], [-1.0, 1.0]),
-                                      ([[0.0]], [-1.0, 1.0])])
+                                      ([[0.0]], [-1.0, 1.0]),
+                                      ([0.0], [1.0])])  # a slope short
     def test_nan_rejected(self, b, th):
         with pytest.raises(NonConvexPenalty):
             PiecewiseLinearPenalty(b, th)
@@ -170,6 +171,16 @@ class TestProxProblemInput:
         problem = ProxProblem([1.0, 2.0], penalties=None)
         assert problem.penalties == {}
         assert prox(problem) == pytest.approx([1.0, 2.0])
+
+
+class TestObjective:
+    def test_distance_plus_scaled_regularizer(self, rng):
+        p = random_prox_problem(rng, 12, with_penalties=True)
+        u = rng.normal(0, 2, p.n)
+        assert p.objective(u) == pytest.approx(
+            np.sum((u - p.a) ** 2) + p.lam * p.regularizer(u), rel=1e-14)
+        assert p.objective(p.a) == pytest.approx(p.lam * p.regularizer(p.a),
+                                                 rel=1e-14)
 
 
 class TestConstructorContract:

@@ -49,6 +49,22 @@ class TestLipschitz:
         for A in designs:
             assert lipschitz_estimate(A) >= 2 * np.linalg.norm(A, 2) ** 2
 
+    def test_covers_spectral_norm_of_scaled_designs(self):
+        # the stop is relative at every scale: an absolute one ends the
+        # iteration early on a design far below 1
+        A = np.random.default_rng(3).normal(0, 1, (300, 500))
+        for scale in (1e-3, 1e-4, 1e-5, 1e-8, 1e4):
+            L = lipschitz_estimate(scale * A)
+            assert L >= 2 * np.linalg.norm(scale * A, 2) ** 2, scale
+
+    def test_row_orthogonal_to_the_start_vector(self):
+        # the first step's estimate is rounding noise; the next is exact
+        v = np.random.default_rng(7).standard_normal(6)
+        row = np.arange(1.0, 7.0)
+        row -= (row @ v) / (v @ v) * v
+        row /= np.linalg.norm(row)
+        assert lipschitz_estimate(row[None, :]) == pytest.approx(2.2)
+
 
 class TestProblem:
     @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])

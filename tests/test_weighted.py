@@ -179,6 +179,8 @@ class TestAugmentation:
             augment_integer_weights(PAIR, [1, 0])
         with pytest.raises(WeightNotPositiveInteger):
             augment_integer_weights(PAIR, [1.5, 1.0])
+        with pytest.raises(DimensionMismatch, match="length 2"):
+            augment_integer_weights(PAIR, [1, 1, 1])
 
     def test_cross_oracle_equivalence(self, rng):
         # augmented unweighted solve vs the weighted solver: identical level
