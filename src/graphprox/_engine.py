@@ -40,7 +40,9 @@ nearly none).
 After each depth ``_components`` labels the blocks again, in a few
 whole-array passes of min-label hooking and pointer jumping, and numbers
 them by their smallest live node, as scipy's ``connected_components``
-does.
+does.  The proxes of a FISTA fit, one edge set under new diagonals, make
+what a solve takes from the edges alone, the first depth's blocks
+included, once per fit (``_edge_data``).
 
 Each depth cuts its blocks on the residual network of the pseudoflow
 alpha that the depths above it left, as parametric max-flow reuses flow
@@ -135,8 +137,8 @@ def _components(L: int, lu, lv) -> np.ndarray:
     label = np.arange(L)
     while True:
         a, b = label[lu], label[lv]
-        live = a != b
-        if not np.count_nonzero(live):
+        live = (a != b).nonzero()[0]
+        if not len(live):
             break
         lu, lv, a, b = lu[live], lv[live], a[live], b[live]
         np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
@@ -149,6 +151,53 @@ def _components(L: int, lu, lv) -> np.ndarray:
     number = np.empty(L, dtype=np.int64)
     number[roots] = np.arange(np.count_nonzero(roots))
     return number[label]
+
+
+def _regroup(loc, eu, ev, nodes, edges):
+    """Live nodes and edges sorted by block, with their block ids: the
+    blocks are the connected components of the live edges (``eu[edges] --
+    ev[edges]``), labelled by ``_components`` and numbered 0..B-1 in the
+    order of their smallest live position, so block b owns one contiguous
+    slice of each array.  ``loc`` is scratch space of one entry per node of
+    the problem."""
+    L = len(nodes)
+    if not len(edges):  # each node a block of its own, as at a last depth
+        return nodes, np.arange(L), edges, edges
+    loc[nodes] = np.arange(L)
+    lu = loc[eu[edges]]
+    label = _components(L, lu, loc[ev[edges]])
+    elabel = label[lu]
+    order = label.argsort(kind="stable")
+    eorder = elabel.argsort(kind="stable")
+    return nodes[order], label[order], edges[eorder], elabel[eorder]
+
+
+def _edge_data(problem: QuadraticBinaryProblem):
+    """``(cap, static_q, half_mass, first)``: what a solve takes from the
+    problem's edges alone, read-only.  ``cap`` is each edge's alpha box
+    bound, ``static_q`` its coupling (0 for a tie), ``half_mass`` each
+    node's half incident coupling mass, and ``first`` the first depth's
+    ``_regroup`` of every node and edge.  Where the problem has a list in
+    ``_edge_data`` (the QBMs of a FISTA fit's proxes, ``with_diag`` copies
+    of one another), it is kept there, made again only once an edge array
+    has been set to another object; other problems keep nothing, so a
+    solve holds no more memory than it uses."""
+    kept, key = problem._edge_data, (problem.edge_u, problem.edge_v,
+                                     problem.edge_q)
+    if kept and all(x is y for x, y in zip(kept[0], key)):
+        return kept[1]
+    n, eu, ev, ties = problem.n, problem.edge_u, problem.edge_v, problem.ties
+    cap = np.where(ties, np.inf, -problem.edge_q)
+    static_q = np.where(ties, 0.0, problem.edge_q)
+    half_q = 0.5 * np.abs(static_q)
+    half_mass = np.bincount(eu, half_q, n) + np.bincount(ev, half_q, n)
+    first = _regroup(np.empty(n, dtype=np.int64), eu, ev, np.arange(n),
+                     np.arange(problem.n_edges))
+    for arr in (cap, static_q, half_mass) + first:
+        arr.setflags(write=False)
+    if kept is not None:
+        kept[:] = [key, (cap, static_q, half_mass, first)]
+    return cap, static_q, half_mass, first
 
 
 def _block_cut(problem: QuadraticBinaryProblem, cap, nodes, edges, g, unary,
@@ -177,10 +226,9 @@ def _block_cut(problem: QuadraticBinaryProblem, cap, nodes, edges, g, unary,
     loc[nodes] = np.arange(m) if local is None else local
     lu, lv = loc[problem.edge_u[edges]], loc[problem.edge_v[edges]]
     half = 0.5 * cap[edges]
-    fwd, bwd = np.maximum(half - g, 0.0), np.maximum(half + g, 0.0)
+    arcs = np.maximum(np.concatenate([half - g, half + g]), 0.0)  # u->v, v->u
     if local is not None:
-        inner = lu == lv
-        fwd[inner] = bwd[inner] = 0.0
+        arcs[np.tile(lu == lv, 2)] = 0.0
         unary = np.bincount(local, unary, m)
     src, snk = np.maximum(unary, 0.0), np.maximum(-unary, 0.0)
     if inf_src is not None:
@@ -190,9 +238,9 @@ def _block_cut(problem: QuadraticBinaryProblem, cap, nodes, edges, g, unary,
     # at 0, so the network needs no checks
     side, sub, lift = fix_sides(_prechecked(
         m, src, snk, np.concatenate([lu, lv]), np.concatenate([lv, lu]),
-        np.concatenate([fwd, bwd])))
+        arcs))
     # the solve needs only sub and lift: free the block network's parts
-    del loc, lu, lv, half, fwd, bwd, unary, src, snk
+    del loc, lu, lv, half, arcs, unary, src, snk
     s_min = side < 0
     s_max = s_min.copy()
     state = None
@@ -231,9 +279,9 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
     anchor_mask = np.asarray(anchor_mask, dtype=bool)
     anchor_values = np.asarray(anchor_values, dtype=np.float64)
 
-    cap = np.where(problem.ties, np.inf, -problem.edge_q)  # alpha box bounds
-    static_q = np.where(problem.ties, 0.0, problem.edge_q)
+    cap, static_q, half_mass, first = _edge_data(problem)
     eu, ev = problem.edge_u, problem.edge_v
+    has_anchors = anchor_mask.any()
 
     diag = problem.diag.copy()
     alpha = np.zeros(problem.n_edges)
@@ -244,31 +292,13 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
     # per-node magnitude bound: |r_i| never exceeds |q_ii| plus half the
     # incident coupling mass, so this scales the fuse tolerance safely, in
     # the data's own units
-    half_q = 0.5 * np.abs(static_q)
-    half_mass = np.bincount(eu, half_q, n) + np.bincount(ev, half_q, n)
     bound = np.abs(diag) + half_mass
     scale = float(bound[~anchor_mask].max(initial=0.0))
-    del half_q, half_mass, bound
+    del half_mass, bound
 
     loc = np.empty(n, dtype=np.int64)  # scratch: global -> live position
-
-    def regroup(nodes, edges):
-        """Live nodes and edges sorted by block, with their block ids: the
-        blocks are the connected components of the live edges, labelled by
-        ``_components`` and numbered 0..B-1 in the order of their smallest
-        live position, so block b owns one contiguous slice of each
-        array."""
-        L = len(nodes)
-        loc[nodes] = np.arange(L)
-        lu = loc[eu[edges]]
-        label = _components(L, lu, loc[ev[edges]])
-        elabel = label[lu]
-        order = label.argsort(kind="stable")
-        eorder = elabel.argsort(kind="stable")
-        return nodes[order], label[order], edges[eorder], elabel[eorder]
-
-    nodes, bid, edges, ebid = regroup(np.arange(n),
-                                      np.arange(problem.n_edges))
+    nodes, bid, edges, ebid = first
+    del first
 
     def cut(blocks, unary, src_pin, snk_pin, flow, merge=None):
         """Extreme sink-side cuts of the current depth's ``blocks``, as
@@ -282,10 +312,13 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         on top of the carried ``g``."""
         s_min = np.zeros(len(nodes), dtype=bool)
         s_max = np.zeros(len(nodes), dtype=bool)
-        small = blocks & (size <= _SCIPY_NODE_THRESHOLD)
-        union = "float" if _kernel() is not None else "auto"
-        groups = [(small[bid], small[ebid], union)] if small.any() else []
-        for b in (blocks & ~small).nonzero()[0]:
+        large = blocks & (size > _SCIPY_NODE_THRESHOLD)
+        small = blocks ^ large
+        groups = []
+        if np.count_nonzero(small):
+            groups.append((small[bid].nonzero()[0], small[ebid].nonzero()[0],
+                           "float" if _kernel() is not None else "auto"))
+        for b in large.nonzero()[0]:
             # block b's slices of the live nodes and edges
             n0, n1 = np.searchsorted(bid, (b, b + 1))
             e0, e1 = np.searchsorted(ebid, (b, b + 1))
@@ -310,11 +343,13 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
     while len(nodes):
         L, B = len(nodes), int(bid[-1]) + 1
         size = np.bincount(bid, minlength=B)
-        anch = anchor_mask[nodes]
-        anchored = anch.any()
+        anch = anchor_mask[nodes] if has_anchors else None
+        anchored = has_anchors and anch.any()
 
         # reductions of live nodes under the current diagonal and the flow
         # g (u -> v, half of alpha) that the edges inside blocks carry
+        # (edge endpoints as live positions are made where they are used, so
+        # that no edge-sized index array lives through the cut)
         loc[nodes] = np.arange(L)
         g = 0.5 * alpha[edges]
         half = 0.5 * static_q[edges]
@@ -338,7 +373,7 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         else:
             zero = sw <= ZERO_W_TOL
             mu = num / np.where(zero, size, sw)
-        any_zero = zero.any()
+        any_zero = np.count_nonzero(zero)
         w_eff = np.where(zero[bid], 1.0, w_nd) if any_zero else w_nd
         unary = r - mu[bid] * w_eff
         if anchored:
@@ -355,7 +390,7 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         split = np.zeros(B, dtype=bool)
         flow = np.zeros(len(edges))
 
-        if active.any():
+        if np.count_nonzero(active):
             inf_src = inf_snk = None
             if anchored:
                 # anchors at or below the pivot are pinned to the sink
@@ -394,12 +429,12 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         # fully saturating solve routes every node's excess
         alpha[edges] = 2.0 * (g + flow)
         e = edges[done[ebid]]
-        alpha[e] = np.clip(alpha[e], -cap[e], cap[e])
+        alpha[e] = alpha[e].clip(-cap[e], cap[e])
 
         # finished blocks: anchors sit at their value; all-zero blocks
         # resolve by the sign of their level (strictly below zero never,
         # weakly below always when it is zero)
-        fin = done[bid]
+        fin = done[bid].nonzero()[0]
         f, b = nodes[fin], bid[fin]
         lo = mu[b]
         level = lo * w_eff[fin]
@@ -415,7 +450,7 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
             hi[zb] = np.where(mu[b[zb]] > tol[b[zb]], np.inf, -np.inf)
         flip_lo[f] = lo
         flip_hi[f] = hi
-        if not split.any():
+        if not np.count_nonzero(split):
             break
 
         # split blocks: saturate crossing edges (u < v globally: low-u means
@@ -433,7 +468,8 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
 
         # children: the components of what is left of the split blocks,
         # whose edges keep their flow
-        nodes, bid, edges, ebid = regroup(nodes[keep_n], edges[keep_e])
+        nodes, bid, edges, ebid = _regroup(loc, eu, ev, nodes[keep_n],
+                                           edges[keep_e])
 
     return ParametricSolution(problem, alpha, levels, flip_lo, flip_hi,
                               anchor_mask)

@@ -18,13 +18,15 @@ its source, and loaded with ``ctypes``.  Its functions take bare addresses
 call than the solve of a small network: ``_c_arrays`` first makes each
 array C-contiguous int64 or float64, copying only an array that is not,
 and checks its size against the network, so the kernel never reads past
-an array's end.  ``gp_max_flow`` writes the three flow arrays into one
-buffer, and ``gp_reach`` its two masks.  If it cannot be built or loaded,
+an array's end, and ``_address`` reads each address.  ``gp_max_flow``
+writes the three flow arrays into one buffer, and ``gp_reach`` its two
+masks.  If it cannot be built or loaded,
 ``kernel_error`` says why and the float backend is shortest augmenting
 paths in pure Python (``_augmenting_paths``), exact on the float
 capacities like the kernel.  One size switch then rules the fallback:
 networks and residual searches of at most ``_SCIPY_NODE_THRESHOLD`` nodes
-run in Python and larger ones in scipy, and the engine sends a union of
+run in Python and larger ones in scipy (both searches of one ``min_cut``
+on one CSR graph and its transpose), and the engine sends a union of
 small blocks above the threshold to scipy like any other network.
 
 Callers mark infinite capacities with ``np.inf``.  An infinite terminal
@@ -59,6 +61,7 @@ on, and lifts a maximum flow of the network left to the whole network.
 
 from __future__ import annotations
 
+import ctypes
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -146,13 +149,12 @@ class FlowNetwork:
         none), computed at the first call and kept: a network's arrays do
         not change once it is built."""
         if self._tol is None:
-            top = 0.0
-            for c in (self.source_caps, self.sink_caps, self.arc_cap):
-                m = c.max(initial=0.0)
-                if m == np.inf:
-                    m = c.max(where=np.isfinite(c), initial=0.0)
-                top = max(top, float(m))
-            self._tol = SAT_TOL * top
+            caps = np.concatenate((self.source_caps, self.sink_caps,
+                                   self.arc_cap))
+            top = caps.max(initial=0.0)
+            if top == np.inf:
+                top = caps.max(where=np.isfinite(caps), initial=0.0)
+            self._tol = SAT_TOL * float(top)
         return self._tol
 
 
@@ -203,23 +205,27 @@ def check_flow(net: FlowNetwork, state: FlowState) -> list:
     names the node of largest |excess|.  Empty when ``state`` is a valid
     flow of ``net``."""
     tol = net.tol()
-    violations = []
-    for z, cap, label in zip((state.z_source, state.z_sink, state.z_arc),
-                             state.caps(net), ("z_source", "z_sink", "z_arc")):
-        bad = (z < -tol) | (z > cap + tol)
-        for k in np.nonzero(bad)[0][:5]:
-            violations.append(f"{label}[{k}] = {z[k]:.6g} outside [0, {cap[k]:.6g}]")
-    if violations:
-        return violations
+    flows, caps = (state.z_source, state.z_sink, state.z_arc), state.caps(net)
+    # one test over all arcs; arrays of the wrong size, which broadcast,
+    # go to the per-kind test directly
+    z, cap = np.concatenate(flows), np.concatenate(caps)
+    if z.shape != cap.shape or np.count_nonzero((z < -tol) | (z > cap + tol)):
+        violations = []
+        for z, cap, label in zip(flows, caps, ("z_source", "z_sink", "z_arc")):
+            for k in ((z < -tol) | (z > cap + tol)).nonzero()[0][:5]:
+                violations.append(
+                    f"{label}[{k}] = {z[k]:.6g} outside [0, {cap[k]:.6g}]")
+        if violations:
+            return violations
 
     ex = np.abs(state.excess(net))
     slack = tol * max(1, net.n)
     # NaN fails the comparison, so an excess of NaN is a violation too
-    if not np.all(ex <= slack):
+    if not (ex <= slack).all():
         k = int(np.argmax(ex))
-        violations.append(f"conservation fails: node {k} has |excess| "
-                          f"{ex[k]:.6g} > {slack:.6g}")
-    return violations
+        return [f"conservation fails: node {k} has |excess| "
+                f"{ex[k]:.6g} > {slack:.6g}"]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +394,6 @@ def _build(source: bytes, directory: Path) -> Path:
 def _bind(path: Path):
     """The library at ``path``, with the kernel's argument types set:
     arrays go in as bare addresses, which ``_c_arrays`` vets."""
-    import ctypes
-
     lib = ctypes.CDLL(str(path))
     ptr, size, tol = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.gp_max_flow.argtypes = [size, size] + [ptr] * 5 + [tol] + [ptr] * 3
@@ -426,6 +430,16 @@ def _c_arrays(arrays, dtypes, sizes):
     return out
 
 
+def _address(a: np.ndarray) -> int:
+    """The address of ``a``'s data: from a ctypes view where ``a`` is
+    writable and not empty, about a third of the cost of ``a.ctypes.data``,
+    which serves the rest."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):   # read-only, or no byte to view
+        return a.ctypes.data
+
+
 _NET_TYPES = (np.float64, np.float64, np.int64, np.int64, np.float64)
 
 
@@ -438,8 +452,8 @@ def _pr_flow(lib, net: FlowNetwork) -> FlowState:
     args = _c_arrays((cnet.source_caps, cnet.sink_caps, net.arc_u, net.arc_v,
                       cnet.arc_cap), _NET_TYPES, [n, n, m, m, m])
     z = np.empty(2 * n + m)  # z_source, z_sink and z_arc, back to back
-    at = z.ctypes.data
-    if lib.gp_max_flow(n, m, *[a.ctypes.data for a in args], net.tol(),
+    at = _address(z)
+    if lib.gp_max_flow(n, m, *[_address(a) for a in args], net.tol(),
                        at, at + 8 * n, at + 16 * n):
         raise MemoryError(f"max-flow kernel failed on {n} nodes, {m} arcs")
     z_snk = z[n:2 * n]
@@ -462,17 +476,18 @@ def _reach(n, eu, ev, caps, flows, tol):
     lib = _kernel()
     if lib is not None:
         out = np.empty(2 * n, dtype=bool)  # from_s, then to_t
-        at = out.ctypes.data
-        if lib.gp_reach(n, m, *[a.ctypes.data for a in args], tol, at, at + n):
+        at = _address(out)
+        if lib.gp_reach(n, m, *[_address(a) for a in args], tol, at, at + n):
             raise MemoryError(f"residual search failed on {n} nodes, {m} arcs")
         return out[:n], out[n:]
     eu, ev, c_src, c_snk, c_arc, z_src, z_snk, z_arc = args
     fwd, rev = c_arc - z_arc > tol, z_arc > tol
     fu = np.concatenate([eu[fwd], ev[rev]])
     fv = np.concatenate([ev[fwd], eu[rev]])
-    bfs = _bfs_scipy if n > _SCIPY_NODE_THRESHOLD else _bfs_python
-    return (bfs(n, fu, fv, c_src - z_src > tol),
-            bfs(n, fv, fu, c_snk - z_snk > tol))
+    from_src, to_snk = c_src - z_src > tol, c_snk - z_snk > tol
+    if n > _SCIPY_NODE_THRESHOLD:
+        return _bfs_scipy(n, fu, fv, from_src, to_snk)
+    return _bfs_python(n, fu, fv, from_src), _bfs_python(n, fv, fu, to_snk)
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +627,8 @@ def fix_sides(net: FlowNetwork):
     fix_s = src > snk + np.bincount(u, cap, n) + tol
     fix_t = snk > src + np.bincount(v, cap, n) + tol
     side = fix_s.astype(np.int8) - fix_t
-    free = ~(fix_s | fix_t)
-    m = int(np.count_nonzero(free))
+    free = (side == 0).nonzero()[0]
+    m = len(free)
     if m == n:
         return side, net, lambda state: state.z_arc
     if m == 0:
@@ -674,22 +689,28 @@ def _bfs_python(n, eu, ev, reached):
     return reached
 
 
-def _bfs_scipy(n, eu, ev, reached):
+def _bfs_scipy(n, fu, fv, from_src, to_snk):
+    """``(from_s, to_t)`` over the residual arcs ``fu -> fv`` by scipy's
+    breadth-first search, both from one CSR graph: node n is s, with an arc
+    to each node of ``from_src``, and node n + 1 is t, with an arc from
+    each node of ``to_snk``.  The search from s runs on the graph, the one
+    into t from t on its transpose."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order
 
-    seeds = np.nonzero(reached)[0]
-    if not len(seeds):
-        return reached
-    rows = np.concatenate([np.full(len(seeds), n, dtype=np.int64), eu])
-    cols = np.concatenate([seeds, ev])
-    g = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                   shape=(n + 1, n + 1))
-    order = breadth_first_order(g, n, directed=True,
-                                return_predecessors=False)
-    out = np.zeros(n, dtype=bool)
-    out[order[order < n]] = True
-    return out
+    src, snk = from_src.nonzero()[0], to_snk.nonzero()[0]
+    rows = np.concatenate([np.full(len(src), n), fu, snk])
+    cols = np.concatenate([src, fv, np.full(len(snk), n + 1)])
+    # float64 data, the type the search works in, so it copies nothing
+    g = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + 2, n + 2))
+    masks = []
+    for graph, start in ((g, n), (g.T, n + 1)):
+        order = breadth_first_order(graph, start, directed=True,
+                                    return_predecessors=False)
+        mask = np.zeros(n, dtype=bool)
+        mask[order[order < n]] = True
+        masks.append(mask)
+    return tuple(masks)
 
 
 def min_cut(net: FlowNetwork, state: FlowState) -> tuple[set, set]:
@@ -709,9 +730,9 @@ def min_cut(net: FlowNetwork, state: FlowState) -> tuple[set, set]:
     from_s, to_t = _reach(net.n, net.arc_u, net.arc_v, state.caps(net),
                           (state.z_source, state.z_sink, state.z_arc),
                           net.tol())
-    if (from_s & to_t).any():
+    if np.count_nonzero(from_s & to_t):
         raise StaleFlow("augmenting path exists; flow is not maximum")
-    s_min = set(np.flatnonzero(to_t).tolist())
-    s_max = set(np.flatnonzero(~from_s).tolist())
+    s_min = set(to_t.nonzero()[0].tolist())
+    s_max = set((~from_s).nonzero()[0].tolist())
     return s_min, s_max
 

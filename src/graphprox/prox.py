@@ -121,6 +121,17 @@ def regularizer(u, edge_u, edge_v, edge_w, penalties) -> float:
     return val
 
 
+def _checked_center(a) -> np.ndarray:
+    """The prox center as a float array; raises DimensionMismatch unless it
+    is 1-D and finite."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 1:
+        raise DimensionMismatch("prox center must be 1-D")
+    if not np.all(np.isfinite(a)):
+        raise DimensionMismatch("prox center must be finite")
+    return a
+
+
 @dataclass
 class ProxProblem:
     """Data of the graph-fused proximal problem.
@@ -131,7 +142,10 @@ class ProxProblem:
     requires, the weights and lam finite, and every penalty key a node
     (``maxflow._node_key``).  Edges come in any orientation, each weight is
     checked before repeated pairs are summed, and each pair is stored once
-    with u < v, sorted, in copies of the caller's arrays.
+    with u < v, sorted, in copies of the caller's arrays.  ``recentred``
+    copies of one problem share its checked parts and the part of
+    ``build_prox_qbm``'s encoding that the centre does not change, which
+    the problem keeps from its first ``recentred`` call on.
     """
 
     a: np.ndarray
@@ -140,14 +154,14 @@ class ProxProblem:
     edge_w: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float64))
     lam: float = 1.0
     penalties: dict = field(default_factory=dict)
+    # None, or a list that keeps build_prox_qbm's _Encoding for this problem
+    # and its recentred copies, which share it
+    _encoding: list | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=np.float64)
+        self.a = _checked_center(self.a)
         n = len(self.a)
-        if self.a.ndim != 1:
-            raise DimensionMismatch("prox center must be 1-D")
-        if not np.all(np.isfinite(self.a)):
-            raise DimensionMismatch("prox center must be finite")
         self.edge_u, self.edge_v, self.edge_w = _checked_edges(
             self.edge_u, self.edge_v, self.edge_w, n)
         if np.any(self.edge_u == self.edge_v):
@@ -171,6 +185,19 @@ class ProxProblem:
                                        "PiecewiseLinearPenalty")
         self.edge_u, self.edge_v, self.edge_w = _canonical_edges(
             self.edge_u, self.edge_v, self.edge_w, n)
+
+    def recentred(self, a) -> "ProxProblem":
+        """This problem centred at ``a``, which is checked (1-D, finite, n
+        entries): the copy shares the checked edges, lam and penalties, and
+        the encoding that this problem keeps from now on."""
+        a = _checked_center(a)
+        if len(a) != self.n:
+            raise DimensionMismatch(f"prox center must have length {self.n}")
+        if self._encoding is None:
+            self._encoding = []
+        out = object.__new__(ProxProblem)
+        out.__dict__.update(self.__dict__, a=a)
+        return out
 
     @classmethod
     def from_edges(cls, a, edges, lam: float = 1.0, penalties=None) -> "ProxProblem":
@@ -202,21 +229,39 @@ class ProxBuild:
     anchor_values: np.ndarray
 
 
-def build_prox_qbm(problem: ProxProblem) -> ProxBuild:
-    """Encode the prox problem as an anchored quadratic binary problem.
+@dataclass
+class _Encoding:
+    """What ``build_prox_qbm`` makes of a problem's edges, lam and penalties,
+    the same for every centre: the QBM's diagonal is
+    ``bincount(bins, concatenate([a - shift, terms]))``, where ``shift`` is
+    ``pen_shift`` at ``pen_nodes`` and 0 elsewhere, and ``qbm`` holds the
+    couplings, checked and stored once.  ``source`` holds the problem's
+    parts it was made of."""
 
-    Original nodes carry diagonal a_i adjusted by the linear penalty
-    coefficients plus half the incident coupling weights; each penalty
-    anchor (b, kappa) becomes an auxiliary node pinned at b with coupling
-    -lambda * kappa.
-    """
+    source: tuple
+    pen_nodes: np.ndarray
+    pen_shift: np.ndarray
+    bins: np.ndarray
+    terms: np.ndarray
+    qbm: QuadraticBinaryProblem
+    anchor_mask: np.ndarray
+    anchor_values: np.ndarray
+
+
+def _parts(problem: ProxProblem) -> tuple:
+    return (problem.edge_u, problem.edge_v, problem.edge_w, problem.lam,
+            problem.penalties)
+
+
+def _encode(problem: ProxProblem) -> _Encoding:
     n = problem.n
     lam = problem.lam
-    diag = problem.a.astype(np.float64).copy()
+    pen_nodes, pen_shift = [], []
     anchors = []  # (node, b, kappa)
     for i, pen in sorted(problem.penalties.items()):
         c, anc, _ = pwl_decompose(pen)
-        diag[i] -= 0.5 * lam * c
+        pen_nodes.append(i)
+        pen_shift.append(0.5 * lam * c)
         anchors += [(i, b, kappa) for b, kappa in anc]
     host, anchor_b, kappa = np.array(anchors, dtype=np.float64).reshape(-1, 3).T
     host = host.astype(np.int64)
@@ -227,18 +272,48 @@ def build_prox_qbm(problem: ProxProblem) -> ProxBuild:
     ew = lam * problem.edge_w[fused]
     pinned = lam * kappa > 0
     host, pin, ak = host[pinned], n + np.flatnonzero(pinned), lam * kappa[pinned]
-    # the diagonal first, then each coupling's halves in edge order: the
+    # the centre first, then each coupling's halves in edge order: the
     # same sums, added in the same order, as folding in edge by edge
-    full_diag = np.bincount(
-        np.concatenate([np.arange(n), np.column_stack([eu, ev]).ravel(), host]),
-        np.concatenate([diag, np.repeat(0.5 * ew, 2), 0.5 * ak]), total)
-    qbm = QuadraticBinaryProblem(
-        total, full_diag, np.concatenate([eu, host]),
-        np.concatenate([ev, pin]), np.concatenate([-ew, -ak]))
-
+    bins = np.concatenate([np.arange(n), np.column_stack([eu, ev]).ravel(), host])
+    terms = np.concatenate([np.repeat(0.5 * ew, 2), 0.5 * ak])
+    qbm = QuadraticBinaryProblem(total, np.zeros(total), np.concatenate([eu, host]),
+                                 np.concatenate([ev, pin]), np.concatenate([-ew, -ak]))
     anchor_mask = np.arange(total) >= n
     anchor_values = np.concatenate([np.zeros(n), anchor_b])
-    return ProxBuild(qbm, anchor_mask, anchor_values)
+    for arr in (bins, terms, anchor_mask, anchor_values):
+        arr.setflags(write=False)
+    return _Encoding(_parts(problem), np.array(pen_nodes, dtype=np.int64),
+                     np.array(pen_shift),
+                     bins, terms, qbm, anchor_mask, anchor_values)
+
+
+def build_prox_qbm(problem: ProxProblem) -> ProxBuild:
+    """Encode the prox problem as an anchored quadratic binary problem.
+
+    Original nodes carry diagonal a_i adjusted by the linear penalty
+    coefficients plus half the incident coupling weights; each penalty
+    anchor (b, kappa) becomes an auxiliary node pinned at b with coupling
+    -lambda * kappa.  A problem with ``recentred`` copies keeps all but the
+    diagonal from its family's first call on, and their QBMs share its
+    read-only arrays; it is built again where a field it was made of has
+    been set to another object.
+    """
+    kept = problem._encoding
+    if kept is None:
+        enc = _encode(problem)
+    else:
+        if not kept or any(x is not y for x, y in zip(kept[0].source,
+                                                      _parts(problem))):
+            kept[:] = [_encode(problem)]
+            # the engine keeps its edge data for the with_diag copies too
+            kept[0].qbm._edge_data = []
+        enc = kept[0]
+    diag = problem.a.copy()
+    diag[enc.pen_nodes] -= enc.pen_shift
+    full_diag = np.bincount(enc.bins, np.concatenate([diag, enc.terms]),
+                            len(enc.anchor_mask))
+    return ProxBuild(enc.qbm.with_diag(full_diag), enc.anchor_mask,
+                     enc.anchor_values)
 
 
 def prox(problem: ProxProblem) -> np.ndarray:

@@ -73,6 +73,18 @@ def _canonical_edges(u, v, val, n: int):
     return keys // max(n, 1), keys % max(n, 1), summed
 
 
+def _checked_diag(diag, n: int) -> np.ndarray:
+    """A read-only float copy of ``diag``; raises DimensionMismatch unless
+    it holds n finite entries."""
+    diag = np.array(diag, dtype=np.float64)
+    if diag.shape != (n,):
+        raise DimensionMismatch(f"diag must have length {n}")
+    if not np.all(np.isfinite(diag)):
+        raise DimensionMismatch("diagonal entries must be finite")
+    diag.setflags(write=False)
+    return diag
+
+
 def _check_weights(weights, n: int) -> np.ndarray:
     """Node weights as a float array, all ones by default; raises
     DimensionMismatch unless n of them, all finite and nonnegative."""
@@ -169,13 +181,13 @@ class QuadraticBinaryProblem:
     edge_v: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     edge_q: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float64))
     offset: float = 0.0
+    # None, or a list in which the engine keeps what it derives from the
+    # edges alone (``_engine._edge_data``), shared with the with_diag copies
+    _edge_data: list | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
-        self.diag = np.array(self.diag, dtype=np.float64)
-        if self.diag.shape != (self.n,):
-            raise DimensionMismatch(f"diag must have length {self.n}")
-        if not np.all(np.isfinite(self.diag)):
-            raise DimensionMismatch("diagonal entries must be finite")
+        self.diag = _checked_diag(self.diag, self.n)
         u, v, q = _checked_edges(self.edge_u, self.edge_v, self.edge_q, self.n)
         if np.any(u == v):
             raise DimensionMismatch("self-loops not allowed")
@@ -187,8 +199,15 @@ class QuadraticBinaryProblem:
             raise NonSubmodularEnergy(int(min(u[k], v[k])), int(max(u[k], v[k])),
                                       float(q[k]))
         self.edge_u, self.edge_v, self.edge_q = _canonical_edges(u, v, q, self.n)
-        for arr in (self.diag, self.edge_u, self.edge_v, self.edge_q):
+        for arr in (self.edge_u, self.edge_v, self.edge_q):
             arr.setflags(write=False)
+
+    def with_diag(self, diag) -> "QuadraticBinaryProblem":
+        """This problem with the diagonal ``diag`` (n finite entries,
+        copied), sharing its checked, read-only edge arrays."""
+        out = object.__new__(QuadraticBinaryProblem)
+        out.__dict__.update(self.__dict__, diag=_checked_diag(diag, self.n))
+        return out
 
     @classmethod
     def from_parts(cls, diag, edges, offset: float = 0.0) -> "QuadraticBinaryProblem":
@@ -218,8 +237,9 @@ def _pair_coupling(i: int, j: int, tbl: np.ndarray) -> float:
     finite = np.isfinite(tbl)
     with np.errstate(invalid="ignore"):
         gap = tbl[1, 1] + tbl[0, 0] - tbl[0, 1] - tbl[1, 0]
-    if gap > REL_TOL * max(1.0, float(np.abs(tbl[finite]).max())
-                           if finite.any() else 1.0):
+    # relative to the table's largest finite entry, with no floor, so a
+    # table scaled by any factor passes or fails as it does unscaled
+    if gap > REL_TOL * float(np.abs(tbl[finite]).max(initial=0.0)):
         raise NonSubmodularEnergy(i, j, float(gap))
     if finite[[0, 1], [0, 1]].all() and np.isposinf(tbl[[0, 1], [1, 0]]).all():
         return -np.inf

@@ -524,3 +524,41 @@ class TestScaleInvariance:
         ref = prox(scaled(1.0))
         for c in self.SCALES:
             assert np.abs(prox(scaled(c)) / c - ref).max() <= 1e-12, c
+
+
+class TestKeptEdgeData:
+    """What a solve takes from the edges alone is kept for the QBMs of a
+    prox problem's ``recentred`` copies, which share their edge arrays, and
+    for no other problem."""
+
+    def test_recentred_qbms_solve_as_fresh_problems(self, rng):
+        for _ in range(5):
+            n = int(rng.integers(2, 25))
+            base = random_prox_problem(rng, n, with_penalties=True)
+            kept = None
+            for _ in range(3):
+                qbm = build_prox_qbm(base.recentred(rng.normal(0, 2, n))).qbm
+                fresh = QuadraticBinaryProblem(qbm.n, qbm.diag, qbm.edge_u,
+                                               qbm.edge_v, qbm.edge_q)
+                got = engine.solve_parametric(qbm)
+                want = engine.solve_parametric(fresh)
+                kept = kept or qbm._edge_data[1]
+                assert qbm._edge_data[1] is kept
+                assert fresh._edge_data is None
+                for key in KEYS:
+                    assert np.array_equal(getattr(got, key),
+                                          getattr(want, key)), key
+            for arr in kept[:3] + kept[3]:
+                assert not arr.flags.writeable
+
+    def test_made_again_for_a_reassigned_edge_array(self):
+        # the kept box bounds must not outlive the edge array they were made
+        # of: a tie set in place of a coupling fuses the two nodes
+        prob = QuadraticBinaryProblem(2, [1.0, -1.0], [0], [1], [-0.5])
+        prob._edge_data = []
+        tied = QuadraticBinaryProblem(2, [1.0, -1.0], [0], [1], [-np.inf])
+        loose = engine.solve_parametric(prob).levels
+        prob.edge_q = tied.edge_q
+        levels = engine.solve_parametric(prob).levels
+        assert np.array_equal(levels, engine.solve_parametric(tied).levels)
+        assert levels[0] == levels[1] != loose[0]

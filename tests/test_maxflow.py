@@ -891,10 +891,30 @@ class TestFallback:
     scipy."""
 
     def test_scipy_search_with_no_seed_reaches_nothing(self):
+        none = np.zeros(4, dtype=bool)
         reached = maxflow._bfs_scipy(4, np.array([0, 1, 2]),
-                                     np.array([1, 2, 3]),
-                                     np.zeros(4, dtype=bool))
-        assert reached.tolist() == [False] * 4
+                                     np.array([1, 2, 3]), none, none)
+        assert [r.tolist() for r in reached] == [[False] * 4] * 2
+
+    @needs_cc
+    def test_min_cut_matches_the_kernel_search(self, monkeypatch):
+        # above 300 nodes the kernel-less search runs in scipy, both
+        # directions on one CSR graph and its transpose
+        rng = np.random.default_rng(11)
+        for n in [301, 302, 450, 777, 1200, 2000]:
+            m = 3 * n
+            au, av = rng.integers(0, n, m), rng.integers(0, n, m)
+            # quarter-integer capacities, so that cuts tie
+            net = FlowNetwork(n, rng.integers(0, 9, n) / 4.0,
+                              rng.integers(0, 9, n) / 4.0, au[au != av],
+                              av[au != av], rng.integers(0, 9, m)[au != av] / 4.0)
+            state = max_flow(net, "scipy")
+            with monkeypatch.context() as patch:
+                patch.setattr(maxflow, "_lib", None)
+                patch.setattr(maxflow, "kernel_error", "kernel disabled")
+                fallback = min_cut(net, state)
+            assert maxflow._kernel() is not None
+            assert fallback == min_cut(net, state)
 
     def test_networks_fall_back(self, no_kernel):
         rng = np.random.default_rng(2)

@@ -275,6 +275,63 @@ class TestBuildProxQbm:
             assert np.array_equal(build.anchor_values, ref["anchor_values"])
             assert build.anchor_mask.tolist() == ref["anchor_mask"].tolist()
 
+    def test_recentred_builds_match_fresh_builds(self, rng):
+        # a recentred copy checks only its centre and reuses the couplings
+        # encoded at the first build: its QBM and prox are those of a
+        # problem built from scratch, bit for bit
+        for _ in range(10):
+            n = int(rng.integers(2, 30))
+            eu, ev = rng.integers(0, n, (2, 3 * n))
+            keep = eu != ev
+            w = rng.uniform(0, 2, int(keep.sum()))
+            pens = {i: random_penalty(rng) for i in range(n) if rng.random() < 0.4}
+            lam = float(rng.uniform(0.1, 2.0))
+            base = ProxProblem(np.zeros(n), eu[keep], ev[keep], w, lam, pens)
+            build_prox_qbm(base)
+            for _ in range(3):
+                a = rng.normal(0, 2, n)
+                step = base.recentred(a)
+                fresh = ProxProblem(a, eu[keep], ev[keep], w, lam, pens)
+                got, want = build_prox_qbm(step), build_prox_qbm(fresh)
+                assert got.qbm.edge_u is build_prox_qbm(base).qbm.edge_u
+                for name in ("diag", "edge_u", "edge_v", "edge_q"):
+                    arr = getattr(got.qbm, name)
+                    assert np.array_equal(arr, getattr(want.qbm, name))
+                    assert not arr.flags.writeable
+                assert np.array_equal(got.anchor_values, want.anchor_values)
+                assert np.array_equal(got.anchor_mask, want.anchor_mask)
+                assert np.array_equal(prox(step), prox(fresh))
+
+    @pytest.mark.parametrize("a, match", [
+        (np.zeros(3), "prox center must have length 2"),
+        (np.zeros((2, 1)), "prox center must be 1-D"),
+        ([0.0, np.nan], "prox center must be finite"),
+        ([np.inf, 0.0], "prox center must be finite")])
+    def test_recentred_checks_the_centre(self, a, match):
+        with pytest.raises(DimensionMismatch, match=match):
+            pair().recentred(a)
+
+    def test_encoding_follows_a_reassigned_field(self):
+        # the kept encoding is built again once lam is set to a new value
+        p = pair(lam=1.0)
+        step = p.recentred(p.a)
+        first = prox(step)
+        step.lam = 3.0
+        assert np.array_equal(prox(step), prox(pair(lam=3.0)))
+        assert not np.array_equal(prox(step), first)
+        assert np.array_equal(prox(p), first)
+
+    def test_only_a_recentred_family_keeps_its_encoding(self):
+        # a problem solved once, like a large image, keeps nothing after
+        p = pair()
+        build_prox_qbm(p)
+        assert p._encoding is None
+        assert build_prox_qbm(p).qbm._edge_data is None
+        p.recentred(p.a)
+        assert len(p._encoding) == 0
+        assert build_prox_qbm(p).qbm._edge_data == []
+        assert len(p._encoding) == 1
+
     def test_anchor_metadata(self):
         p = ProxProblem.from_edges([0.8], {}, lam=1.0, penalties={0: ABS})
         build = build_prox_qbm(p)

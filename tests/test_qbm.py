@@ -109,6 +109,20 @@ class TestFromEnergies:
             with pytest.raises((NonSubmodularEnergy, DimensionMismatch)):
                 from_energies(et)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-14, 1e-16, 1e-18, 1e-20])
+    def test_submodularity_test_is_relative(self, scale):
+        # a gap of +1e-12 used to pass under a tolerance floored at 1e-9
+        bad = EnergyTable(2, np.zeros((2, 2)),
+                          {(0, 1): scale * np.array([[0.0, 1.0], [1.0, 3.0]])})
+        assert not bad.is_submodular()
+        with pytest.raises(NonSubmodularEnergy):
+            from_energies(bad)
+        good = EnergyTable(2, np.zeros((2, 2)),
+                           {(0, 1): scale * np.array([[0.0, 2.0], [3.0, 1.0]])})
+        assert good.is_submodular()
+        q = from_energies(good).offdiag()[(0, 1)]
+        assert q == pytest.approx(-4.0 * scale, rel=1e-12)
+
     @pytest.mark.parametrize("unary", [[[0.0, np.inf], [0.0, 0.0]],
                                        [[np.inf, np.inf], [0.0, 0.0]],
                                        [[0.0, 0.0], [np.nan, 0.0]]])
@@ -174,6 +188,22 @@ class TestFromEnergies:
 class TestConstructorContract:
     """The constructor gives couplings their stored form; ``from_parts``
     only turns its edges into arrays."""
+
+    def test_with_diag_shares_edges_and_checks_the_diagonal(self):
+        prob = QuadraticBinaryProblem(3, [1.0, 2.0, 3.0], [2, 0], [1, 1],
+                                      [-2.0, -1.0])
+        diag = np.array([0.5, -1.0, 4.0])
+        other = prob.with_diag(diag)
+        diag[0] = 9.0   # the caller's array is copied
+        assert other.diag.tolist() == [0.5, -1.0, 4.0]
+        assert not other.diag.flags.writeable
+        assert other.edge_u is prob.edge_u and other.edge_q is prob.edge_q
+        assert prob.diag.tolist() == [1.0, 2.0, 3.0]
+        for bad, match in [([0.0, 1.0], "diag must have length 3"),
+                           ([0.0, np.nan, 1.0], "must be finite"),
+                           ([0.0, np.inf, 1.0], "must be finite")]:
+            with pytest.raises(DimensionMismatch, match=match):
+                prob.with_diag(bad)
 
     def test_stores_edges_as_from_parts(self):
         # (1, 0) used to be rejected, and a repeated pair kept twice

@@ -16,6 +16,59 @@ def fused_pair_problem(lam=1.0):
                              lam)
 
 
+def _close_top_pair(shape, seed=2):
+    """A design whose top two singular values are 1e-9 apart, from an SVD."""
+    rng = np.random.default_rng(seed)
+    m = min(shape)
+    U = np.linalg.qr(rng.normal(0, 1, (shape[0], m)))[0]
+    V = np.linalg.qr(rng.normal(0, 1, (shape[1], m)))[0]
+    s = np.sort(rng.uniform(0.1, 1.0, m))[::-1]
+    s[:2] = 2.0, 2.0 - 1e-9
+    return (U * s) @ V.T
+
+
+def _orthogonal_to_start(shape, seed=5):
+    """A rank-1 design whose Gram matrix (the smaller one) maps the
+    estimate's seeded start vector to 0: its Lanczos space breaks down at
+    the first step."""
+    m = min(shape)
+    start = np.random.default_rng(7).standard_normal(m)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0, 1, m)
+    x -= (x @ start) / (start @ start) * start
+    y = rng.normal(0, 1, max(shape))
+    return np.outer(x, y) if shape[0] <= shape[1] else np.outer(y, x)
+
+
+def _designs():
+    rng = np.random.default_rng(2)
+    yield "gaussian-300x500", rng.normal(0, 1, (300, 500))
+    yield "gaussian-500x300", rng.normal(0, 1, (500, 300))
+    yield "gaussian-80x120", rng.normal(0, 1, (80, 120))
+    yield "close-top-pair-300x500", _close_top_pair((300, 500))
+    yield "close-top-pair-60x40", _close_top_pair((60, 40))
+    yield "rank-1-50x30", np.outer(rng.normal(0, 1, 50), rng.normal(0, 1, 30))
+    yield "rank-1-20x90", np.outer(rng.normal(0, 1, 20), rng.normal(0, 1, 90))
+    yield "1x40", rng.normal(0, 1, (1, 40))
+    yield "40x1", rng.normal(0, 1, (40, 1))
+    yield "1x1", np.array([[-3.0]])
+    yield "2x2", rng.normal(0, 1, (2, 2))
+    for shape in ((30, 50), (50, 30), (2, 7), (3, 3)):
+        yield f"start-orthogonal-{shape[0]}x{shape[1]}", _orthogonal_to_start(shape)
+
+
+_DESIGNS = dict(_designs())
+
+
+def _assert_tight_bound(A):
+    """L_SAFETY times 2 sigma_max(A)^2, to 1e-6 relative, and never below
+    2 sigma_max(A)^2."""
+    exact = 2.0 * np.linalg.norm(A, 2) ** 2
+    L = lipschitz_estimate(A)
+    assert L >= exact
+    assert L <= regression.L_SAFETY * exact * (1 + 1e-6)
+
+
 class TestLipschitz:
     def test_identity(self):
         L = lipschitz_estimate(np.eye(5))
@@ -33,37 +86,37 @@ class TestLipschitz:
             assert L >= exact * (1 - 1e-3)
             assert L / 1.1 == pytest.approx(exact, rel=0.01)
 
-    @pytest.mark.parametrize("run_to_cap", [False, True])
-    def test_covers_spectral_norm_at_the_cap(self, monkeypatch, run_to_cap):
-        # tall, wide and rank-1 designs; the 80 x 120 one stops at
-        # POWER_ITERS with the default tolerance, and with no tolerance
-        # every design does.  L_SAFETY covers what the iteration falls short
-        if run_to_cap:
-            monkeypatch.setattr(regression, "POWER_RTOL", 0.0)
-        rng = np.random.default_rng(2)
-        designs = [rng.normal(0, 1, shape) for shape in
-                   ((300, 500), (500, 300), (60, 40), (40, 60))]
-        designs += [np.random.default_rng(2).normal(0, 1, (80, 120)),
-                    np.outer(rng.normal(0, 1, 50), rng.normal(0, 1, 30)),
-                    np.outer(rng.normal(0, 1, 20), rng.normal(0, 1, 90))]
-        for A in designs:
-            assert lipschitz_estimate(A) >= 2 * np.linalg.norm(A, 2) ** 2
+    @pytest.mark.parametrize("name", list(_DESIGNS))
+    def test_tight_bound(self, name):
+        _assert_tight_bound(_DESIGNS[name])
 
     def test_covers_spectral_norm_of_scaled_designs(self):
-        # the stop is relative at every scale: an absolute one ends the
-        # iteration early on a design far below 1
-        A = np.random.default_rng(3).normal(0, 1, (300, 500))
-        for scale in (1e-3, 1e-4, 1e-5, 1e-8, 1e4):
-            L = lipschitz_estimate(scale * A)
-            assert L >= 2 * np.linalg.norm(scale * A, 2) ** 2, scale
+        # no floor of 1 and no absolute floor: a design scaled by 1e-8 gets
+        # its own estimate, not L_FLOOR
+        for name in ("gaussian-300x500", "close-top-pair-60x40",
+                     "rank-1-20x90", "40x1", "start-orthogonal-30x50"):
+            for scale in (1e-8, 1e-5, 1e-3, 1e2, 1e4):
+                _assert_tight_bound(scale * _DESIGNS[name])
 
     def test_row_orthogonal_to_the_start_vector(self):
-        # the first step's estimate is rounding noise; the next is exact
+        # a 1 x n design has a 1 x 1 Gram matrix, read directly
         v = np.random.default_rng(7).standard_normal(6)
         row = np.arange(1.0, 7.0)
         row -= (row @ v) / (v @ v) * v
         row /= np.linalg.norm(row)
         assert lipschitz_estimate(row[None, :]) == pytest.approx(2.2)
+
+    def test_arpack_without_convergence(self, monkeypatch):
+        # the dense Gram matrix takes over
+        import scipy.sparse.linalg as sla
+
+        def no_convergence(*args, **kwargs):
+            raise sla.ArpackNoConvergence("no convergence", np.zeros(0),
+                                          np.zeros((0, 0)))
+
+        monkeypatch.setattr(sla, "eigsh", no_convergence)
+        for name in ("gaussian-80x120", "close-top-pair-60x40", "rank-1-50x30"):
+            _assert_tight_bound(_DESIGNS[name])
 
 
 class TestProblem:
@@ -219,6 +272,22 @@ class TestFit:
         res = fista_fit(prob, tol=1e-10, max_iter=2000)
         ref = fista_fit(prob, tol=0.0, max_iter=20000)
         assert objective(prob, res.u) <= objective(prob, ref.u) + 1e-6
+
+    def test_stop_is_relative_at_every_scale(self):
+        # with y and lambda scaled by 1e-6 the objective scales by 1e-12;
+        # a stop test floored at 1 used to end that fit after 1 iteration
+        rng = np.random.default_rng(3)
+        n = 60
+        A = rng.normal(0, 1, (40, n))
+        y = A @ np.repeat(rng.normal(0, 2, 4), 15) + rng.normal(0, 0.5, 40)
+        eu = np.arange(n - 1)
+        fits = [fista_fit(RegressionProblem(A, c * y, eu, eu + 1,
+                                            np.ones(n - 1), c * 2.0))
+                for c in (1.0, 1e-6)]
+        assert fits[0].converged and fits[1].converged
+        assert fits[0].iterations > 100
+        assert fits[1].iterations == fits[0].iterations
+        np.testing.assert_allclose(fits[1].u, 1e-6 * fits[0].u, rtol=1e-6)
 
     def test_zero_step_fixed_point(self):
         # with an enormous L the update leaves the iterate unchanged
