@@ -6,7 +6,7 @@ splitting node blocks with minimum cuts at pivot levels:
 
 * a block with positive total weight pivots at sum(r) / sum(w), the unique
   level that zero-sums the shifted unary terms;
-* a block of all-zero weights is the uniform-epsilon limit of the weighted
+* a block whose weights sum to 0 is the uniform-epsilon limit of the weighted
   problem, which degenerates to the unweighted rule (pivot at mean r);
 * a block containing anchored nodes pivots at the mean anchor value, and
   anchors are pinned to a side with infinite terminal arcs.
@@ -64,12 +64,13 @@ block found flat with no flow call is already equalized by g.  Crossing
 edges of nontrivial cuts are saturated and folded into the diagonal of the
 high-side endpoint; the edges left inside the children keep g + h.
 
-Each block has one tolerance, TERM_TOL times the larger of |pivot| and
+Each block has one tolerance, TERM_TOL times the larger of the pivot in
+units of r (|sum(r)| / |block|; for a block with anchors, their mean) and
 the problem's largest bound on |r_i| over non-anchor nodes: the block is
 one level set when no unary strays further from its pivot, and an anchor
 that close to the pivot sits at it.  Neither this tolerance nor
-``FlowNetwork.tol()`` has a floor of 1, so data far below 1 are not read
-as flat blocks or saturated arcs.
+``FlowNetwork.tol()`` holds an absolute constant, so data and weights far
+below 1 are not read as flat blocks or saturated arcs.
 
 The engine records, per node, the level its block terminated at and the
 flip thresholds governing level-set membership:
@@ -91,7 +92,6 @@ from .maxflow import (_SCIPY_NODE_THRESHOLD, _kernel, _prechecked,
 from .qbm import QuadraticBinaryProblem, _check_beta, _check_weights
 
 TERM_TOL = 1e-9  # relative tolerance for "block is one level set"
-ZERO_W_TOL = 1e-12
 
 
 @dataclass
@@ -366,12 +366,12 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
             a_val = anchor_values[nodes]
             n_anch = np.bincount(bid, anch, B)
             pinned = n_anch > 0
-            zero = ~pinned & (sw <= ZERO_W_TOL)
+            zero = ~pinned & (sw == 0)
             num = np.where(pinned, np.bincount(bid, np.where(anch, a_val, 0.0), B),
                            num)
             mu = num / np.where(pinned, n_anch, np.where(zero, size, sw))
         else:
-            zero = sw <= ZERO_W_TOL
+            zero = sw == 0
             mu = num / np.where(zero, size, sw)
         any_zero = np.count_nonzero(zero)
         w_eff = np.where(zero[bid], 1.0, w_nd) if any_zero else w_nd
@@ -379,7 +379,9 @@ def solve_parametric(problem: QuadraticBinaryProblem, weights=None,
         if anchored:
             unary[anch] = 0.0
         del r, w_nd
-        tol = TERM_TOL * np.maximum(np.abs(mu), scale)
+        # the pivot in r's units: mu times the mean weight (pinned: anchor mean)
+        piv = np.where(pinned, mu, num / size) if anchored else num / size
+        tol = TERM_TOL * np.maximum(np.abs(piv), scale)
         spread = np.zeros(B)
         np.maximum.at(spread, bid, np.abs(unary))
         flat = spread <= tol

@@ -49,7 +49,7 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_vector(path, values, index_base: int = 0):
+def _write_vector(path, values, index_base: int):
     _write_lines(path, [f"{i + index_base} {_fmt(v)}"
                         for i, v in enumerate(values)])
 

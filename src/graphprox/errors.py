@@ -8,7 +8,7 @@ class GraphProxError(Exception):
 class NonSubmodularEnergy(GraphProxError):
     """A pairwise term violates E(0,0) + E(1,1) <= E(0,1) + E(1,0)."""
 
-    def __init__(self, i: int, j: int, gap: float = 0.0):
+    def __init__(self, i: int, j: int, gap: float):
         self.i = i
         self.j = j
         self.gap = gap

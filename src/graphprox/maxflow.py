@@ -203,13 +203,14 @@ def check_flow(net: FlowNetwork, state: FlowState) -> list:
     """Violations of the capacity bounds (the first five per arc kind) or,
     when those hold, of conservation at the interior nodes, where a message
     names the node of largest |excess|.  Empty when ``state`` is a valid
-    flow of ``net``."""
-    tol = net.tol()
+    flow of ``net``; DimensionMismatch for arrays that do not match it."""
+    n, m = net.n, len(net.arc_u)
     flows, caps = (state.z_source, state.z_sink, state.z_arc), state.caps(net)
-    # one test over all arcs; arrays of the wrong size, which broadcast,
-    # go to the per-kind test directly
-    z, cap = np.concatenate(flows), np.concatenate(caps)
-    if z.shape != cap.shape or np.count_nonzero((z < -tol) | (z > cap + tol)):
+    if [np.shape(a) for a in flows + caps] != [(n,), (n,), (m,)] * 2:
+        raise DimensionMismatch("flow arrays do not match the network")
+    tol = net.tol()
+    z, cap = np.concatenate(flows), np.concatenate(caps)  # all arcs at once
+    if np.count_nonzero((z < -tol) | (z > cap + tol)):
         violations = []
         for z, cap, label in zip(flows, caps, ("z_source", "z_sink", "z_arc")):
             for k in ((z < -tol) | (z > cap + tol)).nonzero()[0][:5]:
@@ -239,10 +240,13 @@ def _clamped(net: FlowNetwork) -> tuple[FlowNetwork, float]:
 
     An arc whose capacity exceeds the max-flow value lies on no minimum
     cut, so the clamped network has the same minimum cuts and flow value,
-    and its maximum flows are maximum flows of ``net``.  The bound is the smaller terminal side sum; when both sides
-    hold an infinite arc it is the sum of all finite capacities, which
-    bounds the cut around everything the source reaches over infinite
-    arcs.
+    and its maximum flows are maximum flows of ``net``.  The bound is the
+    smaller terminal side sum; when both sides hold an infinite arc it is
+    the sum of all finite capacities, which bounds the cut around
+    everything the source reaches over infinite arcs.  The clamp is the
+    bound times 1 + 1e-9; where the bound is 0, no flow passes and it is
+    the largest finite capacity (else 1), which keeps scipy's grid in the
+    data's units.
 
     Raises
     ------
@@ -267,7 +271,7 @@ def _clamped(net: FlowNetwork) -> tuple[FlowNetwork, float]:
                 raise DimensionMismatch("infinite path links source to sink")
             caps = (net.source_caps, net.sink_caps, net.arc_cap)
             bound = float(sum(c[np.isfinite(c)].sum() for c in caps))
-    clamp = bound * (1.0 + 1e-9) + 1.0
+    clamp = bound * (1.0 + 1e-9) or net.tol() / SAT_TOL or 1.0
     cnet = _prechecked(net.n, np.minimum(net.source_caps, clamp),
                        np.minimum(net.sink_caps, clamp), net.arc_u, net.arc_v,
                        np.minimum(net.arc_cap, clamp))
@@ -498,15 +502,17 @@ def _scipy_flow(net: FlowNetwork) -> FlowState:
     """Maximum flow by scipy's int32 ``maximum_flow`` on the clamped
     network (``_clamped``) with its capacities snapped down onto a
     power-of-two grid; the snapped capacities are the flow's ``eff_*``.
+    An arc at the clamp snaps one step up instead: snapped down, it could
+    land on the flow bound and so on a minimum cut.
 
     scipy sums parallel arcs into c(u, v) and keeps the residual of u -> v
     as c(u, v) - f(u, v) in int32, which reaches c(u, v) + c(v, u); where
     that sum wraps, it silently returns a non-maximum flow.  So the grid
     leaves room for twice the largest interior pair sum, not only for the
     clamp: twice the clamp when an interior arc is infinite, since both
-    directions of a tie carry it.  One stable sort of the arcs by (tail,
-    head) gives the pair sums, the CSR graph, each pair's flow, and its
-    split back over the pair's arcs in order.
+    directions of a tie carry it, and for four steps up.  One stable sort
+    of the arcs by (tail, head) gives the pair sums, the CSR graph, each
+    pair's flow, and its split back over the pair's arcs in order.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow
@@ -521,11 +527,13 @@ def _scipy_flow(net: FlowNetwork) -> FlowState:
     key = key[first]
     c = np.concatenate([cnet.source_caps, cnet.sink_caps, cnet.arc_cap])[order]
     del cnet
+    up = c == clamp
     # interior pairs are those whose first arc is interior (arcs 2n and up)
     inner = np.add.reduceat(c, first)[order[first] >= 2 * n]
     top = max(clamp, 2.0 * float(inner.max(initial=0.0)))
-    scale = float(2.0 ** np.floor(np.log2((2.0 ** 31 - 1) / (top + 1.0))))
+    scale = float(2.0 ** np.floor(np.log2((2.0 ** 31 - 5) / top)))
     c = np.floor(c * scale)
+    c[up] += 1.0
     eff = np.empty(len(c))
     eff[order] = c / scale
     c = c.astype(np.int64)

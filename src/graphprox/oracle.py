@@ -115,13 +115,13 @@ def augment_integer_weights(problem: QuadraticBinaryProblem, int_weights):
         problem.offset), index_map
 
 
-def min_norm_reference(problem: QuadraticBinaryProblem, weights=None,
-                       tol: float = 1e-11, max_iter: int = 500_000) -> ReductionVector:
+def min_norm_reference(problem: QuadraticBinaryProblem,
+                       weights=None) -> ReductionVector:
     """Weighted minimum-norm point by accelerated projected gradient.
 
     Minimizes sum_i r_i(alpha)^2 / w_i over the box |alpha_e| <= |q_e|
     (projection is a clip).  Requires strictly positive weights.  Stops
-    when the projected-gradient residual falls below tol * scale.
+    when the projected-gradient residual falls below 1e-11 * scale.
     """
     if weights is None:
         weights = np.ones(problem.n)
@@ -162,7 +162,7 @@ def min_norm_reference(problem: QuadraticBinaryProblem, weights=None,
     y = alpha.copy()
     t = 1.0
     obj_prev = np.inf
-    for it in range(max_iter):
+    for it in range(500_000):
         g = grad(r_of(y))
         alpha_new = np.clip(y - step * g, -cap, cap)
         r = r_of(alpha_new)
@@ -177,13 +177,12 @@ def min_norm_reference(problem: QuadraticBinaryProblem, weights=None,
         alpha, t, obj_prev = alpha_new, t_new, obj
         if it % 8 == 0:
             resid = np.abs(np.clip(alpha - grad(r_of(alpha)), -cap, cap) - alpha)
-            if float(resid.max(initial=0.0)) <= tol * scale:
+            if float(resid.max(initial=0.0)) <= 1e-11 * scale:
                 break
     return ReductionVector(r_of(alpha))
 
 
-def prox_reference(problem: ProxProblem, cert_target: float = 1e-8,
-                   max_iter: int = 600_000) -> np.ndarray:
+def prox_reference(problem: ProxProblem) -> np.ndarray:
     """Reference prox solver via the box-constrained dual.
 
     Fenchel duality turns every absolute term lambda*w|u_i - u_j| and
@@ -191,7 +190,7 @@ def prox_reference(problem: ProxProblem, cert_target: float = 1e-8,
     quadratic over a box, solved here by accelerated projected gradient
     with restarts (no flows, no recursion).  The primal is recovered as
     u = a' - (1/2) D^T zeta and iteration stops once the subgradient
-    certificate of u clears ``cert_target``.
+    certificate of u clears 1e-8, or after about 600,000 steps in all.
     """
     from .prox import certificate, pwl_decompose
 
@@ -251,7 +250,7 @@ def prox_reference(problem: ProxProblem, cert_target: float = 1e-8,
     zeta = np.zeros(m)
     y = zeta.copy()
     t = 1.0
-    bulk = min(4000, max_iter)
+    bulk = 4000
     for it in range(bulk):
         z_new = np.clip(y - step * grad(y), -bnd, bnd)
         if (z_new - zeta) @ (y - z_new) > 0:  # gradient-scheme restart
@@ -271,7 +270,7 @@ def prox_reference(problem: ProxProblem, cert_target: float = 1e-8,
     jl = rj.tolist()
     bl = bnd.tolist()
     ol = off.tolist()
-    sweeps = max(200, (max_iter - bulk) // max(m, 1))
+    sweeps = max(200, (600_000 - bulk) // m)
     for sweep in range(sweeps):
         delta = 0.0
         for e in range(m):
@@ -300,6 +299,6 @@ def prox_reference(problem: ProxProblem, cert_target: float = 1e-8,
             # near-fixed point; box constraints are separable, so a
             # coordinate fixed point of the dual is globally optimal
             u = np.array(ul)
-            if certificate(problem, u) <= cert_target or delta <= 1e-14 * scale:
+            if certificate(problem, u) <= 1e-8 or delta <= 1e-14 * scale:
                 return u
     return np.array(ul)

@@ -89,8 +89,8 @@ def check_optimality(problem: QuadraticBinaryProblem, alpha,
     of its rounding noise does not tell.
     """
     w = _check_weights(weights, problem.n)
-    a = validate_alpha(problem, alpha)
-    r = reductions(problem, a).r
+    r = reductions(problem, alpha).r
+    a = np.asarray(alpha, dtype=np.float64)
 
     with np.errstate(divide="ignore"):
         key = np.where(w > 0, r / np.where(w > 0, w, 1.0),

@@ -16,7 +16,7 @@ anchoring) coupled to node i with strength lambda * kappa_k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,16 +67,12 @@ class PiecewiseLinearPenalty:
         b, th = self.breakpoints, self.slopes
         if len(b) == 0:
             return float(th[0] * u)
-        if u <= b[0]:
+        k = int(np.searchsorted(b, u))  # u in segment k: b[k-1] < u <= b[k]
+        if k == 0:
             return float(th[0] * (u - b[0]))
-        val = 0.0
-        x = b[0]
-        for k in range(1, len(b)):
-            if u <= b[k]:
-                return float(val + th[k] * (u - x))
-            val += th[k] * (b[k] - x)
-            x = b[k]
-        return float(val + th[-1] * (u - x))
+        # the value at b[k-1]: each whole segment before it, added in order
+        val = np.cumsum(th[1:-1] * np.diff(b))[k - 2] if k > 1 else 0.0
+        return float(val + th[k] * (u - b[k - 1]))
 
     def subgradient(self, u: float) -> tuple[float, float]:
         """Interval [lo, hi] of subgradients at u; u within FUSE_TOL
@@ -210,14 +206,10 @@ class ProxProblem:
     def n(self) -> int:
         return len(self.a)
 
-    def regularizer(self, u) -> float:
-        """sum_i xi_i(u_i) + sum_ij w_ij |u_i - u_j| (no lambda factor)."""
-        return regularizer(np.asarray(u, dtype=np.float64), self.edge_u,
-                           self.edge_v, self.edge_w, self.penalties)
-
     def objective(self, u) -> float:
         u = np.asarray(u, dtype=np.float64)
-        return float(np.sum((u - self.a) ** 2)) + self.lam * self.regularizer(u)
+        return float(np.sum((u - self.a) ** 2)) + self.lam * regularizer(
+            u, self.edge_u, self.edge_v, self.edge_w, self.penalties)
 
 
 @dataclass
@@ -234,18 +226,16 @@ class _Encoding:
     """What ``build_prox_qbm`` makes of a problem's edges, lam and penalties,
     the same for every centre: the QBM's diagonal is
     ``bincount(bins, concatenate([a - shift, terms]))``, where ``shift`` is
-    ``pen_shift`` at ``pen_nodes`` and 0 elsewhere, and ``qbm`` holds the
-    couplings, checked and stored once.  ``source`` holds the problem's
-    parts it was made of."""
+    ``pen_shift`` at ``pen_nodes`` and 0 elsewhere, and ``build`` the anchors
+    and the couplings' QBM, checked and stored once.  ``source`` holds the
+    problem's parts it was made of."""
 
     source: tuple
     pen_nodes: np.ndarray
     pen_shift: np.ndarray
     bins: np.ndarray
     terms: np.ndarray
-    qbm: QuadraticBinaryProblem
-    anchor_mask: np.ndarray
-    anchor_values: np.ndarray
+    build: ProxBuild
 
 
 def _parts(problem: ProxProblem) -> tuple:
@@ -283,8 +273,8 @@ def _encode(problem: ProxProblem) -> _Encoding:
     for arr in (bins, terms, anchor_mask, anchor_values):
         arr.setflags(write=False)
     return _Encoding(_parts(problem), np.array(pen_nodes, dtype=np.int64),
-                     np.array(pen_shift),
-                     bins, terms, qbm, anchor_mask, anchor_values)
+                     np.array(pen_shift), bins, terms,
+                     ProxBuild(qbm, anchor_mask, anchor_values))
 
 
 def build_prox_qbm(problem: ProxProblem) -> ProxBuild:
@@ -306,14 +296,13 @@ def build_prox_qbm(problem: ProxProblem) -> ProxBuild:
                                                       _parts(problem))):
             kept[:] = [_encode(problem)]
             # the engine keeps its edge data for the with_diag copies too
-            kept[0].qbm._edge_data = []
+            kept[0].build.qbm._edge_data = []
         enc = kept[0]
     diag = problem.a.copy()
     diag[enc.pen_nodes] -= enc.pen_shift
-    full_diag = np.bincount(enc.bins, np.concatenate([diag, enc.terms]),
-                            len(enc.anchor_mask))
-    return ProxBuild(enc.qbm.with_diag(full_diag), enc.anchor_mask,
-                     enc.anchor_values)
+    qbm = enc.build.qbm
+    full_diag = np.bincount(enc.bins, np.concatenate([diag, enc.terms]), qbm.n)
+    return replace(enc.build, qbm=qbm.with_diag(full_diag))
 
 
 def prox(problem: ProxProblem) -> np.ndarray:

@@ -525,6 +525,37 @@ class TestScaleInvariance:
         for c in self.SCALES:
             assert np.abs(prox(scaled(c)) / c - ref).max() <= 1e-12, c
 
+    def test_scaled_weights(self):
+        # weights scaled by c scale every flip by 1 / c: neither the
+        # all-zero test (a zero weight sum) nor the flat test (the pivot in
+        # units of r) holds an absolute constant
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            p = random_submodular(rng, 30, density=0.2)
+            w = rng.uniform(0.5, 2.0, p.n)
+            ref = solve_weighted(p, w)
+            top = np.abs(ref.flip_hi).max()
+            for c in (1e-13, 1e-10, 1e-6, 1e-2, 1e2, 1e6, 1e10):
+                sol = solve_weighted(p, c * w)
+                for got, want in ((sol.flip_lo, ref.flip_lo),
+                                  (sol.flip_hi, ref.flip_hi)):
+                    assert np.abs(c * got - want).max() <= 1e-12 * top, c
+                assert len(sol.breakpoints()) == len(ref.breakpoints()), c
+
+    def test_scipy_grid_prox(self, flow_backend):
+        # every block network on scipy's snapped grid, whose step follows
+        # the data's scale with no unit margin
+        flow_backend("scipy")
+        rng = np.random.default_rng(3)
+        idx = np.arange(900).reshape(30, 30)
+        eu = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+        ev = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+        p = ProxProblem(rng.normal(0, 1, 900), eu, ev, np.ones(len(eu)), 0.5)
+        ref = prox(p)
+        for c in (1e-10, 1e-6, 1e-2, 1e2, 1e8):
+            u = prox(ProxProblem(c * p.a, eu, ev, p.edge_w, c * p.lam))
+            assert np.abs(u / c - ref).max() <= 1e-12, c
+
 
 class TestKeptEdgeData:
     """What a solve takes from the edges alone is kept for the QBMs of a

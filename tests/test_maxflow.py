@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,6 +160,13 @@ class TestScipyBackend:
         min_cut(net, state)  # raises StaleFlow on a non-maximum flow
         exact = max_flow(net, method="float").value
         assert state.value == pytest.approx(exact, rel=1e-6)
+
+    def test_zero_flow_bound_keeps_small_capacities(self):
+        # no sink arc, so no flow passes: the grid still follows the
+        # capacities, and arcs of 1e-10 keep nodes 0 and 1 on the source side
+        net = FlowNetwork(3, [1e-10, 0.0, 0.0], [0.0, 0.0, 0.0], [0], [1],
+                          [1e-10])
+        assert min_cut(net, max_flow(net, "scipy")) == (set(), {2})
 
     def test_headroom_only_for_large_arcs(self):
         # flow bound about 4000: arcs far below it keep the full-range
@@ -861,16 +869,34 @@ def no_kernel(monkeypatch):
 @pytest.mark.parametrize("backend", [
     pytest.param("kernel", marks=needs_cc), "fallback"])
 def test_flow_arrays_must_match_network(backend, request):
-    # a length-1 z_source broadcasts through check_flow; the search must
-    # not read past its end, nor broadcast it
+    # a length-1 z_source would broadcast; neither check_flow nor the
+    # search may read past its end or broadcast it
     if backend == "fallback":
         request.getfixturevalue("no_kernel")
     net = FlowNetwork(3, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0, 1], [1, 2],
                       [1.0, 1.0])
     short = FlowState(np.zeros(1), np.zeros(3), np.zeros(2), 0.0)
-    assert check_flow(net, short) == []
+    with pytest.raises(DimensionMismatch):
+        check_flow(net, short)
     with pytest.raises(DimensionMismatch):
         min_cut(net, short)
+
+
+def test_check_flow_rejects_each_array_of_the_wrong_length():
+    net = FlowNetwork(3, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0, 1], [1, 2],
+                      [1.0, 1.0])
+    zero = FlowState(np.zeros(3), np.zeros(3), np.zeros(2), 0.0)
+    snapped = replace(zero, eff_source=net.source_caps,
+                      eff_sink=net.sink_caps, eff_arc=net.arc_cap)
+    for state, names in ((zero, ("z_source", "z_sink", "z_arc")),
+                         (snapped, ("z_source", "z_sink", "z_arc", "eff_source",
+                                    "eff_sink", "eff_arc"))):
+        assert check_flow(net, state) == []
+        for name in names:
+            size = len(getattr(state, name))
+            for wrong in (size - 1, size + 1):
+                with pytest.raises(DimensionMismatch):
+                    check_flow(net, replace(state, **{name: np.zeros(wrong)}))
 
 
 def test_kernel_builds_without_user_ids(no_kernel, monkeypatch, tmp_path):

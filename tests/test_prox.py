@@ -6,6 +6,7 @@ import pytest
 from graphprox import (DimensionMismatch, NonConvexPenalty,
                        PiecewiseLinearPenalty, ProxProblem, build_prox_qbm,
                        certificate, prox, pwl_decompose)
+from graphprox.prox import regularizer
 from graphprox._engine import solve_parametric
 from graphprox.oracle import prox_reference
 from conftest import random_penalty, random_prox_problem
@@ -177,9 +178,13 @@ class TestObjective:
     def test_distance_plus_scaled_regularizer(self, rng):
         p = random_prox_problem(rng, 12, with_penalties=True)
         u = rng.normal(0, 2, p.n)
+
+        def reg(u):
+            return regularizer(u, p.edge_u, p.edge_v, p.edge_w, p.penalties)
+
         assert p.objective(u) == pytest.approx(
-            np.sum((u - p.a) ** 2) + p.lam * p.regularizer(u), rel=1e-14)
-        assert p.objective(p.a) == pytest.approx(p.lam * p.regularizer(p.a),
+            np.sum((u - p.a) ** 2) + p.lam * reg(u), rel=1e-14)
+        assert p.objective(p.a) == pytest.approx(p.lam * reg(p.a),
                                                  rel=1e-14)
 
 

@@ -6,6 +6,7 @@ import pytest
 from graphprox import (PiecewiseLinearPenalty, ProxProblem, RegressionProblem,
                        fista_fit, lipschitz_estimate, objective, prox,
                        regression)
+from graphprox.prox import regularizer
 from graphprox.errors import DimensionMismatch, NonConvexPenalty
 from conftest import random_penalty
 
@@ -215,7 +216,9 @@ class TestObjective:
             helper = ProxProblem(np.zeros(n), eu, ev, ew, lam, pens)
             for u in (rng.normal(0, 2, n), np.round(rng.normal(0, 1, n), 1)):
                 resid = y - A @ u
-                want = float(resid @ resid) + lam * helper.regularizer(u)
+                want = float(resid @ resid) + lam * regularizer(
+                    u, helper.edge_u, helper.edge_v, helper.edge_w,
+                    helper.penalties)
                 assert objective(prob, u) == want
 
     def test_local_optimality_of_fit(self, rng):

@@ -141,6 +141,21 @@ class TestZeroWeights:
         for b in (-1.0, 0.5, 1.0, 1.7, 2.0, 2.5, 5.0):
             assert sol.u2(b) == sole.u2(b)
 
+    def test_tiny_weights_are_positive(self):
+        # weights of 1e-13 sum to more than 0: the block pivots at
+        # sum(r) / sum(w) and its nodes flip at r / w, as at unit weights
+        # scaled; only weights of exactly 0 take the all-zero rule
+        prob = QuadraticBinaryProblem.from_parts([-1.0, 3.0, 0.5],
+                                                 {(0, 1): -1.0, (1, 2): -3.0})
+        unit = solve_weighted(prob, np.ones(3))
+        tiny = solve_weighted(prob, np.full(3, 1e-13))
+        assert np.isfinite(unit.flip_hi).all()
+        for got, want in ((tiny.flip_lo, unit.flip_lo),
+                          (tiny.flip_hi, unit.flip_hi)):
+            np.testing.assert_allclose(1e-13 * got, want, rtol=1e-12)
+        zero = solve_weighted(prob, np.zeros(3))
+        assert np.isinf(zero.flip_lo).all() and np.isinf(zero.flip_hi).all()
+
     def test_all_zero_weights_sign_behavior(self):
         # membership is beta-independent: nodes with positive minimum-norm
         # reductions never enter, negative always
